@@ -19,7 +19,6 @@ from .dist import (
     from_table,
     geometric_average,
     iron,
-    is_regular,
     is_regular_above_reserve,
     monopoly_price,
     normal,
@@ -42,6 +41,7 @@ from .mech import (
     multiunit_outcome,
     myerson_outcome,
     pp_outcome,
+    separable_form,
     spa_outcome,
     topk_class,
 )
@@ -60,12 +60,11 @@ from .orderstat import (
 from .revenue import (
     NotSeparableError,
     RevenueReport,
+    closed_form_revenue,
     mc_expected_revenue,
     optimal_robust_reserve,
     optimal_unknown_n_reserve,
-    pp_expected_revenue,
     robust_sandwich,
-    spa_expected_revenue,
     unknown_n_bound,
     worst_case_revenue_topk,
 )

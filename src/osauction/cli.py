@@ -80,6 +80,14 @@ def _require(cfg: dict, key: str):
     return cfg[key]
 
 
+def _grid(args, cfg: dict) -> int:
+    grid = args.grid if args.grid is not None else cfg.get("grid", 4096)
+    try:
+        return int(grid)
+    except (TypeError, ValueError):
+        raise ConfigError(f"grid must be an integer, got {grid!r}") from None
+
+
 def _spec_from_config(cfg: dict, grid: int) -> AmbiguitySpec:
     try:
         n = int(_require(cfg, "n"))
@@ -113,14 +121,15 @@ def _mechanism_from_config(obj, grid: int) -> M.Mechanism:
         raise ConfigError(f"bad mechanism spec: {e}") from None
 
 
-def _family_from_config(obj):
+def _family_from_config(obj, grid: int):
     if obj in ("spa", "posted_price"):
         return obj
-    if isinstance(obj, dict):
-        if obj.get("type") == "multi_unit":
-            return ("multi_unit", int(obj["units"]))
-        if obj.get("type") == "laddered":
-            return ("laddered", tuple(obj["click_rates"]))
+    if isinstance(obj, dict) and obj.get("type") in ("multi_unit", "laddered"):
+        # built once here so a malformed family is refused before any inversion
+        mech = _mechanism_from_config(obj, grid)
+        if isinstance(mech, M.MultiUnit):
+            return ("multi_unit", mech.units)
+        return ("laddered", mech.click_rates)
     raise ConfigError(f"unknown mechanism family {obj!r}")
 
 
@@ -129,7 +138,7 @@ def _family_from_config(obj):
 
 def cmd_invert(args) -> int:
     cfg = _load_config(args.config)
-    grid = int(args.grid or cfg.get("grid", 4096))
+    grid = _grid(args, cfg)
     spec = _spec_from_config(cfg, grid)
     fbar = consistent_iid(spec, grid=grid)
     rows = []
@@ -150,14 +159,13 @@ def cmd_invert(args) -> int:
 
 def cmd_reserve(args) -> int:
     cfg = _load_config(args.config)
-    grid = int(args.grid or cfg.get("grid", 4096))
-    family = _family_from_config(_require(cfg, "family"))
+    grid = _grid(args, cfg)
+    family = _family_from_config(_require(cfg, "family"), grid)
     n_field = _require(cfg, "n")
     if n_field == "unknown":
         if family != "spa":
             raise ConfigError("the any-number-of-bidders bound is for the 'spa' family")
-        G = from_literal(_require(cfg, "G"), grid=grid)
-        res = R.optimal_unknown_n_reserve(G)
+        res = R.optimal_unknown_n_reserve(from_literal(_require(cfg, "G"), grid=grid))
         _write_csv(
             args.out,
             ("family", "mode", "reserve", "guarantee", "z_star", "certificate"),
@@ -189,7 +197,7 @@ def cmd_reserve(args) -> int:
 
 def cmd_worstcase(args) -> int:
     cfg = _load_config(args.config)
-    grid = int(args.grid or cfg.get("grid", 4096))
+    grid = _grid(args, cfg)
     spec = _spec_from_config(cfg, grid)
     mechanism = _mechanism_from_config(_require(cfg, "mechanism"), grid)
     try:
@@ -197,8 +205,6 @@ def cmd_worstcase(args) -> int:
     except R.NotSeparableError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
     report = R.RevenueReport(
         mechanism=mechanism.describe(),
         distribution=f"worst case over k={spec.k}, n={spec.n}, G={spec.G.describe()}",
@@ -212,7 +218,7 @@ def cmd_worstcase(args) -> int:
 
 def cmd_curve(args) -> int:
     cfg = _load_config(args.config)
-    grid = int(args.grid or cfg.get("grid", 4096))
+    grid = _grid(args, cfg)
     cfg.setdefault("k", 2)
     spec = _spec_from_config(cfg, grid)
     fbar = consistent_iid(spec, grid=grid)
@@ -236,7 +242,7 @@ def cmd_curve(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
-    grid = int(args.grid or cfg.get("grid", 4096))
+    grid = _grid(args, cfg)
     seed = args.seed if args.seed is not None else cfg.get("seed")
     samples = args.samples if args.samples is not None else cfg.get("samples")
     if seed is None:
@@ -245,11 +251,7 @@ def cmd_simulate(args) -> int:
         raise ConfigError("simulate needs a sample count (config 'samples' or --samples)")
     if "product" not in cfg:
         raise ConfigError("simulate needs 'product': a list of distribution literals")
-    try:
-        comps = tuple(from_literal(lit, grid=grid) for lit in cfg["product"])
-        pd = ProductDist(comps)
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
+    pd = ProductDist(tuple(from_literal(lit, grid=grid) for lit in cfg["product"]))
     mechanism = _mechanism_from_config(_require(cfg, "mechanism"), grid)
     if isinstance(mechanism, M.MyersonIID) and mechanism.base is None:
         raise ConfigError("simulate needs an explicit 'base' for the myerson mechanism")
@@ -383,7 +385,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as e:
+    except ValueError as e:  # ConfigError, and the library refusing bad input
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
 

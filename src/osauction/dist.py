@@ -78,11 +78,6 @@ class Dist:
         return [(float(self.xs[i]), float(mass[i])) for i in idx]
 
     @property
-    def knots(self) -> list[tuple[float, float]]:
-        """(value, CDF) pairs at the knot values (right-continuous CDF)."""
-        return [(float(x), float(f)) for x, f in zip(self.xs, self.f_right)]
-
-    @property
     def is_discrete(self) -> bool:
         """True when all mass sits in atoms."""
         cont = self.f_left[1:] - self.f_right[:-1] if len(self.xs) > 1 else np.array([])
@@ -145,10 +140,6 @@ class Dist:
         out = np.where(reach, interp, out)
         out = np.where(q_arr <= self.f_right[0], self.xs[0], out)
         return out if q_arr.ndim else float(out)
-
-    def sample(self, u):
-        """Inverse-transform sampling; deterministic given the uniform draw u."""
-        return self.quantile(u)
 
     def describe(self) -> str:
         return self.label
@@ -283,6 +274,8 @@ def exponential(rate: float, grid: int = 4096, tail: float = _FAMILY_TAIL) -> Di
 
 
 def beta_dist(a: float, b: float, grid: int = 4096, tail: float = _FAMILY_TAIL) -> Dist:
+    if a <= 0 or b <= 0:
+        raise ValueError("beta shape parameters must be positive")
     from scipy.stats import beta as _beta
 
     return _from_family(
@@ -296,6 +289,8 @@ def beta_dist(a: float, b: float, grid: int = 4096, tail: float = _FAMILY_TAIL) 
 
 def normal(mean: float, sd: float, grid: int = 4096, tail: float = _FAMILY_TAIL) -> Dist:
     """Normal with tails truncated at mass ``tail``, floored at 0 for auction use."""
+    if sd <= 0:
+        raise ValueError("sd must be positive")
     from scipy.stats import norm as _norm
 
     return _from_family(
@@ -308,34 +303,58 @@ def normal(mean: float, sd: float, grid: int = 4096, tail: float = _FAMILY_TAIL)
     )
 
 
+_MIN_GRID = 16
+
+
 def from_literal(spec, grid: int = 4096) -> Dist:
-    """Parse the distribution literal format used in config files."""
+    """Parse the distribution literal format used in config files.
+
+    Parameters must be finite numbers and ``grid`` at least 16;
+    anything else raises ValueError rather than yielding a degenerate
+    distribution.
+    """
     if isinstance(spec, Dist):
         return spec
     if not isinstance(spec, dict) or "family" not in spec:
         raise ValueError(f"distribution literal must be a dict with a 'family' key, got {spec!r}")
+    if grid < _MIN_GRID:
+        raise ValueError(f"grid must be at least {_MIN_GRID}, got {grid}")
     fam = spec["family"]
-    try:
-        if fam == "uniform":
-            return uniform(spec["lo"], spec["hi"])
-        if fam == "exponential":
-            return exponential(spec["rate"], grid=grid)
-        if fam == "beta":
-            return beta_dist(spec["a"], spec["b"], grid=grid)
-        if fam == "normal":
-            return normal(spec["mean"], spec["sd"], grid=grid)
-        if fam == "twopoint":
-            return two_point(spec["v1"], spec["p1"], spec["v2"])
-        if fam == "atom":
-            return point_mass(spec["v"])
-        if fam == "table":
-            return from_table(
-                [tuple(p) for p in spec.get("knots", [])],
-                [tuple(p) for p in spec.get("atoms", [])],
-            )
-    except KeyError as e:
-        raise ValueError(f"distribution literal {fam!r} is missing parameter {e}") from None
+
+    def num(name: str) -> float:
+        if name not in spec:
+            raise ValueError(f"distribution literal {fam!r} is missing parameter {name!r}")
+        return _finite(spec[name], f"{fam} parameter {name!r}")
+
+    if fam == "uniform":
+        return uniform(num("lo"), num("hi"))
+    if fam == "exponential":
+        return exponential(num("rate"), grid=grid)
+    if fam == "beta":
+        return beta_dist(num("a"), num("b"), grid=grid)
+    if fam == "normal":
+        return normal(num("mean"), num("sd"), grid=grid)
+    if fam == "twopoint":
+        return two_point(num("v1"), num("p1"), num("v2"))
+    if fam == "atom":
+        return point_mass(num("v"))
+    if fam == "table":
+        knots, atoms = (
+            [tuple(_finite(x, f"table {key} entry") for x in pair) for pair in spec.get(key, [])]
+            for key in ("knots", "atoms")
+        )
+        return from_table(knots, atoms)
     raise ValueError(f"unknown distribution family {fam!r}")
+
+
+def _finite(x, what: str) -> float:
+    try:
+        out = float(x)
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} must be a number, got {x!r}") from None
+    if not math.isfinite(out):
+        raise ValueError(f"{what} must be finite, got {x!r}")
+    return out
 
 
 # -- revenue curves and ironing ---------------------------------------------
@@ -363,10 +382,6 @@ class RevenueCurve:
 
     def ironed_value(self, q):
         return np.interp(q, self.ironed_qs, self.ironed_rs)
-
-    @property
-    def max_revenue(self) -> float:
-        return float(np.max(self.rs))
 
 
 def _upper_hull(qs: np.ndarray, rs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -535,11 +550,6 @@ def is_regular_above_reserve(d: Dist, curve_grid: int = 0) -> RegularityReport:
         reserve_quantile=q_star,
         violating_intervals=bad,
     )
-
-
-def is_regular(d: Dist, curve_grid: int = 0) -> bool:
-    """True when the revenue curve is already concave (no ironing at all)."""
-    return not revenue_curve(d, curve_grid=curve_grid).ironed_intervals
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,11 @@
 All mechanisms are dominant-strategy truthful and evaluated under truthful
 bidding: posted price, second-price with reserve, the symmetric Myerson
 auction with ironing (both tie-breaking rules), uniform-price multi-unit,
-and laddered position auctions. ``topk_class`` classifies a mechanism by the
-number of top order statistics its total payment separates across.
+and laddered position auctions. All but Myerson are separable:
+``separable_form`` gives the weights of their total payment over the top
+order statistics, and ``topk_class`` how many statistics those reach. The
+outcomes here follow the allocation rules directly, independently of that
+form, so they can certify it.
 """
 
 from __future__ import annotations
@@ -259,18 +262,36 @@ def outcome(mech: Mechanism, prof: Profile, u: float | None = None) -> Outcome:
     raise TypeError(f"unknown mechanism {mech!r}")
 
 
+def separable_form(mech: Mechanism):
+    """Weights of a mechanism's separable total payment, or None for Myerson.
+
+    Returns ``(r, a, b)`` with ``a = (a_1, ..., a_K)`` and ``b = (b_2, ...,
+    b_{K+1})`` (empty when no (v_(j) - r)^+ term appears), so the total
+    payment is ``r * sum_i a_i 1[v_(i) >= r] + sum_j b_j (v_(j) - r)^+``. A
+    posted price is ``a = (1,)`` with no ``b``; second price is Laddered((1,))
+    and MultiUnit(m) is Laddered((1,) * m); Laddered(alpha) has ``a_i =
+    alpha_i`` and ``b_{j+1} = j * (alpha_j - alpha_{j+1})`` with
+    ``alpha_{K+1} = 0``. Myerson's ironed tie-breaking makes its revenue
+    depend on lower statistics, so it has no such form.
+    """
+    if isinstance(mech, PostedPrice):
+        return mech.price, (1.0,), ()
+    if isinstance(mech, SPAReserve):
+        rates = (1.0,)
+    elif isinstance(mech, MultiUnit):
+        rates = (1.0,) * mech.units
+    elif isinstance(mech, Laddered):
+        rates = mech.click_rates
+    elif isinstance(mech, MyersonIID):
+        return None
+    else:
+        raise TypeError(f"unknown mechanism {mech!r}")
+    b = tuple(j * (x - y) for j, (x, y) in enumerate(zip(rates, rates[1:] + (0.0,)), start=1))
+    return mech.reserve, rates, b
+
+
 def topk_class(mech: Mechanism):
     """Smallest k for which the total payment is a separable, monotone
-    function of the top k order statistics; None for Myerson, whose ironed
-    tie-breaking makes revenue depend on lower statistics."""
-    if isinstance(mech, PostedPrice):
-        return 1
-    if isinstance(mech, SPAReserve):
-        return 2
-    if isinstance(mech, MultiUnit):
-        return mech.units + 1
-    if isinstance(mech, Laddered):
-        return len(mech.click_rates) + 1
-    if isinstance(mech, MyersonIID):
-        return None
-    raise TypeError(f"unknown mechanism {mech!r}")
+    function of the top k order statistics; None for Myerson."""
+    form = separable_form(mech)
+    return None if form is None else max(len(form[1]), len(form[2]) + 1)

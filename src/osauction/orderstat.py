@@ -144,16 +144,23 @@ def consistent_iid(spec: AmbiguitySpec, grid: int = 4096) -> Dist:
 
 
 def poisson_binomial_pmf(x) -> np.ndarray:
-    """Exact pmf of a sum of independent Bernoulli(x_j) by convolution."""
+    """Exact pmf of a sum of independent Bernoulli(x_j) by convolution.
+
+    ``x`` may carry trailing axes, one sum per column: row t of the result is
+    Pr(sum = t) for every column at once.
+    """
     x = np.asarray(x, dtype=np.float64)
     if np.any(x < 0.0) or np.any(x > 1.0):
         raise ValueError("success probabilities must lie in [0, 1]")
-    pmf = np.array([1.0])
-    for p in x:
-        nxt = np.zeros(len(pmf) + 1)
-        nxt[:-1] += pmf * (1.0 - p)
-        nxt[1:] += pmf * p
-        pmf = nxt
+    return _pb_pmf(x)
+
+
+def _pb_pmf(x: np.ndarray) -> np.ndarray:
+    pmf = np.zeros((len(x) + 1,) + x.shape[1:])
+    pmf[0] = 1.0
+    for j, p in enumerate(x):
+        pmf[1 : j + 2] = pmf[1 : j + 2] * (1.0 - p) + pmf[: j + 1] * p
+        pmf[0] = pmf[0] * (1.0 - p)
     return pmf
 
 
@@ -163,32 +170,10 @@ def order_stat_cdf(pd: ProductDist, i: int, v):
     if not 1 <= i <= n:
         raise ValueError("order-statistic index out of range")
     v = np.asarray(v, dtype=np.float64)
+    # survivals of valid distributions lie in [0, 1]: no need to re-check
     surv = np.stack([np.atleast_1d(c.survival(v)) for c in pd.components])
-    out = _pb_tail(surv, i)
+    out = np.clip(_pb_pmf(surv)[:i].sum(axis=0), 0.0, 1.0)
     return out if v.ndim else float(out[0])
-
-
-def order_stat_cdf_left(pd: ProductDist, i: int, v):
-    """Pr(v_(i) < v), using inclusive survivals Pr(value >= v)."""
-    n = pd.n
-    if not 1 <= i <= n:
-        raise ValueError("order-statistic index out of range")
-    v = np.asarray(v, dtype=np.float64)
-    surv = np.stack([np.atleast_1d(c.survival_left(v)) for c in pd.components])
-    out = _pb_tail(surv, i)
-    return out if v.ndim else float(out[0])
-
-
-def _pb_tail(surv: np.ndarray, i: int) -> np.ndarray:
-    """Pr(#successes <= i-1) for column-wise Bernoulli probabilities."""
-    n, m = surv.shape
-    pmf = np.zeros((n + 1, m))
-    pmf[0] = 1.0
-    for j in range(n):
-        p = surv[j]
-        pmf[1 : j + 2] = pmf[1 : j + 2] * (1.0 - p) + pmf[: j + 1] * p
-        pmf[0] = pmf[0] * (1.0 - p)
-    return np.clip(pmf[:i].sum(axis=0), 0.0, 1.0)
 
 
 def fosd_check(d1: Dist, d2: Dist, tol: float = 1e-12) -> bool:

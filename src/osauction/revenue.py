@@ -2,9 +2,12 @@
 seeded Monte Carlo, worst cases over the ambiguity set, reserve optimization,
 and the bounds that hold uniformly over the number of bidders.
 
-Between knots every component CDF is linear, so order-statistic survival
-curves are polynomials of degree <= n per segment; tail integrals use
-Gauss-Legendre with enough nodes to be exact for that degree.
+Every separable mechanism goes through one evaluator built from its payment
+weights (``mech.separable_form``) and scored at whole arrays of reserves;
+Monte Carlo payments come from the same weights, and only Myerson has its
+own kernel. Between knots every component CDF is linear, so order-statistic
+survival curves are polynomials of degree <= n per segment; tail integrals
+use Gauss-Legendre with enough nodes to be exact for that degree.
 """
 
 from __future__ import annotations
@@ -92,92 +95,69 @@ class _OrderStatTail:
         x, w = np.polynomial.legendre.leggauss(nodes)
         self._gx, self._gw = x, w
         a, b = self.knots[:-1], self.knots[1:]
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        pts = mid[:, None] + half[:, None] * x[None, :]
-        sf = 1.0 - order_stat_cdf(pd, j, pts.ravel())
-        sf = sf.reshape(pts.shape)
-        seg = (sf * w[None, :]).sum(axis=1) * half
-        suffix = np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]])
-        self._suffix = suffix
+        self._suffix = np.concatenate([np.cumsum(self._segments(a, b)[::-1])[::-1], [0.0]])
 
-    def integral_from(self, lo: float) -> float:
+    def _segments(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Integrals over [a, b] for arrays of bounds inside one knot segment each."""
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        pts = mid[:, None] + half[:, None] * self._gx[None, :]
+        sf = 1.0 - order_stat_cdf(self.pd, self.j, pts.ravel()).reshape(pts.shape)
+        return (sf * self._gw[None, :]).sum(axis=1) * half
+
+    def integral_from(self, lo: np.ndarray) -> np.ndarray:
+        """Integral of Pr(v_(j) > t) over [lo, inf) for every entry of ``lo``."""
         k = self.knots
-        if lo >= k[-1]:
-            return 0.0
-        if lo <= k[0]:
-            # below every support the order statistic exceeds t surely
-            return float(k[0] - lo) + float(self._suffix[0])
-        i = int(np.searchsorted(k, lo, side="right") - 1)
-        a, b = max(lo, k[i]), k[i + 1]
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        pts = mid + half * self._gx
-        sf = 1.0 - order_stat_cdf(self.pd, self.j, pts)
-        partial = float(np.sum(sf * self._gw) * half)
-        return partial + float(self._suffix[i + 1])
+        # below every support the order statistic exceeds t surely
+        out = np.where(lo <= k[0], k[0] - lo + self._suffix[0], 0.0)
+        inside = (lo > k[0]) & (lo < k[-1])
+        if inside.any():
+            part = lo[inside]
+            i = np.searchsorted(k, part, side="right") - 1
+            out[inside] = self._segments(part, k[i + 1]) + self._suffix[i + 1]
+        return out
 
 
-def _top_orderstat_survivals(pd: ProductDist, r: float, j_max: int) -> np.ndarray:
-    """Pr(v_(j) >= r) for j = 1..j_max from one Poisson-binomial pass."""
-    x = np.array([c.survival_left(r) for c in pd.components])
-    pmf = poisson_binomial_pmf(x)
-    cdf = np.cumsum(pmf)
-    return np.array([1.0 - cdf[j - 1] for j in range(1, j_max + 1)])
+def _separable_revenue(a, b, pd: ProductDist):
+    """Expected revenue of the separable payment weights ``(a, b)`` (see
+    ``mech.separable_form``) on ``pd``, as a function of an array of reserves:
+
+        r * sum_i a_i Pr(v_(i) >= r) + sum_j b_j * integral_r^inf Pr(v_(j) > t) dt.
+
+    Statistics below the last bidder are 0, so they add nothing at r > 0.
+    """
+    a = a[: pd.n]
+    tails = [(bj, _OrderStatTail(pd, j)) for j, bj in enumerate(b, start=2) if bj and j <= pd.n]
+
+    def revenue(rs: np.ndarray) -> np.ndarray:
+        surv = np.stack([c.survival_left(rs) for c in pd.components])
+        reach = 1.0 - np.cumsum(poisson_binomial_pmf(surv)[: len(a)], axis=0)
+        total = rs * sum(ai * reach[i] for i, ai in enumerate(a))
+        for bj, tail in tails:
+            total = total + bj * tail.integral_from(rs)
+        return total
+
+    return revenue
 
 
-def pp_expected_revenue(price: float, pd: ProductDist) -> float:
-    """price * Pr(max value >= price), exact from the component CDFs."""
-    if price < 0:
-        raise ValueError("price must be non-negative")
-    no_buyer = np.prod([c.cdf_left(price) for c in pd.components])
-    return float(price * (1.0 - no_buyer))
-
-
-def spa_expected_revenue(reserve: float, pd: ProductDist) -> float:
-    """reserve * Pr(v_(1) >= reserve) + integral of Pr(v_(2) > t) above the
-    reserve; both pieces exact on the representation."""
-    if reserve < 0:
+def _separable_form(mechanism: M.Mechanism, n: int):
+    """``mech.separable_form`` for n bidders, refusing what it does not cover."""
+    form = M.separable_form(mechanism)
+    if form is None:
+        raise NotSeparableError(
+            "no closed form: this mechanism's revenue is not separable across "
+            "top order statistics"
+        )
+    if form[0] < 0:
         raise ValueError("reserve must be non-negative")
-    hit = 1.0 - np.prod([c.cdf_left(reserve) for c in pd.components])
-    return float(reserve * hit + _OrderStatTail(pd, 2).integral_from(reserve))
-
-
-def multiunit_expected_revenue(units: int, reserve: float, pd: ProductDist) -> float:
-    if units >= pd.n:
+    if isinstance(mechanism, M.MultiUnit) and mechanism.units >= n:
         raise ValueError("need more bidders than units")
-    sv = _top_orderstat_survivals(pd, reserve, units)
-    tail = _OrderStatTail(pd, units + 1).integral_from(reserve)
-    return float(reserve * sv.sum() + units * tail)
-
-
-def laddered_expected_revenue(click_rates, reserve: float, pd: ProductDist) -> float:
-    rates = tuple(click_rates) + (0.0,)
-    k = len(click_rates)
-    j_max = min(k, pd.n)
-    sv = _top_orderstat_survivals(pd, reserve, j_max)
-    total = sum(rates[i - 1] * reserve * sv[i - 1] for i in range(1, j_max + 1))
-    for j in range(1, k + 1):
-        if j + 1 > pd.n:
-            break
-        coef = j * (rates[j - 1] - rates[j])
-        if coef > 0:
-            total += coef * _OrderStatTail(pd, j + 1).integral_from(reserve)
-    return float(total)
+    return form
 
 
 def closed_form_revenue(mechanism: M.Mechanism, pd: ProductDist) -> float:
     """Exact expected revenue for the separable mechanism families."""
-    if isinstance(mechanism, M.PostedPrice):
-        return pp_expected_revenue(mechanism.price, pd)
-    if isinstance(mechanism, M.SPAReserve):
-        return spa_expected_revenue(mechanism.reserve, pd)
-    if isinstance(mechanism, M.MultiUnit):
-        return multiunit_expected_revenue(mechanism.units, mechanism.reserve, pd)
-    if isinstance(mechanism, M.Laddered):
-        return laddered_expected_revenue(mechanism.click_rates, mechanism.reserve, pd)
-    raise NotSeparableError(
-        "no closed form: this mechanism's revenue is not separable across "
-        "top order statistics"
-    )
+    r, a, b = _separable_form(mechanism, pd.n)
+    return float(_separable_revenue(a, b, pd)(np.array([float(r)]))[0])
 
 
 def myerson_iid_revenue(base: Dist, n: int) -> float:
@@ -266,36 +246,20 @@ def _myerson_payments(base: Dist, tiebreak: str, values: np.ndarray, u: np.ndarr
 
 
 def _mechanism_payments(mechanism: M.Mechanism, values: np.ndarray, u: np.ndarray) -> np.ndarray:
-    n = values.shape[1]
-    if isinstance(mechanism, M.PostedPrice):
-        p = mechanism.price
-        return p * (values >= p).any(axis=1)
-    if isinstance(mechanism, M.SPAReserve):
-        r = mechanism.reserve
-        part = np.partition(values, n - 2, axis=1) if n >= 2 else None
-        v1 = values.max(axis=1)
-        v2 = part[:, n - 2] if n >= 2 else np.zeros(len(values))
-        return np.where(v1 >= r, np.maximum(r, v2), 0.0)
-    if isinstance(mechanism, M.MultiUnit):
-        m, r = mechanism.units, mechanism.reserve
-        vs = -np.sort(-values, axis=1)
-        return r * (vs[:, :m] >= r).sum(axis=1) + m * np.clip(vs[:, m] - r, 0.0, None)
-    if isinstance(mechanism, M.Laddered):
-        rates = tuple(mechanism.click_rates) + (0.0,)
-        r = mechanism.reserve
-        k = len(mechanism.click_rates)
-        vs = -np.sort(-values, axis=1)
-        total = np.zeros(len(values))
-        for i in range(1, min(k, n) + 1):
-            total += rates[i - 1] * r * (vs[:, i - 1] >= r)
-        for j in range(1, k + 1):
-            if j + 1 > n:
-                break
-            total += j * (rates[j - 1] - rates[j]) * np.clip(vs[:, j] - r, 0.0, None)
-        return total
     if isinstance(mechanism, M.MyersonIID):
         return _myerson_payments(mechanism.base, mechanism.tiebreak, values, u)
-    raise TypeError(f"unknown mechanism {mechanism!r}")
+    n = values.shape[1]
+    r, a, b = _separable_form(mechanism, n)
+    # r * sum_i a_i 1[v_(i) >= r] is r times the sum of the first c weights,
+    # c the number of bidders at or above the reserve
+    clearing = np.minimum(np.count_nonzero(values >= r, axis=1), len(a))
+    total = r * np.concatenate([[0.0], np.cumsum(a)])[clearing]
+    if any(b):
+        ascending = np.sort(values, axis=1)  # v_(j) is column n - j
+        for j, bj in enumerate(b[: n - 1], start=2):
+            if bj:
+                total += bj * np.clip(ascending[:, n - j] - r, 0.0, None)
+    return total
 
 
 def mc_expected_revenue(
@@ -362,18 +326,62 @@ class ReserveResult:
     optimality_certified: bool
 
 
-def _family_builder(family):
+def _family_mechanism(family) -> M.Mechanism:
+    """The zero-reserve member of a reserve-parameterized family; every member
+    shares its payment weights."""
     if family == "posted_price":
-        return lambda r: M.PostedPrice(r)
+        return M.PostedPrice(0.0)
     if family == "spa":
-        return lambda r: M.SPAReserve(r)
-    if isinstance(family, tuple) and family and family[0] == "multi_unit":
-        m = int(family[1])
-        return lambda r: M.MultiUnit(m, r)
-    if isinstance(family, tuple) and family and family[0] == "laddered":
-        rates = tuple(family[1])
-        return lambda r: M.Laddered(rates, r)
+        return M.SPAReserve(0.0)
+    if isinstance(family, tuple) and len(family) == 2 and family[0] == "multi_unit":
+        return M.MultiUnit(int(family[1]))
+    if isinstance(family, tuple) and len(family) == 2 and family[0] == "laddered":
+        return M.Laddered(tuple(family[1]))
     raise ValueError(f"unknown mechanism family {family!r}")
+
+
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _maximize(objective, candidates: np.ndarray, scan: int, price_tol: float) -> tuple[float, float]:
+    """Maximize a function of the reserve given as ``objective(array) ->
+    array``: score every candidate in one pass, scan ``scan`` steps across the
+    two segments around the best one, then golden-section polish within one
+    scan step of the scan's best point down to ``price_tol``."""
+    values = objective(candidates)
+    best = int(np.argmax(values))
+    lo = candidates[max(best - 1, 0)]
+    hi = candidates[min(best + 1, len(candidates) - 1)]
+    r_best, v_best = float(candidates[best]), float(values[best])
+    if hi <= lo:
+        return r_best, v_best
+
+    def at(r: float) -> float:
+        return float(objective(np.array([r]))[0])
+
+    rs = np.linspace(lo, hi, scan + 1)
+    vs = objective(rs)
+    j = int(np.argmax(vs))
+    if vs[j] > v_best:
+        r_best, v_best = float(rs[j]), float(vs[j])
+    span = (hi - lo) / scan
+    a, b = max(lo, r_best - span), min(hi, r_best + span)
+    c, d = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
+    fc, fd = at(c), at(d)
+    while b - a > price_tol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - _INVPHI * (b - a)
+            fc = at(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INVPHI * (b - a)
+            fd = at(d)
+    r_mid = 0.5 * (a + b)
+    v_mid = at(r_mid)
+    if v_mid > v_best:
+        r_best, v_best = float(r_mid), v_mid
+    return r_best, v_best
 
 
 def optimal_robust_reserve(
@@ -381,55 +389,26 @@ def optimal_robust_reserve(
 ) -> ReserveResult:
     """Maximize the worst-case revenue of a reserve-parameterized family.
 
-    Candidates are the knots of the consistent i.i.d. distribution, refined
-    by a scan plus golden-section polish on the bracketing segments. Also
-    reports whether the consistent i.i.d. distribution is regular above its
-    monopoly reserve: when it is (and the family spans the optimal auction's
+    Candidates are the knots of the consistent i.i.d. distribution, all
+    scored in one array pass of the separable evaluator, refined by a scan
+    plus golden-section polish on the bracketing segments. Also reports
+    whether the consistent i.i.d. distribution is regular above its monopoly
+    reserve: when it is (and the family spans the optimal auction's
     implementation, as the second-price family does), the returned reserve is
     robustly optimal among all mechanisms, not merely within the family.
     """
-    make = _family_builder(family)
-    kc = M.topk_class(make(0.0))
+    mech = _family_mechanism(family)
+    kc = M.topk_class(mech)
     if kc > spec.k:
         raise ValueError(
             f"family needs the top {kc} order statistics but only the "
             f"{spec.k}-th is observed"
         )
+    _, a, b = M.separable_form(mech)
     fbar = consistent_iid(spec, grid=grid)
-    pd = iid(fbar, spec.n)
-
-    def objective(r: float) -> float:
-        return closed_form_revenue(make(r), pd)
-
+    revenue = _separable_revenue(a, b, iid(fbar, spec.n))
     candidates = np.unique(np.concatenate([[0.0], fbar.xs]))
-    values = np.array([objective(r) for r in candidates])
-    best = int(np.argmax(values))
-    lo = candidates[best - 1] if best > 0 else candidates[best]
-    hi = candidates[best + 1] if best + 1 < len(candidates) else candidates[best]
-    r_best, v_best = float(candidates[best]), float(values[best])
-    if hi > lo:
-        for r in np.linspace(lo, hi, 65):
-            v = objective(float(r))
-            if v > v_best:
-                r_best, v_best = float(r), v
-        span = (hi - lo) / 64
-        a, b = max(lo, r_best - span), min(hi, r_best + span)
-        invphi = (math.sqrt(5.0) - 1.0) / 2.0
-        c, d = b - invphi * (b - a), a + invphi * (b - a)
-        fc, fd = objective(c), objective(d)
-        while b - a > price_tol:
-            if fc >= fd:
-                b, d, fd = d, c, fc
-                c = b - invphi * (b - a)
-                fc = objective(c)
-            else:
-                a, c, fc = c, d, fd
-                d = a + invphi * (b - a)
-                fd = objective(d)
-        r_mid = 0.5 * (a + b)
-        v_mid = objective(r_mid)
-        if v_mid > v_best:
-            r_best, v_best = float(r_mid), float(v_mid)
+    r_best, v_best = _maximize(revenue, candidates, scan=64, price_tol=price_tol)
     report = is_regular_above_reserve(fbar)
     certified = report.regular_above_reserve and family == "spa"
     return ReserveResult(
@@ -487,29 +466,12 @@ class UnknownNReserve:
 
 def optimal_unknown_n_reserve(G: Dist, price_tol: float = 1e-6) -> UnknownNReserve:
     """Reserve maximizing the any-number-of-bidders guarantee."""
+
+    def bounds(rs: np.ndarray) -> np.ndarray:
+        return np.array([unknown_n_bound(float(r), G) for r in rs])
+
     candidates = np.unique(np.concatenate([[0.0], G.xs]))
-    values = np.array([unknown_n_bound(float(r), G) for r in candidates])
-    best = int(np.argmax(values))
-    lo = candidates[max(best - 1, 0)]
-    hi = candidates[min(best + 1, len(candidates) - 1)]
-    r_best, v_best = float(candidates[best]), float(values[best])
-    if hi > lo:
-        for r in np.linspace(lo, hi, 129):
-            v = unknown_n_bound(float(r), G)
-            if v > v_best:
-                r_best, v_best = float(r), v
-        span = (hi - lo) / 128
-        a, b = max(lo, r_best - span), min(hi, r_best + span)
-        while b - a > price_tol:
-            c = a + (b - a) / 3
-            d = b - (b - a) / 3
-            if unknown_n_bound(c, G) >= unknown_n_bound(d, G):
-                b = d
-            else:
-                a = c
-        r_mid = 0.5 * (a + b)
-        if unknown_n_bound(r_mid, G) > v_best:
-            r_best, v_best = float(r_mid), float(unknown_n_bound(r_mid, G))
+    r_best, v_best = _maximize(bounds, candidates, scan=128, price_tol=price_tol)
     return UnknownNReserve(r_best, v_best, z_star(float(G.cdf_left(r_best))))
 
 

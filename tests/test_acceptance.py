@@ -116,7 +116,7 @@ def test_c04_spa_worst_case_suite():
                     seed += 1
                 vecs = vecs[:200]
                 for p in (0.0, 1.0, 2.0):
-                    floor = R.spa_expected_revenue(p, OS.iid(fbar, n))
+                    floor = R.closed_form_revenue(M.SPAReserve(p), OS.iid(fbar, n))
                     for x in vecs:
                         pd = O.product_from_survivals(x, 1.0, 2.0)
                         inst = O.DiscreteInstance.from_dists(pd.components)

@@ -98,6 +98,37 @@ class TestReserve:
         assert "optimal" in row["certificate"]
 
 
+UNIF_LIT = {"family": "uniform", "lo": 0, "hi": 1}
+REFUSED = {
+    "multi_unit_without_units": (
+        "reserve", {"n": 4, "k": 3, "G": UNIF_LIT, "family": {"type": "multi_unit"}, "grid": 64}),
+    "laddered_increasing_rates": (
+        "reserve", {"n": 4, "k": 3, "G": UNIF_LIT, "grid": 64,
+                    "family": {"type": "laddered", "click_rates": [0.5, 1.0]}}),
+    "family_deeper_than_observation": (
+        "reserve", {"n": 2, "k": 2, "G": UNIF_LIT, "family": {"type": "multi_unit", "units": 2}, "grid": 64}),
+    "unknown_n_unknown_G_family": (
+        "reserve", {"n": "unknown", "k": 2, "G": {"family": "cauchy"}, "family": "spa"}),
+    "simulate_units_not_below_bidders": (
+        "simulate", {"product": [UNIF_LIT, UNIF_LIT], "mechanism": {"type": "multi_unit", "units": 2},
+                     "samples": 100, "seed": 1}),
+    "nan_rate": (
+        "worstcase", {"n": 3, "k": 2, "G": {"family": "exponential", "rate": float("nan")},
+                      "mechanism": {"type": "spa", "reserve": 0.5}, "grid": 64}),
+    "grid_zero": (
+        "reserve", {"n": 3, "k": 2, "G": {"family": "exponential", "rate": 1}, "family": "spa", "grid": 0}),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSED))
+def test_bad_family_mechanism_or_literal_exits_2(case, tmp_path, capsys):
+    command, cfg = REFUSED[case]
+    code, out, err = run_cli([command, "--config", write_cfg(tmp_path, "c.json", cfg)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 class TestWorstCase:
     def test_separable_families_emit_rows(self, tmp_path, capsys):
         base = {"n": 4, "k": 3, "G": {"family": "uniform", "lo": 0, "hi": 1}, "grid": 256}

@@ -40,9 +40,9 @@ class TestCdfQuantile:
             D.uniform(-1.0, 1.0)
 
     def test_sample_trivial(self):
-        assert D.point_mass(0.0).sample(0.37) == 0.0
-        assert D.uniform(0, 1).sample(0.7) == pytest.approx(0.7)
-        assert F_DISC.sample(0.9) == 2.0
+        assert D.point_mass(0.0).quantile(0.37) == 0.0
+        assert D.uniform(0, 1).quantile(0.7) == pytest.approx(0.7)
+        assert F_DISC.quantile(0.9) == 2.0
 
     @given(st.integers(0, 10**6), st.floats(0.0, 1.0))
     @settings(max_examples=60, deadline=None)
@@ -274,6 +274,33 @@ class TestLiterals:
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
             D.from_literal({"family": "cauchy"})
+
+    @pytest.mark.parametrize(
+        "lit",
+        [
+            {"family": "exponential", "rate": float("nan")},
+            {"family": "exponential", "rate": float("inf")},
+            {"family": "exponential", "rate": 0},
+            {"family": "normal", "mean": 1, "sd": 0},
+            {"family": "normal", "mean": float("nan"), "sd": 1},
+            {"family": "beta", "a": -1, "b": 2},
+            {"family": "beta", "a": 2, "b": 0},
+            {"family": "uniform", "lo": 0, "hi": float("nan")},
+            {"family": "twopoint", "v1": 0, "p1": float("nan"), "v2": 1},
+            {"family": "atom", "v": float("inf")},
+            {"family": "table", "knots": [[0, 0], [1, float("nan")]], "atoms": [[2, 0.5]]},
+            {"family": "exponential", "rate": "fast"},
+        ],
+    )
+    def test_degenerate_parameters_rejected(self, lit):
+        with pytest.raises(ValueError):
+            D.from_literal(lit, grid=128)
+
+    @pytest.mark.parametrize("grid", [0, 1, 15])
+    def test_grid_below_16_rejected(self, grid):
+        with pytest.raises(ValueError, match="grid"):
+            D.from_literal({"family": "exponential", "rate": 1}, grid=grid)
+        assert D.from_literal({"family": "exponential", "rate": 1}, grid=16).xs.size > 2
 
     def test_beta_cdf_matches_closed_form(self):
         d = D.beta_dist(2, 2, grid=4096)

@@ -164,6 +164,15 @@ class TestTopKClass:
         assert M.topk_class(M.Laddered((1.0, 0.5), 0.0)) == 3
         assert M.topk_class(M.MyersonIID(F_DISC)) is None
 
+    def test_separable_weights(self):
+        # r * sum_i a_i 1[v_(i) >= r] + sum_j b_j (v_(j) - r)^+
+        assert M.separable_form(M.PostedPrice(0.7)) == (0.7, (1.0,), ())
+        assert M.separable_form(M.SPAReserve(0.4)) == M.separable_form(M.Laddered((1.0,), 0.4))
+        assert M.separable_form(M.MultiUnit(3, 0.2)) == M.separable_form(M.Laddered((1.0,) * 3, 0.2))
+        assert M.separable_form(M.MultiUnit(3, 0.2)) == (0.2, (1.0, 1.0, 1.0), (0.0, 0.0, 3.0))
+        assert M.separable_form(M.Laddered((1.0, 0.5), 0.1)) == (0.1, (1.0, 0.5), (0.5, 1.0))
+        assert M.separable_form(M.MyersonIID(F_DISC)) is None
+
     @pytest.mark.parametrize(
         "mech",
         [

@@ -30,7 +30,7 @@ class TestExhaustiveRevenue:
         inst = O.DiscreteInstance.from_dists([tp, tp])
         for p in (0.5, 1.0, 1.5, 2.0):
             assert O.exhaustive_revenue(M.PostedPrice(p), inst) == pytest.approx(
-                R.pp_expected_revenue(p, OS.iid(tp, 2)), abs=1e-12
+                R.closed_form_revenue(M.PostedPrice(p), OS.iid(tp, 2)), abs=1e-12
             )
 
     def test_closed_forms_match_enumeration(self):

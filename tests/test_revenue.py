@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -25,10 +26,10 @@ def _mc_oracle(payment_fn, components, samples, seed):
 
 class TestPostedPriceRevenue:
     def test_zero_price(self):
-        assert R.pp_expected_revenue(0.0, OS.iid(UNIF, 2)) == 0.0
+        assert R.closed_form_revenue(M.PostedPrice(0.0), OS.iid(UNIF, 2)) == 0.0
 
     def test_two_uniforms_against_mc(self):
-        got = R.pp_expected_revenue(0.5, OS.iid(UNIF, 2))
+        got = R.closed_form_revenue(M.PostedPrice(0.5), OS.iid(UNIF, 2))
         assert got == pytest.approx(0.375, abs=1e-12)
         est, se = _mc_oracle(
             lambda v: 0.5 * (v >= 0.5).any(axis=1), [UNIF, UNIF], 10**6, 20
@@ -44,12 +45,12 @@ class TestPostedPriceRevenue:
             pairs.append((D.two_point(0.0, a, 1.0), D.two_point(0.0, 0.5 / a, 1.0)))
         for f1, f2 in pairs:
             pd = OS.ProductDist((f1, f2))
-            assert R.pp_expected_revenue(p_star, pd) == pytest.approx(want, abs=1e-10)
+            assert R.closed_form_revenue(M.PostedPrice(p_star), pd) == pytest.approx(want, abs=1e-10)
 
 
 class TestSecondPriceRevenue:
     def test_two_uniforms_no_reserve(self):
-        got = R.spa_expected_revenue(0.0, OS.iid(UNIF, 2))
+        got = R.closed_form_revenue(M.SPAReserve(0.0), OS.iid(UNIF, 2))
         assert got == pytest.approx(1.0 / 3.0, abs=1e-12)
         est, se = _mc_oracle(
             lambda v: v.min(axis=1), [UNIF, UNIF], 10**6, 21
@@ -57,42 +58,90 @@ class TestSecondPriceRevenue:
         assert abs(got - est) <= 4 * se
 
     def test_reserve_above_support(self):
-        assert R.spa_expected_revenue(5.0, OS.iid(UNIF, 2)) == 0.0
+        assert R.closed_form_revenue(M.SPAReserve(5.0), OS.iid(UNIF, 2)) == 0.0
 
     def test_second_term_is_tail_of_observation(self):
         # with the second order statistic observed, the above-reserve part of
         # the revenue is pinned down by the observation alone
         spec = OS.AmbiguitySpec(3, 2, BERN)
         fbar = OS.consistent_iid(spec)
-        base = R.spa_expected_revenue(0.0, OS.iid(fbar, 3))
+        base = R.closed_form_revenue(M.SPAReserve(0.0), OS.iid(fbar, 3))
         assert base == pytest.approx(R._survival_integral(BERN, 0.0), abs=1e-10)
 
 
 class TestClosedFormsAgainstMC:
     def test_multiunit(self):
         pd = OS.iid(UNIF, 3)
-        got = R.multiunit_expected_revenue(2, 0.0, pd)
+        got = R.closed_form_revenue(M.MultiUnit(2, 0.0), pd)
         assert got == pytest.approx(0.5, abs=1e-12)  # 2 * E[min of 3 uniforms]
         rep = R.mc_expected_revenue(M.MultiUnit(2, 0.0), pd, 10**5, 5)
         assert abs(rep.expected_revenue - got) <= 4 * rep.mc_stderr
 
     def test_multiunit_with_reserve(self):
         pd = OS.iid(UNIF, 3)
-        got = R.multiunit_expected_revenue(2, 0.5, pd)
+        got = R.closed_form_revenue(M.MultiUnit(2, 0.5), pd)
         rep = R.mc_expected_revenue(M.MultiUnit(2, 0.5), pd, 2 * 10**5, 6)
         assert abs(rep.expected_revenue - got) <= 4 * rep.mc_stderr
 
     def test_laddered(self):
         pd = OS.iid(UNIF, 4)
-        got = R.laddered_expected_revenue((1.0, 0.5), 0.3, pd)
+        got = R.closed_form_revenue(M.Laddered((1.0, 0.5), 0.3), pd)
         rep = R.mc_expected_revenue(M.Laddered((1.0, 0.5), 0.3), pd, 2 * 10**5, 7)
         assert abs(rep.expected_revenue - got) <= 4 * rep.mc_stderr
 
     def test_spa_with_atoms(self):
         pd = OS.iid(F_DISC, 3)
-        got = R.spa_expected_revenue(1.5, pd)
+        got = R.closed_form_revenue(M.SPAReserve(1.5), pd)
         rep = R.mc_expected_revenue(M.SPAReserve(1.5), pd, 2 * 10**5, 8)
         assert abs(rep.expected_revenue - got) <= 4 * rep.mc_stderr
+
+
+def _at_reserve(mech, r):
+    if isinstance(mech, M.PostedPrice):
+        return M.PostedPrice(r)
+    return dataclasses.replace(mech, reserve=r)
+
+
+class TestSeparableForm:
+    @pytest.mark.parametrize(
+        "mech",
+        [
+            M.PostedPrice(0.5),
+            M.SPAReserve(0.5),
+            M.MultiUnit(1, 0.5),
+            M.MultiUnit(3, 0.25),
+            M.Laddered((1.0, 0.5), 0.5),
+            M.Laddered((2.0, 1.0, 1.0, 0.5, 0.25, 0.1), 0.5),  # more slots than bidders
+        ],
+        ids=lambda m: m.describe(),
+    )
+    def test_mc_payments_match_per_profile_outcomes(self, mech):
+        rng = np.random.default_rng(31)
+        # half the profiles on a lattice holding the reserve, so values at the
+        # reserve and ties between bidders are frequent
+        lattice = rng.choice([0.0, 0.25, 0.5, 0.75, 1.0, 1.5], size=(500, 4))
+        values = np.vstack([lattice, rng.uniform(0.0, 2.0, size=(500, 4))])
+        got = R._mechanism_payments(mech, values, np.zeros(len(values)))
+        want = [M.outcome(mech, M.Profile(tuple(row))).total_payment for row in values]
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+    def test_mc_refuses_units_not_below_bidders(self):
+        with pytest.raises(ValueError, match="more bidders than units"):
+            R.mc_expected_revenue(M.MultiUnit(2, 0.0), OS.iid(UNIF, 2), 100, 1)
+
+    @pytest.mark.parametrize("family", ["posted_price", "spa", ("multi_unit", 2), ("laddered", (1.0, 0.6, 0.2))])
+    @pytest.mark.parametrize("product", ["iid", "heterogeneous"])
+    def test_batched_objective_matches_closed_form(self, family, product):
+        if product == "iid":
+            pd = OS.iid(OS.consistent_iid(OS.AmbiguitySpec(4, 3, UNIF), grid=64), 4)
+        else:
+            pd = OS.ProductDist((UNIF, F_DISC, D.two_point(0.2, 0.4, 1.5), D.exponential(2.0, grid=64)))
+        mech = R._family_mechanism(family)
+        _, a, b = M.separable_form(mech)
+        candidates = np.unique(np.concatenate([[0.0], pd.merged_knots()]))
+        got = R._separable_revenue(a, b, pd)(candidates)
+        want = [R.closed_form_revenue(_at_reserve(mech, float(r)), pd) for r in candidates]
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
 
 class TestMonteCarlo:
@@ -138,7 +187,7 @@ class TestWorstCase:
         spec = OS.AmbiguitySpec(3, 2, BERN)
         fbar = OS.consistent_iid(spec)
         got = R.worst_case_revenue_topk(M.SPAReserve(1.0), spec)
-        assert got == pytest.approx(R.spa_expected_revenue(1.0, OS.iid(fbar, 3)), abs=1e-12)
+        assert got == pytest.approx(R.closed_form_revenue(M.SPAReserve(1.0), OS.iid(fbar, 3)), abs=1e-12)
 
     def test_myerson_refused(self):
         spec = OS.AmbiguitySpec(3, 2, BERN)
@@ -176,7 +225,7 @@ class TestOptimalReserve:
         fbar = OS.consistent_iid(spec, grid=512)
         pd = OS.iid(fbar, 5)
         grid_best = max(
-            R.spa_expected_revenue(float(r), pd) for r in np.linspace(0, 1, 2001)
+            R.closed_form_revenue(M.SPAReserve(float(r)), pd) for r in np.linspace(0, 1, 2001)
         )
         assert res.worst_case_revenue >= grid_best - 1e-6
 
@@ -286,4 +335,4 @@ class TestSaddlePoint:
         for G in (UNIF, BERN, F_DISC):
             p_star, opt = D.monopoly_price(G)
             pd = OS.ProductDist((G, D.point_mass(0.0), D.point_mass(0.0)))
-            assert R.pp_expected_revenue(p_star, pd) == pytest.approx(opt, abs=1e-10)
+            assert R.closed_form_revenue(M.PostedPrice(p_star), pd) == pytest.approx(opt, abs=1e-10)
