@@ -141,19 +141,13 @@ def cmd_invert(args) -> int:
     grid = _grid(args, cfg)
     spec = _spec_from_config(cfg, grid)
     fbar = consistent_iid(spec, grid=grid)
-    rows = []
-    for i in range(len(fbar.xs)):
-        v = float(fbar.xs[i])
-        for f, g_target in ((float(fbar.f_left[i]), float(spec.G.cdf_left(v))),
-                            (float(fbar.f_right[i]), float(spec.G.cdf(v)))):
-            residual = abs(h_poly(spec.n, spec.k, f) - g_target)
-            rows.append((v, f, residual))
-    # drop duplicated continuity rows
-    dedup = [rows[0]]
-    for row in rows[1:]:
-        if row[:2] != dedup[-1][:2]:
-            dedup.append(row)
-    _write_csv(args.out, ("value", "cdf", "roundtrip_residual"), dedup)
+    xs, fl, fr = fbar.xs, fbar.f_left, fbar.f_right
+    residual_l = np.abs(h_poly(spec.n, spec.k, fl) - spec.G.cdf_left(xs))
+    residual_r = np.abs(h_poly(spec.n, spec.k, fr) - spec.G.cdf(xs))
+    # both sides of every knot, the right one only where the CDF jumps
+    keep = np.column_stack([np.ones(len(xs), dtype=bool), fr != fl]).ravel()
+    cols = [np.column_stack(pair).ravel()[keep] for pair in ((xs, xs), (fl, fr), (residual_l, residual_r))]
+    _write_csv(args.out, ("value", "cdf", "roundtrip_residual"), zip(*cols))
     return EXIT_OK
 
 

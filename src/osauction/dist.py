@@ -204,31 +204,26 @@ def from_table(knots: Sequence[tuple[float, float]], atoms: Sequence[tuple[float
     """Mixed distribution from continuous CDF knots plus a list of atoms.
 
     ``knots`` give the cumulative mass of the continuous part at increasing
-    values; atom masses are added as jumps at their locations.
+    values, which must be non-negative and non-decreasing; atom masses are
+    added as jumps at their locations.
     """
     pts: dict[float, float] = {}
     knots = sorted(knots)
-    for v, _ in knots:
+    kx = np.array([float(v) for v, _ in knots])
+    kf = np.array([float(f) for _, f in knots])
+    if np.any(kf < 0.0) or np.any(np.diff(kf) < 0.0):
+        raise ValueError("table knot CDF values must be non-negative and non-decreasing")
+    for v in kx:
         pts.setdefault(float(v), 0.0)
     for v, m in atoms:
         if m <= 0:
             raise ValueError("atom masses must be positive")
         pts[float(v)] = pts.get(float(v), 0.0) + float(m)
     xs = np.array(sorted(pts))
-
-    def cont_cdf(v):
-        if not knots:
-            return 0.0
-        kx = np.array([p[0] for p in knots])
-        kf = np.array([p[1] for p in knots])
-        return float(np.interp(v, kx, kf, left=0.0, right=kf[-1]))
-
-    fl = np.empty(len(xs))
-    fr = np.empty(len(xs))
-    for i, x in enumerate(xs):
-        below = sum(m for v, m in pts.items() if v < x)
-        fl[i] = cont_cdf(x) + below
-        fr[i] = fl[i] + pts[x]
+    mass = np.array([pts[x] for x in xs])
+    cont = np.interp(xs, kx, kf, left=0.0, right=kf[-1]) if knots else np.zeros(len(xs))
+    fl = cont + np.concatenate([[0.0], np.cumsum(mass)[:-1]])
+    fr = fl + mass
     total = fr[-1]
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"total mass {total} is not 1")

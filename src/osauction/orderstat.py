@@ -1,13 +1,14 @@
 """Order-statistic machinery for independent (not necessarily identical) bidders.
 
-Centerpiece: the polynomial bijection mapping a marginal CDF value u to the
-CDF of the k-th largest of n i.i.d. draws,
+Centerpiece: the bijection mapping a marginal CDF value u to the CDF of the
+k-th largest of n i.i.d. draws, the regularized incomplete beta
 
-    H(n, k, u) = Pr(Bin(n, 1-u) <= k-1),
+    H(n, k, u) = Pr(Bin(n, 1-u) <= k-1) = I_u(n-k+1, k),
 
 its inverse, and the unique i.i.d. distribution consistent with an observed
-k-th order statistic. Marginals of heterogeneous products go through exact
-Poisson-binomial convolution.
+k-th order statistic. I.i.d. products (one ``Dist`` repeated, as ``iid``
+builds them) go through H of the common marginal, with tails integrated in
+closed form; heterogeneous ones through exact Poisson-binomial convolution.
 """
 
 from __future__ import annotations
@@ -35,8 +36,16 @@ class ProductDist:
     def n(self) -> int:
         return len(self.components)
 
+    @property
+    def common(self) -> Dist | None:
+        """The marginal all bidders share when every component is one ``Dist``
+        object (as ``iid`` builds them), else None."""
+        first = self.components[0]
+        return first if all(c is first for c in self.components) else None
+
     def merged_knots(self) -> np.ndarray:
-        return np.unique(np.concatenate([c.xs for c in self.components]))
+        distinct = {id(c): c for c in self.components}.values()
+        return np.unique(np.concatenate([c.xs for c in distinct]))
 
     def describe(self) -> str:
         labels = [c.describe() for c in self.components]
@@ -64,45 +73,41 @@ class AmbiguitySpec:
             raise ValueError("need 1 <= k <= n")
 
 
-def h_poly(n: int, k: int, u):
-    """CDF mapping for the k-th of n i.i.d. draws: Pr(Bin(n, 1-u) <= k-1).
-
-    Summed from whichever end of the binomial pmf is smaller, so the value
-    stays accurate near both endpoints.
-    """
-    if not 1 <= k <= n:
+def _check_index(n: int, i: int) -> None:
+    if not 1 <= i <= n:
         raise ValueError("order-statistic index out of range")
-    u = np.asarray(u, dtype=np.float64)
-    head = np.zeros(u.shape)
-    for t in range(k):
-        head = head + math.comb(n, t) * (1.0 - u) ** t * u ** (n - t)
-    tail = np.zeros(u.shape)
-    for t in range(k, n + 1):
-        tail = tail + math.comb(n, t) * (1.0 - u) ** t * u ** (n - t)
-    out = np.where(u > 0.5, 1.0 - tail, head)
-    out = np.clip(out, 0.0, 1.0)
+
+
+def h_poly(n: int, k: int, u):
+    """CDF mapping for the k-th of n i.i.d. draws: Pr(Bin(n, 1-u) <= k-1),
+    the regularized incomplete beta I_u(n-k+1, k)."""
+    from scipy.special import betainc
+
+    _check_index(n, k)
+    out = betainc(n - k + 1, k, np.asarray(u, dtype=np.float64))
     return out if out.ndim else float(out)
 
 
 def h_inverse(n: int, k: int, g):
-    """Inverse of h_poly via bisection; strictly increasing on [0, 1].
+    """Inverse of h_poly; strictly increasing on [0, 1], endpoints exact.
 
-    Bisection (not Newton) because the derivative vanishes at the endpoints
-    for some (n, k). Endpoints are returned exactly.
+    Deep in the lower tail ``betaincinv`` loses the root: it returns NaN
+    below g ~ 1e-108, and wrong values at some smaller g. There the leading
+    term of I_u(a, k) = u^a / (a B(a, k)) * (1 - a (k-1) / (a+1) * u + ...)
+    gives u = (g a B(a, k))^(1/a), exact to 1e-13 where it is used: where
+    max(k-1, 1) u / (a+1) < 1e-13.
     """
+    from scipy.special import betaincinv, betaln
+
+    _check_index(n, k)
     g_arr = np.asarray(g, dtype=np.float64)
-    if np.any(g_arr < 0.0) or np.any(g_arr > 1.0):
+    if not np.all((g_arr >= 0.0) & (g_arr <= 1.0)):
         raise ValueError("probability must lie in [0, 1]")
-    lo = np.zeros(g_arr.shape)
-    hi = np.ones(g_arr.shape)
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        below = h_poly(n, k, mid) < g_arr
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    out = 0.5 * (lo + hi)
-    out = np.where(g_arr == 0.0, 0.0, out)
-    out = np.where(g_arr == 1.0, 1.0, out)
+    a = n - k + 1
+    with np.errstate(divide="ignore"):
+        lead = np.exp((np.log(g_arr) + math.log(a) + betaln(a, k)) / a)
+    out = betaincinv(a, k, g_arr)
+    out = np.where(np.isnan(out) | (max(k - 1, 1) * lead < 1e-13 * (a + 1)), lead, out)
     return out if out.ndim else float(out)
 
 
@@ -119,27 +124,17 @@ def consistent_iid(spec: AmbiguitySpec, grid: int = 4096) -> Dist:
     inversion of an exact knot of G.
     """
     G = spec.G
-    xs = [float(G.xs[0])]
-    fl = [float(G.f_left[0])]
-    fr = [float(G.f_right[0])]
-    for i in range(len(G.xs) - 1):
-        c_lo, c_hi = float(G.f_right[i]), float(G.f_left[i + 1])
-        x_lo, x_hi = float(G.xs[i]), float(G.xs[i + 1])
-        if c_hi - c_lo > _REFINE_MASS:
-            n_sub = max(1, int(math.ceil((c_hi - c_lo) * grid)))
-            for j in range(1, n_sub):
-                t = j / n_sub
-                xs.append(x_lo + t * (x_hi - x_lo))
-                f = c_lo + t * (c_hi - c_lo)
-                fl.append(f)
-                fr.append(f)
-        xs.append(x_hi)
-        fl.append(c_hi)
-        fr.append(float(G.f_right[i + 1]))
-    u_left = h_inverse(spec.n, spec.k, np.array(fl))
-    u_right = h_inverse(spec.n, spec.k, np.array(fr))
+    rise = G.f_left[1:] - G.f_right[:-1]
+    n_sub = np.where(rise > _REFINE_MASS, np.ceil(rise * grid), 1).astype(np.int64)
+    seg = np.repeat(np.arange(len(rise)), n_sub)  # the G segment of every new knot
+    t = (np.arange(len(seg)) - np.repeat(np.cumsum(n_sub) - n_sub, n_sub)) / n_sub[seg]
+    xs = np.append(G.xs[seg] + t * (G.xs[seg + 1] - G.xs[seg]), G.xs[-1])
+    f = G.f_right[seg] + t * rise[seg]
+    fl = np.append(np.where(t == 0.0, G.f_left[seg], f), G.f_left[-1])
+    fr = np.append(f, G.f_right[-1])
     return dist_from_arrays(
-        np.array(xs), u_left, u_right, label=f"iid(k={spec.k},n={spec.n};{G.describe()})"
+        xs, h_inverse(spec.n, spec.k, fl), h_inverse(spec.n, spec.k, fr),
+        label=f"iid(k={spec.k},n={spec.n};{G.describe()})",
     )
 
 
@@ -166,14 +161,95 @@ def _pb_pmf(x: np.ndarray) -> np.ndarray:
 
 def order_stat_cdf(pd: ProductDist, i: int, v):
     """Pr(v_(i) <= v): at most i-1 of the n values strictly exceed v."""
-    n = pd.n
-    if not 1 <= i <= n:
-        raise ValueError("order-statistic index out of range")
+    _check_index(pd.n, i)
+    F = pd.common
+    if F is not None:
+        return h_poly(pd.n, i, F.cdf(v))
     v = np.asarray(v, dtype=np.float64)
     # survivals of valid distributions lie in [0, 1]: no need to re-check
     surv = np.stack([np.atleast_1d(c.survival(v)) for c in pd.components])
     out = np.clip(_pb_pmf(surv)[:i].sum(axis=0), 0.0, 1.0)
     return out if v.ndim else float(out[0])
+
+
+def order_stat_reach(pd: ProductDist, m: int, r: np.ndarray) -> np.ndarray:
+    """Pr(v_(i) >= r) for i = 1..m (rows) at every entry of ``r`` (columns)."""
+    _check_index(pd.n, m)
+    F = pd.common
+    if F is not None:
+        below = F.cdf_left(r)
+        return np.stack([1.0 - h_poly(pd.n, i, below) for i in range(1, m + 1)])
+    surv = np.stack([c.survival_left(r) for c in pd.components])
+    return 1.0 - np.cumsum(_pb_pmf(surv)[:m], axis=0)
+
+
+# below this relative move of x the antiderivative difference cancels, while
+# three-point Gauss-Legendre is exact to rounding
+_FLAT_SEGMENT = 1e-3
+
+
+def _mean_betainc(p: int, q: int, x0: np.ndarray, x1: np.ndarray) -> np.ndarray:
+    """Mean of I_x(p, q) over x between x0 and x1, elementwise, through its
+    antiderivative x I_x(p, q) - p/(p+q) I_x(p+1, q)."""
+    from scipy.special import betainc
+
+    def K(x):
+        return x * betainc(p, q, x) - p / (p + q) * betainc(p + 1, q, x)
+
+    out = np.empty(x0.shape)
+    flat = np.abs(x1 - x0) <= _FLAT_SEGMENT * np.maximum(x0, x1)
+    mid, half = 0.5 * (x0[flat] + x1[flat]), 0.5 * (x1[flat] - x0[flat])
+    gx, gw = np.polynomial.legendre.leggauss(3)
+    out[flat] = 0.5 * betainc(p, q, mid[:, None] + half[:, None] * gx) @ gw
+    x0, x1 = x0[~flat], x1[~flat]
+    out[~flat] = (K(x1) - K(x0)) / (x1 - x0)
+    return out
+
+
+class OrderStatTail:
+    """Precomputed exact integrals of Pr(v_(j) > t) over [lo, inf).
+
+    Between merged knots every CDF is linear in t. For an i.i.d. product,
+    Pr(v_(j) > t) = I_s(j, n-j+1) = 1 - I_F(n-j+1, j) with the common
+    survival s = 1 - F, integrated in closed form (in the smaller of s and F,
+    where the antiderivative cancels least); for a heterogeneous one it is a
+    polynomial of degree <= n, integrated by exact Gauss-Legendre.
+    """
+
+    def __init__(self, pd: ProductDist, j: int):
+        _check_index(pd.n, j)
+        self.pd = pd
+        self.j = j
+        self.knots = pd.merged_knots()
+        if pd.common is None:
+            # exact for polynomial degree n
+            self._gx, self._gw = np.polynomial.legendre.leggauss(max(1, (pd.n + 2) // 2))
+        a, b = self.knots[:-1], self.knots[1:]
+        self._suffix = np.concatenate([np.cumsum(self._segments(a, b)[::-1])[::-1], [0.0]])
+
+    def _segments(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Integrals over [a, b] for arrays of bounds inside one knot segment each."""
+        F = self.pd.common
+        if F is None:
+            mid, half = 0.5 * (a + b), 0.5 * (b - a)
+            pts = mid[:, None] + half[:, None] * self._gx[None, :]
+            sf = 1.0 - order_stat_cdf(self.pd, self.j, pts.ravel()).reshape(pts.shape)
+            return (sf * self._gw[None, :]).sum(axis=1) * half
+        n, j = self.pd.n, self.j
+        F0, F1 = F.cdf(a), F.cdf_left(b)
+        upper = F0 + F1 >= 1.0  # survival below one half
+        mean = np.empty(a.shape)
+        mean[upper] = _mean_betainc(j, n - j + 1, 1.0 - F0[upper], 1.0 - F1[upper])
+        mean[~upper] = 1.0 - _mean_betainc(n - j + 1, j, F0[~upper], F1[~upper])
+        return (b - a) * mean
+
+    def integral_from(self, lo: np.ndarray) -> np.ndarray:
+        """Integral of Pr(v_(j) > t) over [lo, inf) for every entry of ``lo``."""
+        k = self.knots
+        start = np.clip(lo, k[0], k[-1])
+        nxt = np.minimum(np.searchsorted(k, start, side="right"), len(k) - 1)
+        # below every support the order statistic exceeds t surely
+        return np.maximum(k[0] - lo, 0.0) + self._segments(start, k[nxt]) + self._suffix[nxt]
 
 
 def fosd_check(d1: Dist, d2: Dist, tol: float = 1e-12) -> bool:
@@ -189,8 +265,7 @@ def minimal_orderstat_cdf(spec: AmbiguitySpec, i: int, grid: int = 4096) -> Dist
     """Stochastically minimal i-th order-statistic marginal over the
     ambiguity set: the consistent i.i.d. marginal for i <= k, and a point
     mass at zero for i > k (dummy bidders can absorb every lower slot)."""
-    if not 1 <= i <= spec.n:
-        raise ValueError("order-statistic index out of range")
+    _check_index(spec.n, i)
     if i > spec.k:
         return point_mass(0.0)
     fbar = consistent_iid(spec, grid=grid)

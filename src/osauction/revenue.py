@@ -5,9 +5,10 @@ and the bounds that hold uniformly over the number of bidders.
 Every separable mechanism goes through one evaluator built from its payment
 weights (``mech.separable_form``) and scored at whole arrays of reserves;
 Monte Carlo payments come from the same weights, and only Myerson has its
-own kernel. Between knots every component CDF is linear, so order-statistic
-survival curves are polynomials of degree <= n per segment; tail integrals
-use Gauss-Legendre with enough nodes to be exact for that degree.
+own kernel. The evaluator's order-statistic terms, Pr(v_(i) >= r) and the
+exact tail integrals of Pr(v_(j) > t), come from ``orderstat``, which picks
+the closed-form incomplete-beta path for i.i.d. products and the
+Poisson-binomial path for heterogeneous ones.
 """
 
 from __future__ import annotations
@@ -21,11 +22,11 @@ from . import mech as M
 from .dist import Dist, monopoly_price, is_regular_above_reserve, virtual_values
 from .orderstat import (
     AmbiguitySpec,
+    OrderStatTail,
     ProductDist,
     consistent_iid,
     iid,
-    order_stat_cdf,
-    poisson_binomial_pmf,
+    order_stat_reach,
 )
 
 
@@ -83,40 +84,6 @@ def _survival_integral(d: Dist, lo: float) -> float:
     return float(np.sum(0.5 * (s_hi + s_lo) * np.diff(xs)))
 
 
-class _OrderStatTail:
-    """Precomputed exact integrals of Pr(v_(j) > t) for a product distribution."""
-
-    def __init__(self, pd: ProductDist, j: int):
-        self.pd = pd
-        self.j = j
-        self.knots = pd.merged_knots()
-        n = pd.n
-        nodes = max(1, (n + 2) // 2)  # exact for polynomial degree n
-        x, w = np.polynomial.legendre.leggauss(nodes)
-        self._gx, self._gw = x, w
-        a, b = self.knots[:-1], self.knots[1:]
-        self._suffix = np.concatenate([np.cumsum(self._segments(a, b)[::-1])[::-1], [0.0]])
-
-    def _segments(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Integrals over [a, b] for arrays of bounds inside one knot segment each."""
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        pts = mid[:, None] + half[:, None] * self._gx[None, :]
-        sf = 1.0 - order_stat_cdf(self.pd, self.j, pts.ravel()).reshape(pts.shape)
-        return (sf * self._gw[None, :]).sum(axis=1) * half
-
-    def integral_from(self, lo: np.ndarray) -> np.ndarray:
-        """Integral of Pr(v_(j) > t) over [lo, inf) for every entry of ``lo``."""
-        k = self.knots
-        # below every support the order statistic exceeds t surely
-        out = np.where(lo <= k[0], k[0] - lo + self._suffix[0], 0.0)
-        inside = (lo > k[0]) & (lo < k[-1])
-        if inside.any():
-            part = lo[inside]
-            i = np.searchsorted(k, part, side="right") - 1
-            out[inside] = self._segments(part, k[i + 1]) + self._suffix[i + 1]
-        return out
-
-
 def _separable_revenue(a, b, pd: ProductDist):
     """Expected revenue of the separable payment weights ``(a, b)`` (see
     ``mech.separable_form``) on ``pd``, as a function of an array of reserves:
@@ -126,11 +93,10 @@ def _separable_revenue(a, b, pd: ProductDist):
     Statistics below the last bidder are 0, so they add nothing at r > 0.
     """
     a = a[: pd.n]
-    tails = [(bj, _OrderStatTail(pd, j)) for j, bj in enumerate(b, start=2) if bj and j <= pd.n]
+    tails = [(bj, OrderStatTail(pd, j)) for j, bj in enumerate(b, start=2) if bj and j <= pd.n]
 
     def revenue(rs: np.ndarray) -> np.ndarray:
-        surv = np.stack([c.survival_left(rs) for c in pd.components])
-        reach = 1.0 - np.cumsum(poisson_binomial_pmf(surv)[: len(a)], axis=0)
+        reach = order_stat_reach(pd, len(a), rs)
         total = rs * sum(ai * reach[i] for i, ai in enumerate(a))
         for bj, tail in tails:
             total = total + bj * tail.integral_from(rs)

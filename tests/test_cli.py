@@ -97,6 +97,19 @@ class TestReserve:
         assert float(row["worst_case_revenue"]) == pytest.approx(0.25, abs=1e-6)
         assert "optimal" in row["certificate"]
 
+    def test_large_n_approaches_unknown_n(self, tmp_path, capsys):
+        # with 2000 bidders the robust reserve sits next to the reserve that is
+        # robust for every number of bidders, and guarantees at least as much
+        cfg = write_cfg(
+            tmp_path, "c.json",
+            {"n": 2000, "k": 2, "G": {"family": "uniform", "lo": 0, "hi": 1}, "family": "spa"},
+        )
+        code, out, _ = run_cli(["reserve", "--config", cfg], capsys)
+        assert code == 0
+        row = parse_csv(out)[0]
+        assert float(row["reserve"]) == pytest.approx(0.5191, abs=1e-3)
+        assert float(row["worst_case_revenue"]) >= 0.531809
+
 
 UNIF_LIT = {"family": "uniform", "lo": 0, "hi": 1}
 REFUSED = {
@@ -117,6 +130,9 @@ REFUSED = {
                       "mechanism": {"type": "spa", "reserve": 0.5}, "grid": 64}),
     "grid_zero": (
         "reserve", {"n": 3, "k": 2, "G": {"family": "exponential", "rate": 1}, "family": "spa", "grid": 0}),
+    "decreasing_table_cdf": (
+        "reserve", {"n": 3, "k": 2, "family": "spa",
+                    "G": {"family": "table", "knots": [[0, 0], [1, 0.5], [2, 0.4]], "atoms": [[1.5, 0.6]]}}),
 }
 
 

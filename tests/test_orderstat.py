@@ -68,6 +68,26 @@ class TestHInverse:
         j = int(np.searchsorted(OS.h_poly(3, 2, fine), g))
         assert OS.h_inverse(3, 2, g) == pytest.approx(fine[j], abs=1e-6)
 
+    def test_index_validation(self):
+        for k in (0, 4):
+            with pytest.raises(ValueError):
+                OS.h_inverse(3, k, 0.5)
+
+    @pytest.mark.parametrize(
+        "n,k,g",
+        [
+            (5, 2, 7.047083481898405e-242),  # found by hypothesis: bare betaincinv gives NaN
+            (10, 2, 1e-300),
+            (2000, 1999, 1.999e-254),
+            (2000, 2, 0.5),
+            (2000, 1000, 1e-9),
+        ],
+    )
+    def test_deep_tail_and_large_n_round_trip(self, n, k, g):
+        u = OS.h_inverse(n, k, g)
+        assert 0.0 < u < 1.0
+        assert OS.h_poly(n, k, u) == pytest.approx(g, rel=1e-10)
+
     @given(st.integers(1, 10), st.data())
     @settings(max_examples=60, deadline=None)
     def test_round_trip(self, n, data):

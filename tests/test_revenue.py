@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import betaincinv
 
 from osauction import dist as D
 from osauction import mech as M
@@ -143,6 +144,27 @@ class TestSeparableForm:
         want = [R.closed_form_revenue(_at_reserve(mech, float(r)), pd) for r in candidates]
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("family", ["posted_price", "spa", ("multi_unit", 2), ("laddered", (1.0, 0.6, 0.2))])
+    @pytest.mark.parametrize(
+        "G",
+        [UNIF, D.exponential(1.0, grid=256), BERN, D.from_table([(0.5, 0.0), (1.5, 0.6)], atoms=[(2.0, 0.4)])],
+        ids=["uniform", "exponential", "twopoint", "table"],
+    )
+    def test_iid_closed_form_matches_heterogeneous_path(self, family, G):
+        # one Dist object repeated takes the incomplete-beta path; n equal but
+        # distinct objects take the Poisson-binomial + Gauss-Legendre one
+        mech = R._family_mechanism(family)
+        for n in (3, 8, 25):
+            f = OS.consistent_iid(OS.AmbiguitySpec(n, 2, G), grid=256)
+            twins = OS.ProductDist(tuple(D.Dist(f.xs, f.f_left, f.f_right) for _ in range(n)))
+            assert twins.common is None
+            mid = 0.5 * (f.xs[len(f.xs) // 3] + f.xs[len(f.xs) // 3 + 1])
+            for r in (0.0, float(f.xs[len(f.xs) // 2]), float(mid), f.support_hi + 1.0):
+                m = _at_reserve(mech, r)
+                assert R.closed_form_revenue(m, OS.iid(f, n)) == pytest.approx(
+                    R.closed_form_revenue(m, twins), rel=0.0, abs=1e-12
+                )
+
 
 class TestMonteCarlo:
     def test_pooled_optimum_fixture(self):
@@ -182,6 +204,17 @@ class TestWorstCase:
         spec = OS.AmbiguitySpec(3, 1, UNIF)
         got = R.worst_case_revenue_topk(M.PostedPrice(0.5), spec)
         assert got == pytest.approx(0.5 * (1 - UNIF.cdf_left(0.5)), abs=1e-9)
+
+    @pytest.mark.parametrize("n", [3, 100, 2000])
+    def test_spa_second_statistic_analytic(self, n):
+        # at k = 2 the consistent i.i.d. law puts u = I^-1(n-1, 2; G(r-)) below
+        # the reserve, and the second-highest value is distributed as G
+        grid = 4096
+        for r in (0.2, 0.5, 0.9):
+            u = betaincinv(n - 1, 2, r)
+            want = r * (1 - u**n) + 0.5 * (1 - r) ** 2
+            got = R.worst_case_revenue_topk(M.SPAReserve(r), OS.AmbiguitySpec(n, 2, UNIF), grid=grid)
+            assert got == pytest.approx(want, rel=0.0, abs=16 / grid**2)
 
     def test_spa_second_statistic_at_iid(self):
         spec = OS.AmbiguitySpec(3, 2, BERN)
