@@ -89,15 +89,15 @@ class Dist:
         """Right-continuous CDF, clamped to {0, 1} outside the support."""
         v = np.asarray(v, dtype=np.float64)
         i = np.searchsorted(self.xs, v, side="right") - 1
-        i_c = np.clip(i, 0, len(self.xs) - 1)
+        i_c = np.maximum(i, 0)
         x0 = self.xs[i_c]
         f0 = self.f_right[i_c]
-        i_next = np.clip(i_c + 1, 0, len(self.xs) - 1)
+        i_next = np.minimum(i_c + 1, len(self.xs) - 1)
         x1 = self.xs[i_next]
         f1 = self.f_left[i_next]
         with np.errstate(invalid="ignore", divide="ignore"):
             t = np.where(x1 > x0, (v - x0) / np.where(x1 > x0, x1 - x0, 1.0), 0.0)
-        out = f0 + np.clip(t, 0.0, 1.0) * (f1 - f0)
+        out = f0 + np.minimum(np.maximum(t, 0.0), 1.0) * (f1 - f0)
         out = np.where(i < 0, 0.0, out)
         out = np.where(v >= self.xs[-1], 1.0, out)
         return out if out.ndim else float(out)
@@ -106,7 +106,7 @@ class Dist:
         """Left limit F(v-) = Pr(value < v)."""
         v = np.asarray(v, dtype=np.float64)
         i = np.searchsorted(self.xs, v, side="left")
-        i_c = np.clip(i, 0, len(self.xs) - 1)
+        i_c = np.minimum(i, len(self.xs) - 1)
         at_knot = (self.xs[i_c] == v) & (i < len(self.xs))
         out = np.where(at_knot, self.f_left[i_c], self.cdf(v))
         out = np.where(v < self.xs[0], 0.0, out)
@@ -271,11 +271,11 @@ def exponential(rate: float, grid: int = 4096, tail: float = _FAMILY_TAIL) -> Di
 def beta_dist(a: float, b: float, grid: int = 4096, tail: float = _FAMILY_TAIL) -> Dist:
     if a <= 0 or b <= 0:
         raise ValueError("beta shape parameters must be positive")
-    from scipy.stats import beta as _beta
+    from scipy.special import betainc, betaincinv
 
     return _from_family(
-        lambda v: _beta.cdf(v, a, b),
-        lambda q: _beta.ppf(q, a, b),
+        lambda v: betainc(a, b, v),
+        lambda q: betaincinv(a, b, q),
         grid,
         label=f"beta({a:g},{b:g})",
         tail=tail,
@@ -286,11 +286,11 @@ def normal(mean: float, sd: float, grid: int = 4096, tail: float = _FAMILY_TAIL)
     """Normal with tails truncated at mass ``tail``, floored at 0 for auction use."""
     if sd <= 0:
         raise ValueError("sd must be positive")
-    from scipy.stats import norm as _norm
+    from scipy.special import ndtr, ndtri
 
     return _from_family(
-        lambda v: _norm.cdf(v, loc=mean, scale=sd),
-        lambda q: _norm.ppf(q, loc=mean, scale=sd),
+        lambda v: ndtr((v - mean) / sd),
+        lambda q: ndtri(q) * sd + mean,
         grid,
         label=f"normal({mean:g},{sd:g})",
         floor=0.0,
@@ -497,25 +497,21 @@ def monopoly_price(d: Dist) -> tuple[float, float]:
     Exact on the representation: candidates are knots, atoms, and the
     interior stationary point of each linear-CDF segment.
     """
-    candidates = [float(x) for x in d.xs]
-    for i in range(len(d.xs) - 1):
-        c_lo, c_hi = float(d.f_right[i]), float(d.f_left[i + 1])
-        if c_hi > c_lo:
-            x_lo, x_hi = float(d.xs[i]), float(d.xs[i + 1])
-            slope = (c_hi - c_lo) / (x_hi - x_lo)
-            # stationary point of p * (1 - F(p)) inside the segment
-            p_star = 0.5 * (x_lo + (1.0 - c_lo) / slope)
-            if x_lo < p_star < x_hi:
-                candidates.append(p_star)
-    best_p, best_r = 0.0, 0.0
-    for p in sorted(candidates):
-        r = p * float(d.survival_left(p))
-        if r > best_r:
-            best_p, best_r = p, r
-    if best_r == 0.0:
-        best_p = float(d.xs[0])
-        best_r = best_p * float(d.survival_left(best_p))
-    return best_p, best_r
+    x_lo, x_hi = d.xs[:-1], d.xs[1:]
+    c_lo, c_hi = d.f_right[:-1], d.f_left[1:]
+    rising = c_hi > c_lo
+    x_lo, x_hi, c_lo = x_lo[rising], x_hi[rising], c_lo[rising]
+    slope = (c_hi[rising] - c_lo) / (x_hi - x_lo)
+    # stationary point of p * (1 - F(p)) inside each rising segment
+    p_star = 0.5 * (x_lo + (1.0 - c_lo) / slope)
+    interior = p_star[(x_lo < p_star) & (p_star < x_hi)]
+    candidates = np.sort(np.concatenate([d.xs, interior]))
+    revenue = candidates * d.survival_left(candidates)
+    best = int(np.argmax(revenue))  # the first maximum: the smaller price
+    if revenue[best] > 0.0:
+        return float(candidates[best]), float(revenue[best])
+    best_p = float(d.xs[0])
+    return best_p, best_p * float(d.survival_left(best_p))
 
 
 @dataclass(frozen=True)

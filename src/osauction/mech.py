@@ -193,8 +193,11 @@ def priority_from_uniform(u: float, n: int) -> tuple[int, ...]:
 
     Returns rank[i] = tie-break rank of bidder i (lower wins). Covers all n!
     orders exactly, which is what uniform tie-breaking means: a uniform
-    mixture over deterministic priority rules.
+    mixture over deterministic priority rules. Refuses n >= 19: there n!
+    exceeds 2**53, so a double draw cannot reach every order.
     """
+    if n >= 19:
+        raise ValueError(f"a uniform draw cannot reach all {n}! priority orders; pass a priority")
     total = math.factorial(n)
     idx = min(int(u * total), total - 1)
     avail = list(range(n))

@@ -186,6 +186,7 @@ def order_stat_reach(pd: ProductDist, m: int, r: np.ndarray) -> np.ndarray:
 # below this relative move of x the antiderivative difference cancels, while
 # three-point Gauss-Legendre is exact to rounding
 _FLAT_SEGMENT = 1e-3
+_GAUSS3 = np.polynomial.legendre.leggauss(3)
 
 
 def _mean_betainc(p: int, q: int, x0: np.ndarray, x1: np.ndarray) -> np.ndarray:
@@ -199,7 +200,7 @@ def _mean_betainc(p: int, q: int, x0: np.ndarray, x1: np.ndarray) -> np.ndarray:
     out = np.empty(x0.shape)
     flat = np.abs(x1 - x0) <= _FLAT_SEGMENT * np.maximum(x0, x1)
     mid, half = 0.5 * (x0[flat] + x1[flat]), 0.5 * (x1[flat] - x0[flat])
-    gx, gw = np.polynomial.legendre.leggauss(3)
+    gx, gw = _GAUSS3
     out[flat] = 0.5 * betainc(p, q, mid[:, None] + half[:, None] * gx) @ gw
     x0, x1 = x0[~flat], x1[~flat]
     out[~flat] = (K(x1) - K(x0)) / (x1 - x0)

@@ -5,10 +5,14 @@ and the bounds that hold uniformly over the number of bidders.
 Every separable mechanism goes through one evaluator built from its payment
 weights (``mech.separable_form``) and scored at whole arrays of reserves;
 Monte Carlo payments come from the same weights, and only Myerson has its
-own kernel. The evaluator's order-statistic terms, Pr(v_(i) >= r) and the
-exact tail integrals of Pr(v_(j) > t), come from ``orderstat``, which picks
-the closed-form incomplete-beta path for i.i.d. products and the
-Poisson-binomial path for heterogeneous ones.
+own kernel: one array pass for both tie-breaking rules, which averages
+uniform ties exactly over the priority orders instead of drawing one, so it
+needs no random draw and works for any number of bidders. The evaluator's
+order-statistic terms, Pr(v_(i) >= r) and the exact tail integrals of
+Pr(v_(j) > t), come from ``orderstat``, which picks the closed-form
+incomplete-beta path for i.i.d. products and the Poisson-binomial path for
+heterogeneous ones. The unknown-n guarantee and its root z* take arrays of
+reserves, so its reserve search scores every candidate in one pass too.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mech as M
-from .dist import Dist, monopoly_price, is_regular_above_reserve, virtual_values
+from .dist import Dist, is_regular_above_reserve, virtual_values
 from .orderstat import (
     AmbiguitySpec,
     OrderStatTail,
@@ -70,18 +74,6 @@ class RevenueReport:
 
 
 # -- exact building blocks ----------------------------------------------------
-
-
-def _survival_integral(d: Dist, lo: float) -> float:
-    """Exact integral of Pr(value > t) over [lo, support_hi]; the survival is
-    piecewise linear between knots so trapezoids are exact."""
-    hi = d.support_hi
-    if lo >= hi:
-        return 0.0
-    xs = np.unique(np.concatenate([[lo], d.xs[d.xs > lo]]))
-    s_hi = 1.0 - d.cdf_left(xs[1:])
-    s_lo = 1.0 - d.cdf(xs[:-1])
-    return float(np.sum(0.5 * (s_hi + s_lo) * np.diff(xs)))
 
 
 def _separable_revenue(a, b, pd: ProductDist):
@@ -158,62 +150,41 @@ def _uniform_matrix(seed: int, samples: int, width: int) -> np.ndarray:
     return gen.random((samples, width))
 
 
-_PERM_TABLES: dict[int, np.ndarray] = {}
+def _myerson_payments(base: Dist, tiebreak: str, values: np.ndarray) -> np.ndarray:
+    """Vectorized total payments of the symmetric Myerson auction.
 
-
-def _perm_ranks(n: int) -> np.ndarray:
-    """All n! priority-rank vectors, indexed in lexicographic order."""
-    import itertools
-
-    if n not in _PERM_TABLES:
-        perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
-        ranks = np.empty_like(perms)
-        rows = np.arange(perms.shape[0])[:, None]
-        ranks[rows, perms] = np.arange(n)[None, :]
-        _PERM_TABLES[n] = ranks
-    return _PERM_TABLES[n]
-
-
-def _myerson_payments(base: Dist, tiebreak: str, values: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Vectorized total payments of the symmetric Myerson auction."""
-    samples, n = values.shape
+    The winner's critical bid depends only on the top ironed level, whether
+    it is tied, the highest rival level t* below it and whether a rival at
+    t* out-prioritizes the winner. A tied top pays threshold_weak(top); an
+    untied winner pays threshold_weak(max(t*, 0)), or max(threshold_weak(0),
+    threshold_strict(t*)) when outranked at t*. Lexicographic priority
+    outranks when a rival at t* has a smaller index; uniform priority does so
+    with probability c/(c+1) for c rivals at t*, and that average is taken
+    exactly instead of drawn.
+    """
     phi_fn = M._phi_of(base)
     phi = np.asarray(phi_fn.eval(values))
-    if tiebreak == "lexicographic":
-        rank = np.broadcast_to(np.arange(n), (samples, n))
-    else:
-        if n > 8:
-            prof_pay = np.empty(samples)
-            for s in range(samples):
-                prof_pay[s] = M.myerson_outcome(
-                    base, tiebreak, M.Profile(tuple(values[s])), u=float(u[s])
-                ).total_payment
-            return prof_pay
-        table = _perm_ranks(n)
-        idx = np.minimum((u * len(table)).astype(np.int64), len(table) - 1)
-        rank = table[idx]
     wmax = phi.max(axis=1)
-    sale = wmax >= 0.0
-    cand = np.where(phi == wmax[:, None], rank, n + 1)
-    winner = np.argmin(cand, axis=1)
-    rows = np.arange(samples)
-    rank_w = rank[rows, winner]
-    rival = phi.copy()
-    rival[rows, winner] = -np.inf
-    lower = np.where(rank > rank_w[:, None], rival, -np.inf)
-    higher = np.where(rank < rank_w[:, None], rival, -np.inf)
-    t_weak = np.maximum(lower.max(axis=1), 0.0)
-    pay = np.asarray(phi_fn.threshold_weak(t_weak))
-    t_strict = higher.max(axis=1)
-    has_strict = np.isfinite(t_strict)
-    strict_pay = np.asarray(phi_fn.threshold_strict(np.where(has_strict, t_strict, 0.0)))
-    pay = np.where(has_strict, np.maximum(pay, strict_pay), pay)
-    return np.where(sale, pay, 0.0)
+    at_top = phi == wmax[:, None]
+    tied = np.count_nonzero(at_top, axis=1) > 1
+    rivals = np.where(at_top, -np.inf, phi)
+    t = rivals.max(axis=1)
+    at_t = (rivals == t[:, None]) & np.isfinite(rivals)
+    contested = ~tied & np.isfinite(t)  # a rival at t* may outrank the winner
+    keep = phi_fn.threshold_weak(np.maximum(np.where(tied, wmax, t), 0.0))
+    lose = np.maximum(phi_fn.threshold_weak(0.0), phi_fn.threshold_strict(np.where(contested, t, 0.0)))
+    if tiebreak == "lexicographic":
+        outranked = contested & (np.argmax(at_t, axis=1) < np.argmax(at_top, axis=1))
+        pay = np.where(outranked, lose, keep)
+    else:
+        c = np.where(contested, np.count_nonzero(at_t, axis=1), 0)
+        pay = (keep + c * lose) / (c + 1)
+    return np.where(wmax >= 0.0, pay, 0.0)
 
 
-def _mechanism_payments(mechanism: M.Mechanism, values: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _mechanism_payments(mechanism: M.Mechanism, values: np.ndarray) -> np.ndarray:
     if isinstance(mechanism, M.MyersonIID):
-        return _myerson_payments(mechanism.base, mechanism.tiebreak, values, u)
+        return _myerson_payments(mechanism.base, mechanism.tiebreak, values)
     n = values.shape[1]
     r, a, b = _separable_form(mechanism, n)
     # r * sum_i a_i 1[v_(i) >= r] is r times the sum of the first c weights,
@@ -236,11 +207,13 @@ def mc_expected_revenue(
     if samples < 1:
         raise ValueError("need at least one sample")
     n = pd.n
+    # the last column is unused; it keeps the stream's layout, so every value
+    # column stays the draw it has always been
     unif = _uniform_matrix(seed, samples, n + 1)
     values = np.column_stack(
         [pd.components[j].quantile(unif[:, j]) for j in range(n)]
     )
-    payments = _mechanism_payments(mechanism, values, unif[:, n])
+    payments = _mechanism_payments(mechanism, values)
     mean = float(payments.mean())
     stderr = float(payments.std(ddof=1) / math.sqrt(samples)) if samples > 1 else float("inf")
     return RevenueReport(
@@ -389,38 +362,49 @@ def optimal_robust_reserve(
 # -- unknown number of bidders ---------------------------------------------------
 
 
-def z_star(g: float, tol: float = 1e-14) -> float:
-    """Unique root of z * (1 - ln z) = g on (0, 1]; the map is increasing
-    there so plain bisection converges unconditionally."""
-    if not 0.0 <= g <= 1.0:
+def z_star(g, tol: float = 1e-14):
+    """Unique root of z * (1 - ln z) = g on (0, 1] for every entry of ``g``;
+    the map is increasing there so plain bisection converges
+    unconditionally."""
+    g = np.asarray(g, dtype=np.float64)
+    if not np.all((g >= 0.0) & (g <= 1.0)):
         raise ValueError("probability must lie in [0, 1]")
-    if g == 0.0:
-        return 0.0
-    if g == 1.0:
-        return 1.0
-    lo, hi = 1e-300, 1.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid * (1.0 - math.log(mid)) < g:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    # bracket [lo, lo + w] from [1e-300, 1]; every bracket halves in step, and
+    # its end points are dyadic, so lo + w is the exact midpoint
+    lo, w = np.full(g.shape, 1e-300), 1.0
+    for _ in range(math.ceil(math.log2(1.0 / tol))):
+        w *= 0.5
+        mid = lo + w
+        lo = lo + w * (mid * (1.0 - np.log(mid)) < g)
+    z = np.where(g == 0.0, 0.0, np.where(g == 1.0, 1.0, lo + 0.5 * w))
+    return float(z) if z.ndim == 0 else z
 
 
-def unknown_n_bound(price: float, G: Dist) -> float:
+def _survival_tail(G: Dist) -> OrderStatTail:
+    # integrals of 1 - G over [price, inf), memoized on the (immutable)
+    # distribution instance
+    tail = getattr(G, "_tail_memo", None)
+    if tail is None:
+        tail = OrderStatTail(iid(G, 1), 1)
+        object.__setattr__(G, "_tail_memo", tail)
+    return tail
+
+
+def unknown_n_bound(price, G: Dist):
     """Revenue guarantee of a second-price auction with the given reserve
-    that holds for every number of bidders consistent with the observed
-    second-order-statistic distribution G:
+    (scalar or array) that holds for every number of bidders consistent with
+    the observed second-order-statistic distribution G:
 
         price * (1 - z*) + integral of (1 - G) above the price,
 
     with z* solving z(1 - ln z) = G(price-).
     """
-    if price < 0:
+    price = np.asarray(price, dtype=np.float64)
+    if np.any(price < 0):
         raise ValueError("price must be non-negative")
-    z = z_star(float(G.cdf_left(price)))
-    return float(price * (1.0 - z) + _survival_integral(G, price))
+    tail = _survival_tail(G).integral_from(np.atleast_1d(price)).reshape(price.shape)
+    bound = price * (1.0 - z_star(G.cdf_left(price))) + tail
+    return float(bound) if bound.ndim == 0 else bound
 
 
 @dataclass(frozen=True)
@@ -433,11 +417,10 @@ class UnknownNReserve:
 def optimal_unknown_n_reserve(G: Dist, price_tol: float = 1e-6) -> UnknownNReserve:
     """Reserve maximizing the any-number-of-bidders guarantee."""
 
-    def bounds(rs: np.ndarray) -> np.ndarray:
-        return np.array([unknown_n_bound(float(r), G) for r in rs])
-
     candidates = np.unique(np.concatenate([[0.0], G.xs]))
-    r_best, v_best = _maximize(bounds, candidates, scan=128, price_tol=price_tol)
+    r_best, v_best = _maximize(
+        lambda rs: unknown_n_bound(rs, G), candidates, scan=128, price_tol=price_tol
+    )
     return UnknownNReserve(r_best, v_best, z_star(float(G.cdf_left(r_best))))
 
 

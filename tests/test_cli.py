@@ -315,3 +315,17 @@ class TestSimulate:
         assert code == 0
         row = parse_csv(out)[0]
         assert abs(float(row["expected_revenue"]) - 1.36) <= 4 * float(row["mc_stderr"])
+
+    def test_myerson_uniform_tiebreak_large_n(self, tmp_path, capsys):
+        # 171! overflows a double; uniform ties are averaged, not unranked
+        lit = {"family": "twopoint", "v1": 1, "p1": 0.8, "v2": 2}
+        cfg = write_cfg(
+            tmp_path, "c.json",
+            {"product": [lit] * 171, "mechanism": {"type": "myerson", "base": lit, "tiebreak": "uniform"},
+             "samples": 2000, "seed": 4},
+        )
+        code, out, _ = run_cli(["simulate", "--config", cfg], capsys)
+        assert code == 0
+        # at least two of 171 bidders hold the top value (short of 1e-15), so
+        # every sample pays 2
+        assert float(parse_csv(out)[0]["expected_revenue"]) == pytest.approx(2.0, abs=1e-12)

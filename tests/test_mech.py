@@ -106,6 +106,13 @@ class TestMyerson:
             seen.add(M.priority_from_uniform((i + 0.5) / total, n))
         assert len(seen) == total
 
+    def test_priority_unranking_refuses_unreachable_orders(self):
+        # 18! < 2**53 < 19!: from 19 bidders on a double cannot reach every order
+        assert sorted(M.priority_from_uniform(0.999, 18)) == list(range(18))
+        for n in (19, 171):
+            with pytest.raises(ValueError, match="priority orders"):
+                M.priority_from_uniform(0.5, n)
+
 
 class TestMultiUnit:
     def test_uniform_price_no_reserve(self):

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -14,6 +15,8 @@ from conftest import random_discrete_dist
 F_DISC = D.two_point(1.0, 0.8, 2.0)
 UNIF = D.uniform(0, 1)
 BERN = D.two_point(0.0, 0.5, 1.0)
+# atoms 1.0 and 1.2 share one ironed level
+POOLED = D.from_table([], atoms=[(1.0, 0.7), (1.2, 0.1), (2.0, 0.19), (4.0, 0.01)])
 
 
 def _mc_oracle(payment_fn, components, samples, seed):
@@ -67,7 +70,8 @@ class TestSecondPriceRevenue:
         spec = OS.AmbiguitySpec(3, 2, BERN)
         fbar = OS.consistent_iid(spec)
         base = R.closed_form_revenue(M.SPAReserve(0.0), OS.iid(fbar, 3))
-        assert base == pytest.approx(R._survival_integral(BERN, 0.0), abs=1e-10)
+        # the integral of 1 - G over [0, inf) is G's mean
+        assert base == pytest.approx(0.5, abs=1e-10)
 
 
 class TestClosedFormsAgainstMC:
@@ -122,7 +126,7 @@ class TestSeparableForm:
         # reserve and ties between bidders are frequent
         lattice = rng.choice([0.0, 0.25, 0.5, 0.75, 1.0, 1.5], size=(500, 4))
         values = np.vstack([lattice, rng.uniform(0.0, 2.0, size=(500, 4))])
-        got = R._mechanism_payments(mech, values, np.zeros(len(values)))
+        got = R._mechanism_payments(mech, values)
         want = [M.outcome(mech, M.Profile(tuple(row))).total_payment for row in values]
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
@@ -184,13 +188,44 @@ class TestMonteCarlo:
         pd = OS.iid(F_DISC, 3)
         rep = R.mc_expected_revenue(M.MyersonIID(F_DISC, tiebreak), pd, 2000, 3)
         unif = R._uniform_matrix(3, 2000, 4)
+        # uniform ties are averaged exactly: the reference is the mean over
+        # all 3! priority orders
+        orders = list(itertools.permutations(range(3))) if tiebreak == "uniform" else [(0, 1, 2)]
+        pays = {}  # the profiles repeat: two values for three bidders
         total = 0.0
         for s in range(2000):
             vals = tuple(F_DISC.quantile(unif[s, j]) for j in range(3))
-            total += M.myerson_outcome(
-                F_DISC, tiebreak, M.Profile(vals), u=float(unif[s, 3])
-            ).total_payment
+            if vals not in pays:
+                pays[vals] = np.mean(
+                    [M.myerson_outcome(F_DISC, tiebreak, M.Profile(vals), priority=p).total_payment for p in orders]
+                )
+            total += pays[vals]
         assert rep.expected_revenue == pytest.approx(total / 2000, abs=1e-12)
+
+    @pytest.mark.parametrize("tiebreak", ["uniform", "lexicographic"])
+    def test_myerson_payments_match_priority_average(self, tiebreak):
+        # heterogeneous atom bidders on one lattice tie often, at the top and
+        # below it; 0 lies below the base's support
+        rng = np.random.default_rng(41)
+        lattice = [0.0, 1.0, 1.1, 1.2, 2.0, 3.0, 4.0]
+        bidders = [D.from_table([], atoms=list(zip(lattice, rng.dirichlet(np.ones(7))))) for _ in range(5)]
+        u = rng.random((60, 5))
+        values = np.column_stack([d.quantile(u[:, j]) for j, d in enumerate(bidders)])
+        got = R._mechanism_payments(M.MyersonIID(POOLED, tiebreak), values)
+        orders = list(itertools.permutations(range(5))) if tiebreak == "uniform" else [tuple(range(5))]
+        want = [
+            np.mean([M.myerson_outcome(POOLED, tiebreak, M.Profile(tuple(row)), priority=p).total_payment
+                     for p in orders])
+            for row in values
+        ]
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [10, 200])
+    def test_uniform_tiebreak_at_any_n(self, n):
+        # bidders are exchangeable, so uniform ties earn the closed-form
+        # (lexicographic) revenue
+        rep = R.mc_expected_revenue(M.MyersonIID(POOLED, "uniform"), OS.iid(POOLED, n), 20_000, 12)
+        assert abs(rep.expected_revenue - R.myerson_iid_revenue(POOLED, n)) <= 4 * rep.mc_stderr
 
     def test_report_field_validation(self):
         with pytest.raises(ValueError):
@@ -310,6 +345,15 @@ class TestUnknownN:
                         M.SPAReserve(p), OS.AmbiguitySpec(n, 2, G), grid=512
                     )
                     assert wc >= bound - 1e-9
+
+    def test_array_arguments_match_scalars(self):
+        for G in (UNIF, BERN, D.exponential(1.0, grid=256)):
+            ps = np.array([0.0, 0.3, 0.5, 1.0, 2.5])
+            np.testing.assert_array_equal(R.unknown_n_bound(ps, G), [R.unknown_n_bound(float(p), G) for p in ps])
+        gs = np.array([0.0, 1e-6, 0.25, 0.5, 0.99, 1.0])
+        np.testing.assert_array_equal(R.z_star(gs), [R.z_star(float(g)) for g in gs])
+        with pytest.raises(ValueError):
+            R.z_star(np.array([0.5, 1.5]))
 
     def test_z_star_monotone_root(self):
         for g in (0.0, 1e-6, 0.25, 0.5, 0.99, 1.0):
