@@ -121,25 +121,45 @@ class Dist:
         """Pr(value >= v)."""
         return 1.0 - self.cdf_left(v)
 
+    def _segments_below(self):
+        """Per knot j, the continuous segment entering it: its lower CDF, its
+        rise (1 where it has none), its left knot and its width, plus a flag
+        for segments that carry mass (None when no segment does). Memoized on
+        the (immutable) instance."""
+        table = getattr(self, "_segments_memo", None)
+        if table is None:
+            j = np.arange(len(self.xs))
+            jm = np.maximum(j - 1, 0)
+            lower, left = self.f_right[jm], self.xs[jm]
+            rise = self.f_left - lower
+            reachable = (j > 0) & (rise > 0)
+            table = (
+                lower,
+                np.where(rise > 0, rise, 1.0),
+                left,
+                self.xs - left,
+                reachable if reachable.any() else None,
+            )
+            object.__setattr__(self, "_segments_memo", table)
+        return table
+
     def quantile(self, q):
         """Generalized inverse inf{v : F(v) >= q}; q must lie in [0, 1]."""
         q_arr = np.asarray(q, dtype=np.float64)
-        if np.any(q_arr < 0.0) or np.any(q_arr > 1.0):
+        if q_arr.size and (q_arr.min() < 0.0 or q_arr.max() > 1.0):
             raise ValueError("quantile argument must lie in [0, 1]")
-        # first knot whose right CDF reaches q
-        j = np.searchsorted(self.f_right, q_arr, side="left")
-        j = np.clip(j, 0, len(self.xs) - 1)
-        out = self.xs[j].astype(np.float64) if q_arr.ndim else np.float64(self.xs[j])
-        # the continuous segment entering knot j may attain q earlier
-        jm = np.clip(j - 1, 0, len(self.xs) - 1)
-        rise = self.f_left[j] - self.f_right[jm]
-        reach = (j > 0) & (self.f_left[j] >= q_arr) & (rise > 0) & (q_arr > self.f_right[jm])
-        with np.errstate(invalid="ignore", divide="ignore"):
-            t = (q_arr - self.f_right[jm]) / np.where(rise > 0, rise, 1.0)
-        interp = self.xs[jm] + t * (self.xs[j] - self.xs[jm])
-        out = np.where(reach, interp, out)
-        out = np.where(q_arr <= self.f_right[0], self.xs[0], out)
-        return out if q_arr.ndim else float(out)
+        flat = q_arr.reshape(-1)
+        lower, rise, left, width, reachable = self._segments_below()
+        # first knot whose right CDF reaches q; the last one takes every q above
+        j = np.searchsorted(self.f_right[:-1], flat, side="left")
+        out = self.xs[j]
+        if reachable is not None:
+            # the continuous segment entering knot j may attain q earlier
+            lo = lower[j]
+            reach = reachable[j] & (self.f_left[j] >= flat) & (flat > lo)
+            if reach.any():
+                np.copyto(out, left[j] + (flat - lo) / rise[j] * width[j], where=reach)
+        return out.reshape(q_arr.shape) if q_arr.ndim else float(out[0])
 
     def describe(self) -> str:
         return self.label
@@ -566,19 +586,29 @@ class VirtualValueFn:
     def __post_init__(self):
         for name in ("bp", "phi_lo", "phi_hi"):
             object.__setattr__(self, name, _as_readonly(getattr(self, name)))
+        # per piece: its width, and its rise in virtual value; a piece without
+        # width gets width 1 and rise 0 * rise, so it adds what weight 0 adds
+        width = self.bp[1:] - self.bp[:-1]
+        with np.errstate(invalid="ignore"):  # a piece at -inf has no rise
+            rise = self.phi_hi - self.phi_lo
+            object.__setattr__(
+                self, "_pieces", (np.where(width > 0, width, 1.0), np.where(width > 0, rise, 0.0 * rise))
+            )
 
     def eval(self, v):
         """Ironed virtual value at v (vectorized)."""
         v = np.asarray(v, dtype=np.float64)
-        out = np.full(v.shape, -np.inf)
         if len(self.bp) > 1:
-            j = np.clip(np.searchsorted(self.bp, v, side="right") - 1, 0, len(self.phi_lo) - 1)
-            width = self.bp[j + 1] - self.bp[j]
-            t = np.where(width > 0, (v - self.bp[j]) / np.where(width > 0, width, 1.0), 0.0)
+            width, rise = self._pieces
+            # the piece holding v counts the inner breakpoints at or below v
+            j = np.searchsorted(self.bp[1:-1], v, side="right")
+            t = np.clip((v - self.bp[j]) / width[j], 0, 1)
             inside = (v >= self.support_lo) & (v < self.support_hi)
-            out = np.where(inside, self.phi_lo[j] + np.clip(t, 0, 1) * (self.phi_hi[j] - self.phi_lo[j]), out)
-        out = np.where(v == self.support_hi, self.phi_top, out)
-        out = np.where(v > self.support_hi, v, out)
+            out = np.where(inside, self.phi_lo[j] + t * rise[j], -np.inf)
+        else:
+            out = np.full(v.shape, -np.inf)
+        np.copyto(out, self.phi_top, where=v == self.support_hi)
+        np.copyto(out, v, where=v > self.support_hi)
         return out if out.ndim else float(out)
 
     def raw(self, v: float):

@@ -235,7 +235,7 @@ def myerson_outcome(
             priority = priority_from_uniform(u, prof.n)
         else:
             raise ValueError(f"unknown tiebreak {tiebreak!r}")
-    phis = [float(phi_fn.eval(v)) for v in prof.values]
+    phis = phi_fn.eval(prof.values).tolist()
     best = max(range(prof.n), key=lambda i: (phis[i], -priority[i]))
     if phis[best] < 0.0:
         return NO_SALE

@@ -88,14 +88,18 @@ def h_poly(n: int, k: int, u):
     return out if out.ndim else float(out)
 
 
+_DEEP_TAIL = 1e-96
+
+
 def h_inverse(n: int, k: int, g):
     """Inverse of h_poly; strictly increasing on [0, 1], endpoints exact.
 
     Deep in the lower tail ``betaincinv`` loses the root: it returns NaN
-    below g ~ 1e-108, and wrong values at some smaller g. There the leading
-    term of I_u(a, k) = u^a / (a B(a, k)) * (1 - a (k-1) / (a+1) * u + ...)
-    gives u = (g a B(a, k))^(1/a), exact to 1e-13 where it is used: where
-    max(k-1, 1) u / (a+1) < 1e-13.
+    below g ~ 1e-108, and wrong values at some smaller g. The leading term
+    of I_u(a, k) = u^a / (a B(a, k)) * (1 - a (k-1) / (a+1) * u + ...)
+    gives u = (g a B(a, k))^(1/a), exact to 1e-13 where max(k-1, 1) u /
+    (a+1) < 1e-13, and used there. Below g = 1e-96 every root is instead
+    polished from that leading-term root by ``_polish_deep_root``.
     """
     from scipy.special import betaincinv, betaln
 
@@ -105,10 +109,54 @@ def h_inverse(n: int, k: int, g):
         raise ValueError("probability must lie in [0, 1]")
     a = n - k + 1
     with np.errstate(divide="ignore"):
-        lead = np.exp((np.log(g_arr) + math.log(a) + betaln(a, k)) / a)
+        log_lead = (np.log(g_arr) + math.log(a) + betaln(a, k)) / a
+    lead = np.exp(log_lead)
     out = betaincinv(a, k, g_arr)
     out = np.where(np.isnan(out) | (max(k - 1, 1) * lead < 1e-13 * (a + 1)), lead, out)
+    deep = (g_arr > 0.0) & (g_arr < _DEEP_TAIL)
+    if np.any(deep):
+        out[deep] = _polish_deep_root(a, k, g_arr[deep], log_lead[deep])
     return out if out.ndim else float(out)
+
+
+def _polish_deep_root(a: int, k: int, g: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Solve I_u(a, k) = g for u from the log ``x`` of the leading-term root,
+    which lies at or below the root, by Newton's method on log I_u in log u.
+
+    That function is increasing and concave, so Newton steps from below stay
+    below the root and increase monotonically; a step that leaves the bracket
+    anyway (rounding) is replaced by bisection of the bracket in log u.
+    log I_u is the log-sum of the binomial terms of Pr(Bin(a+k-1, u) >= a),
+    all positive: ``betainc`` itself loses digits near 1e-300. log C(n, a)
+    is summed term by term, because the root moves by its error over a and
+    ``betaln`` is off by 1e-12 at (2, 2000).
+    """
+    from scipy.special import betaln, logsumexp
+
+    n = a + k - 1
+    j = np.arange(a, n + 1)
+    i = np.arange(1, min(a, k - 1) + 1)
+    # log C(n, j), from log C(n, a) = log C(n, k-1) up by the ratios of neighbours
+    log_binom = math.fsum(np.log((n + 1 - i) / i)) + np.concatenate(
+        [[0.0], np.cumsum(np.log((n - j[:-1]) / (j[:-1] + 1)))]
+    )
+    log_g, log_b = np.log(g), betaln(a, k)
+    lo, hi = x, np.zeros(x.shape)  # log u brackets the root
+    for _ in range(100):
+        u = np.exp(x)
+        log_i = logsumexp(log_binom + j * x[:, None] + (n - j) * np.log1p(-u)[:, None], axis=1)
+        f = log_i - log_g
+        with np.errstate(over="ignore"):
+            # d log I / d log u = u^a (1-u)^(k-1) / (B(a, k) I_u)
+            slope = np.exp(a * x + (k - 1) * np.log1p(-u) - log_b - log_i)
+            step = x - f / slope
+        lo, hi = np.where(f <= 0.0, x, lo), np.where(f > 0.0, x, hi)
+        nxt = np.where((step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
+        done = np.abs(nxt - x) <= 4.0 * np.finfo(float).eps * np.abs(x)
+        x = nxt
+        if np.all(done):
+            break
+    return np.exp(x)
 
 
 _REFINE_MASS = 1.0 / 64.0

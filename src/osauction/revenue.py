@@ -7,7 +7,11 @@ weights (``mech.separable_form``) and scored at whole arrays of reserves;
 Monte Carlo payments come from the same weights, and only Myerson has its
 own kernel: one array pass for both tie-breaking rules, which averages
 uniform ties exactly over the priority orders instead of drawing one, so it
-needs no random draw and works for any number of bidders. The evaluator's
+needs no random draw and works for any number of bidders. Monte Carlo
+values are bidder-major, one row per bidder and one column per sample, so
+the kernels reduce over contiguous rows; each row is drawn through
+``Dist.quantile`` and scored through ``VirtualValueFn.eval``, which read
+per-segment tables built once per instance. The evaluator's
 order-statistic terms, Pr(v_(i) >= r) and the exact tail integrals of
 Pr(v_(j) > t), come from ``orderstat``, which picks the closed-form
 incomplete-beta path for i.i.d. products and the Poisson-binomial path for
@@ -151,7 +155,8 @@ def _uniform_matrix(seed: int, samples: int, width: int) -> np.ndarray:
 
 
 def _myerson_payments(base: Dist, tiebreak: str, values: np.ndarray) -> np.ndarray:
-    """Vectorized total payments of the symmetric Myerson auction.
+    """Vectorized total payments of the symmetric Myerson auction on
+    bidder-major values (one row per bidder, one column per sample).
 
     The winner's critical bid depends only on the top ironed level, whether
     it is tied, the highest rival level t* below it and whether a rival at
@@ -163,39 +168,44 @@ def _myerson_payments(base: Dist, tiebreak: str, values: np.ndarray) -> np.ndarr
     exactly instead of drawn.
     """
     phi_fn = M._phi_of(base)
-    phi = np.asarray(phi_fn.eval(values))
-    wmax = phi.max(axis=1)
-    at_top = phi == wmax[:, None]
-    tied = np.count_nonzero(at_top, axis=1) > 1
+    phi = phi_fn.eval(values)
+    wmax = phi.max(axis=0)
+    at_top = phi == wmax
+    tied = np.count_nonzero(at_top, axis=0) > 1
     rivals = np.where(at_top, -np.inf, phi)
-    t = rivals.max(axis=1)
-    at_t = (rivals == t[:, None]) & np.isfinite(rivals)
+    t = rivals.max(axis=0)
+    at_t = (rivals == t) & np.isfinite(rivals)
     contested = ~tied & np.isfinite(t)  # a rival at t* may outrank the winner
     keep = phi_fn.threshold_weak(np.maximum(np.where(tied, wmax, t), 0.0))
     lose = np.maximum(phi_fn.threshold_weak(0.0), phi_fn.threshold_strict(np.where(contested, t, 0.0)))
     if tiebreak == "lexicographic":
-        outranked = contested & (np.argmax(at_t, axis=1) < np.argmax(at_top, axis=1))
-        pay = np.where(outranked, lose, keep)
+        # outranked: a rival at t* comes before the first bidder at the top
+        outranked, top_seen = np.zeros_like(tied), np.zeros_like(tied)
+        for at_top_i, at_t_i in zip(at_top, at_t):
+            outranked |= at_t_i & ~top_seen
+            top_seen |= at_top_i
+        pay = np.where(contested & outranked, lose, keep)
     else:
-        c = np.where(contested, np.count_nonzero(at_t, axis=1), 0)
+        c = np.where(contested, np.count_nonzero(at_t, axis=0), 0)
         pay = (keep + c * lose) / (c + 1)
     return np.where(wmax >= 0.0, pay, 0.0)
 
 
 def _mechanism_payments(mechanism: M.Mechanism, values: np.ndarray) -> np.ndarray:
+    """Total payment of every sample of bidder-major ``values``."""
     if isinstance(mechanism, M.MyersonIID):
         return _myerson_payments(mechanism.base, mechanism.tiebreak, values)
-    n = values.shape[1]
+    n = values.shape[0]
     r, a, b = _separable_form(mechanism, n)
     # r * sum_i a_i 1[v_(i) >= r] is r times the sum of the first c weights,
     # c the number of bidders at or above the reserve
-    clearing = np.minimum(np.count_nonzero(values >= r, axis=1), len(a))
+    clearing = np.minimum(np.count_nonzero(values >= r, axis=0), len(a))
     total = r * np.concatenate([[0.0], np.cumsum(a)])[clearing]
     if any(b):
-        ascending = np.sort(values, axis=1)  # v_(j) is column n - j
+        ascending = np.sort(values, axis=0)  # v_(j) is row n - j
         for j, bj in enumerate(b[: n - 1], start=2):
             if bj:
-                total += bj * np.clip(ascending[:, n - j] - r, 0.0, None)
+                total += bj * np.clip(ascending[n - j] - r, 0.0, None)
     return total
 
 
@@ -210,9 +220,11 @@ def mc_expected_revenue(
     # the last column is unused; it keeps the stream's layout, so every value
     # column stays the draw it has always been
     unif = _uniform_matrix(seed, samples, n + 1)
-    values = np.column_stack(
-        [pd.components[j].quantile(unif[:, j]) for j in range(n)]
-    )
+    # bidder-major: row j holds bidder j's draws, then its values
+    values = unif[:, :n].T.copy()
+    del unif
+    for row, component in zip(values, pd.components):
+        row[:] = component.quantile(row)
     payments = _mechanism_payments(mechanism, values)
     mean = float(payments.mean())
     stderr = float(payments.std(ddof=1) / math.sqrt(samples)) if samples > 1 else float("inf")

@@ -1,0 +1,142 @@
+"""The table-driven ``Dist.quantile`` and ``VirtualValueFn.eval`` against the
+per-point implementations they replaced, copied below verbatim: the Monte
+Carlo path must draw the same values and pay the same amounts bit for bit."""
+
+import numpy as np
+import pytest
+
+from osauction import dist as D
+from conftest import random_discrete_dist, random_mixed_dist
+
+
+def reference_quantile(self, q):
+    """Generalized inverse inf{v : F(v) >= q}; q must lie in [0, 1]."""
+    q_arr = np.asarray(q, dtype=np.float64)
+    if np.any(q_arr < 0.0) or np.any(q_arr > 1.0):
+        raise ValueError("quantile argument must lie in [0, 1]")
+    # first knot whose right CDF reaches q
+    j = np.searchsorted(self.f_right, q_arr, side="left")
+    j = np.clip(j, 0, len(self.xs) - 1)
+    out = self.xs[j].astype(np.float64) if q_arr.ndim else np.float64(self.xs[j])
+    # the continuous segment entering knot j may attain q earlier
+    jm = np.clip(j - 1, 0, len(self.xs) - 1)
+    rise = self.f_left[j] - self.f_right[jm]
+    reach = (j > 0) & (self.f_left[j] >= q_arr) & (rise > 0) & (q_arr > self.f_right[jm])
+    with np.errstate(invalid="ignore", divide="ignore"):
+        t = (q_arr - self.f_right[jm]) / np.where(rise > 0, rise, 1.0)
+    interp = self.xs[jm] + t * (self.xs[j] - self.xs[jm])
+    out = np.where(reach, interp, out)
+    out = np.where(q_arr <= self.f_right[0], self.xs[0], out)
+    return out if q_arr.ndim else float(out)
+
+
+def reference_eval(self, v):
+    """Ironed virtual value at v (vectorized)."""
+    v = np.asarray(v, dtype=np.float64)
+    out = np.full(v.shape, -np.inf)
+    if len(self.bp) > 1:
+        j = np.clip(np.searchsorted(self.bp, v, side="right") - 1, 0, len(self.phi_lo) - 1)
+        width = self.bp[j + 1] - self.bp[j]
+        t = np.where(width > 0, (v - self.bp[j]) / np.where(width > 0, width, 1.0), 0.0)
+        inside = (v >= self.support_lo) & (v < self.support_hi)
+        out = np.where(inside, self.phi_lo[j] + np.clip(t, 0, 1) * (self.phi_hi[j] - self.phi_lo[j]), out)
+    out = np.where(v == self.support_hi, self.phi_top, out)
+    out = np.where(v > self.support_hi, v, out)
+    return out if out.ndim else float(out)
+
+
+def assert_bitwise(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def _dists():
+    rng = np.random.default_rng(5)
+    out = {
+        "point_mass": D.point_mass(1.5),
+        "point_mass_at_0": D.point_mass(0.0),
+        "twopoint": D.two_point(1.0, 0.8, 2.0),
+        "atoms": D.from_table([], atoms=[(0.5, 0.4), (1.0, 0.35), (2.5, 0.25)]),
+        # continuous mass, then a zero-mass gap, then an atom and more mass
+        "gap": D.from_table([(0.0, 0.0), (1.0, 0.3), (2.0, 0.3), (3.0, 0.6)], atoms=[(2.0, 0.25), (4.0, 0.15)]),
+        "atom_at_base": D.from_table([(1.0, 0.0), (2.0, 0.5)], atoms=[(1.0, 0.5)]),
+        "uniform": D.uniform(0.25, 1.75),
+        "table": D.from_literal({"family": "table", "knots": [[0, 0], [1, 0.5], [3, 0.9]], "atoms": [[3, 0.1]]}),
+        "mixed": random_mixed_dist(rng),
+        "discrete": random_discrete_dist(rng),
+    }
+    for grid in (16, 256, 4096):
+        out[f"exponential/{grid}"] = D.exponential(1.3, grid=grid)
+        out[f"beta/{grid}"] = D.beta_dist(2.0, 3.0, grid=grid)
+        out[f"normal/{grid}"] = D.normal(1.0, 0.6, grid=grid)  # floored at 0: a leading atom
+    return out
+
+
+DISTS = _dists()
+
+
+@pytest.mark.parametrize("name", list(DISTS))
+def test_quantile_matches_reference(name):
+    d = DISTS[name]
+    rng = np.random.default_rng(len(name))
+    q = np.concatenate([rng.random(2000), d.f_left, d.f_right, [0.0, 1.0]])
+    q = np.concatenate([q, np.nextafter(q, 0.0), np.nextafter(q, 1.0)])
+    assert_bitwise(d.quantile(q), reference_quantile(d, q))
+    # a strided column and a matrix give the same values as the flat array
+    cols = np.stack([q, q[::-1]], axis=1)
+    assert_bitwise(d.quantile(cols[:, 1]), reference_quantile(d, cols[:, 1]))
+    assert_bitwise(d.quantile(cols), reference_quantile(d, cols))
+    for x in (0.0, 1.0, float(q[7]), float(d.f_right[0])):
+        got = d.quantile(x)
+        assert type(got) is float and got == reference_quantile(d, x)
+    assert d.quantile(np.empty(0)).shape == (0,)
+
+
+@pytest.mark.parametrize("q", [-1e-300, -0.5, 1.0 + 1e-15, 2.0, [0.5, -0.1], [[0.2], [1.5]]])
+def test_quantile_out_of_range_raises(q):
+    with pytest.raises(ValueError):
+        DISTS["mixed"].quantile(q)
+
+
+@pytest.mark.parametrize("name", list(DISTS))
+def test_virtual_value_eval_matches_reference(name):
+    d = DISTS[name]
+    phi = D.virtual_values(d)
+    lo, hi = d.support_lo, d.support_hi
+    rng = np.random.default_rng(len(name))
+    v = np.concatenate([
+        phi.bp, d.xs, [lo, hi, lo - 1.0, hi + 1.0, -1.0, 0.0, 1e9],
+        rng.uniform(max(lo - 0.5, 0.0), hi + 0.5, 2000),
+    ])
+    v = np.concatenate([v, np.nextafter(v, -np.inf), np.nextafter(v, np.inf)])
+    assert_bitwise(phi.eval(v), reference_eval(phi, v))
+    assert_bitwise(phi.eval(v.reshape(3, -1)), reference_eval(phi, v.reshape(3, -1)))
+    for x in (lo, hi, lo - 1.0, hi + 1.0, float(v[-5])):
+        got = phi.eval(x)
+        assert type(got) is float and np.float64(got).tobytes() == np.float64(reference_eval(phi, x)).tobytes()
+
+
+def test_single_atom_base_has_one_breakpoint():
+    phi = D.virtual_values(D.point_mass(2.0))
+    assert len(phi.bp) == 1
+    v = np.array([0.0, 1.0, 2.0, 3.0])
+    assert_bitwise(phi.eval(v), reference_eval(phi, v))
+
+
+def test_hand_built_map_with_zero_width_pieces():
+    # pieces of no width, one at the top below support_hi, and a piece at -inf
+    phi = D.VirtualValueFn(
+        bp=np.array([0.0, 0.5, 1.0, 1.0, 2.0, 2.0]),
+        phi_lo=np.array([-np.inf, 0.0, 1.0, 1.0, 2.0]),
+        phi_hi=np.array([-np.inf, 1.0, 1.0, 2.0, 5.0]),
+        phi_top=5.0,
+        support_lo=0.0,
+        support_hi=3.0,
+        flat_regions=(),
+        raw_segments=(),
+    )
+    v = np.concatenate([np.linspace(-0.5, 3.5, 81), phi.bp])
+    with np.errstate(invalid="ignore"):
+        want = reference_eval(phi, v)
+    assert_bitwise(phi.eval(v), want)

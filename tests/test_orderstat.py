@@ -48,6 +48,21 @@ class TestHPoly:
         assert OS.h_poly(n, k, u) == pytest.approx(want, abs=1e-15)
 
 
+def _mpmath_root(n, k, g):
+    """Root of I_u(n-k+1, k) = g at 30 digits, bracketed in log u between the
+    leading-term root and 1."""
+    mp = pytest.importorskip("mpmath")
+    a = n - k + 1
+    with mp.workdps(30):
+        log_g = mp.log(mp.mpf(g))
+        lead = (log_g + mp.log(a) + mp.log(mp.beta(a, k))) / a
+
+        def f(x):
+            return mp.log(mp.betainc(a, k, 0, mp.exp(x), regularized=True)) - log_g
+
+        return float(mp.exp(mp.findroot(f, (lead, mp.mpf(0)), solver="illinois")))
+
+
 class TestHInverse:
     def test_last_statistic_closed_form(self):
         for g in (0.0, 0.1, 0.5, 0.9, 1.0):
@@ -87,6 +102,26 @@ class TestHInverse:
         u = OS.h_inverse(n, k, g)
         assert 0.0 < u < 1.0
         assert OS.h_poly(n, k, u) == pytest.approx(g, rel=1e-10)
+
+    @pytest.mark.parametrize(
+        "n,k,g",
+        [
+            (27, 5, 4.3e-277),  # bare betaincinv gives 4.9e-15 for a root near 6.3e-13
+            (25, 2, 3.4e-274),
+            (40, 20, 1e-200),
+            (10, 2, 1e-300),
+            (3, 3, 1e-150),
+            (2000, 2, 1e-100),  # root near 0.89: the leading term alone is far off
+            (2000, 1999, 1.999e-254),
+        ],
+    )
+    def test_deep_tail_against_mpmath(self, n, k, g):
+        assert OS.h_inverse(n, k, g) == pytest.approx(_mpmath_root(n, k, g), rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("n,k", [(25, 2), (27, 5), (28, 10), (60, 30)])
+    def test_deep_tail_monotone(self, n, k):
+        u = OS.h_inverse(n, k, np.geomspace(1e-300, 1e-96, 3000))
+        assert np.all(np.diff(u) > 0)
 
     @given(st.integers(1, 10), st.data())
     @settings(max_examples=60, deadline=None)

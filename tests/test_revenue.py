@@ -126,7 +126,7 @@ class TestSeparableForm:
         # reserve and ties between bidders are frequent
         lattice = rng.choice([0.0, 0.25, 0.5, 0.75, 1.0, 1.5], size=(500, 4))
         values = np.vstack([lattice, rng.uniform(0.0, 2.0, size=(500, 4))])
-        got = R._mechanism_payments(mech, values)
+        got = R._mechanism_payments(mech, values.T)  # one row per bidder
         want = [M.outcome(mech, M.Profile(tuple(row))).total_payment for row in values]
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
@@ -170,6 +170,62 @@ class TestSeparableForm:
                 )
 
 
+PIN_LITERALS = [
+    {"family": "uniform", "lo": 0.2, "hi": 1.4},
+    {"family": "twopoint", "v1": 0.5, "p1": 0.6, "v2": 1.5},
+    {"family": "atom", "v": 0.9},
+    {"family": "table", "knots": [[0.0, 0.0], [1.0, 0.45], [2.0, 0.7]], "atoms": [[0.5, 0.1], [2.0, 0.2]]},
+]
+PIN_BASE = {"family": "table", "knots": [[0.2, 0.0], [1.4, 0.4]], "atoms": [[0.5, 0.2], [0.9, 0.1], [1.5, 0.3]]}
+
+
+def _pin_mechanisms(n):
+    base = D.from_literal(PIN_BASE)
+    return {
+        "posted_price": M.PostedPrice(1.2),
+        "spa": M.SPAReserve(0.5),
+        "multi_unit": M.MultiUnit(min(2, n - 1), 0.4),
+        "laddered": M.Laddered((1.0, 0.6, 0.25), 0.3),
+        "myerson_lexicographic": M.MyersonIID(base, "lexicographic"),
+        "myerson_uniform": M.MyersonIID(base, "uniform"),
+    }
+
+
+# (n, mechanism) -> (mean, stderr) of 3000 samples with seed 40 + n
+PINNED_MC = {
+    (2, "posted_price"): ("0x1.3020c49ba5e35p-1", "0x1.66ff51ff884d6p-7"),  # 0.5940 0.0110
+    (2, "spa"): ("0x1.453a8152883c2p-1", "0x1.2e1c0a8490edep-8"),  # 0.6352 0.0046
+    (2, "multi_unit"): ("0x1.3a9d778f4d7bep-1", "0x1.3e847ec8b4b80p-8"),  # 0.6145 0.0049
+    (2, "laddered"): ("0x1.2beccfd0dbe22p-1", "0x1.454a28310056ep-9"),  # 0.5858 0.0025
+    (2, "myerson_lexicographic"): ("0x1.6fc0a60647d11p-1", "0x1.bfe0763f1237bp-8"),  # 0.7183 0.0068
+    (2, "myerson_uniform"): ("0x1.634b3ad88ab7dp-1", "0x1.2481bbabc4f8ap-8"),  # 0.6939 0.0045
+    (3, "posted_price"): ("0x1.36ae7d566cf42p-1", "0x1.66fe035a40d12p-7"),  # 0.6068 0.0110
+    (3, "spa"): ("0x1.afd6ba163b6a2p-1", "0x1.f207e566f858ap-9"),  # 0.8434 0.0038
+    (3, "multi_unit"): ("0x1.25f8d7fd08b85p+0", "0x1.9d4ab9c4016a3p-8"),  # 1.1483 0.0063
+    (3, "laddered"): ("0x1.e682f7fed0f4cp-1", "0x1.ed6eba1dc7f3cp-9"),  # 0.9502 0.0038
+    (3, "myerson_lexicographic"): ("0x1.fe425aee631f9p-1", "0x1.07e601e676f61p-8"),  # 0.9966 0.0040
+    (3, "myerson_uniform"): ("0x1.f672c76e00175p-1", "0x1.0c02ede7f6f52p-8"),  # 0.9813 0.0041
+    (5, "posted_price"): ("0x1.c5d63886594afp-1", "0x1.3b79891ddc524p-7"),  # 0.8864 0.0096
+    (5, "spa"): ("0x1.137abc29270bep+0", "0x1.252fa7f0d1f65p-8"),  # 1.0761 0.0045
+    (5, "multi_unit"): ("0x1.aea3a04bfb1ecp+0", "0x1.ea5dcdeabdbeap-8"),  # 1.6822 0.0075
+    (5, "laddered"): ("0x1.7f715de8aca5bp+0", "0x1.a3d000cd9285cp-8"),  # 1.4978 0.0064
+    (5, "myerson_lexicographic"): ("0x1.2ec33e1f67153p+0", "0x1.74c75de415a9fp-8"),  # 1.1827 0.0057
+    (5, "myerson_uniform"): ("0x1.25982e17f9aa4p+0", "0x1.1fd26e43b0c53p-8"),  # 1.1469 0.0044
+    (8, "posted_price"): ("0x1.16f0068db8bacp+0", "0x1.9f0f174332ecep-8"),  # 1.0896 0.0063
+    (8, "spa"): ("0x1.4d7ebdbe3c868p+0", "0x1.6451bb2cf324ap-8"),  # 1.3027 0.0054
+    (8, "multi_unit"): ("0x1.1354c0fc677aep+1", "0x1.15d96880a7937p-7"),  # 2.1510 0.0085
+    (8, "laddered"): ("0x1.f6790b97d0f57p+0", "0x1.b5ea0441f5a96p-8"),  # 1.9628 0.0067
+    (8, "myerson_lexicographic"): ("0x1.678ee7a7cbacep+0", "0x1.54901944af2d6p-8"),  # 1.4045 0.0052
+    (8, "myerson_uniform"): ("0x1.5fe31a6228e28p+0", "0x1.36821cd6c8be9p-8"),  # 1.3746 0.0047
+    (12, "posted_price"): ("0x1.2acd9e83e4259p+0", "0x1.d44ec253788c3p-9"),  # 1.1672 0.0036
+    (12, "spa"): ("0x1.7b7cf0420813fp+0", "0x1.4c83d05d726f6p-8"),  # 1.4824 0.0051
+    (12, "multi_unit"): ("0x1.436ecbea3f736p+1", "0x1.320411ad504ddp-7"),  # 2.5268 0.0093
+    (12, "laddered"): ("0x1.25e2e60ab7420p+1", "0x1.e38d1c7ed78c2p-8"),  # 2.2960 0.0074
+    (12, "myerson_lexicographic"): ("0x1.885ff0aa604b4p+0", "0x1.2df4a781b0c04p-8"),  # 1.5327 0.0046
+    (12, "myerson_uniform"): ("0x1.84ecd105b5dffp+0", "0x1.24f8f83e98866p-8"),  # 1.5192 0.0045
+}
+
+
 class TestMonteCarlo:
     def test_pooled_optimum_fixture(self):
         # three bidders from the two-point base: optimal revenue 2 - q^2
@@ -211,7 +267,7 @@ class TestMonteCarlo:
         bidders = [D.from_table([], atoms=list(zip(lattice, rng.dirichlet(np.ones(7))))) for _ in range(5)]
         u = rng.random((60, 5))
         values = np.column_stack([d.quantile(u[:, j]) for j, d in enumerate(bidders)])
-        got = R._mechanism_payments(M.MyersonIID(POOLED, tiebreak), values)
+        got = R._mechanism_payments(M.MyersonIID(POOLED, tiebreak), values.T)  # one row per bidder
         orders = list(itertools.permutations(range(5))) if tiebreak == "uniform" else [tuple(range(5))]
         want = [
             np.mean([M.myerson_outcome(POOLED, tiebreak, M.Profile(tuple(row)), priority=p).total_payment
@@ -219,6 +275,16 @@ class TestMonteCarlo:
             for row in values
         ]
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("key", list(PINNED_MC), ids=lambda k: f"{k[1]}-n{k[0]}")
+    def test_seeded_outputs_pinned(self, key):
+        # seeded Monte Carlo output is fixed to the bit: the float.hex of mean
+        # and stderr; the literals need only arithmetic, so every platform
+        # must reproduce them
+        n, name = key
+        pd = OS.ProductDist(tuple(D.from_literal(PIN_LITERALS[(3 * j) % 4 if n > 4 else j % 4]) for j in range(n)))
+        rep = R.mc_expected_revenue(_pin_mechanisms(n)[name], pd, 3000, 40 + n)
+        assert (rep.expected_revenue.hex(), rep.mc_stderr.hex()) == PINNED_MC[key]
 
     @pytest.mark.parametrize("n", [10, 200])
     def test_uniform_tiebreak_at_any_n(self, n):
