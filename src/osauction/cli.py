@@ -216,9 +216,9 @@ def cmd_curve(args) -> int:
     cfg.setdefault("k", 2)
     spec = _spec_from_config(cfg, grid)
     fbar = consistent_iid(spec, grid=grid)
-    # the implied i.i.d. distribution is densely knotted, so the exact-knot
-    # curve is already plot-ready and its envelope is noise-free
-    curve = revenue_curve(fbar, curve_grid=0)
+    # the implied i.i.d. distribution is densely knotted, so the knot-level
+    # curve is already plot-ready; the regularity check reads the same one
+    curve = revenue_curve(fbar)
     report = is_regular_above_reserve(fbar)
     q_star = report.reserve_quantile
     qs = list(curve.qs)

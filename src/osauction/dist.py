@@ -1,10 +1,19 @@
 """Value distributions as atoms plus piecewise-linear CDF segments.
 
 The representation is exact: between knots the CDF is linear, atoms are jump
-discontinuities, and everything downstream (revenue curves, concave
-envelopes, virtual values, monopoly prices) is computed in closed form on
-that structure. Continuous families are imported by discretizing their exact
-CDF onto a union of quantile-spaced and value-spaced knots.
+discontinuities, and quantiles, revenue curves and monopoly prices are
+computed in closed form on that structure. Continuous families are imported
+by discretizing their exact CDF onto a union of quantile-spaced and
+value-spaced knots.
+
+Ironing reads one envelope per distribution, built once and memoized on the
+(immutable) instance: the upper concave hull of the revenue curve's knot
+points. The revenue curve, the regularity verdict and the ironed virtual
+values all come from it, and every atom and ironed segment on one hull edge
+takes that edge's slope. Between its knots a continuous segment's revenue
+curve is a concave arc above its chord; the envelope of those arcs, which
+can iron an atom with the segment above it where the knot hull does not, is
+not computed.
 """
 
 from __future__ import annotations
@@ -399,113 +408,68 @@ class RevenueCurve:
         return np.interp(q, self.ironed_qs, self.ironed_rs)
 
 
-def _upper_hull(qs: np.ndarray, rs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # keep the higher point at duplicated quantiles; lower jump sides are
-    # never hull vertices
-    best: dict[float, float] = {}
-    for q, r in zip(qs, rs):
-        if q not in best or r > best[q]:
-            best[float(q)] = float(r)
-    pts = sorted(best.items())
-    hull: list[tuple[float, float]] = []
-    for q, r in pts:
-        while len(hull) >= 2:
-            (q1, r1), (q2, r2) = hull[-2], hull[-1]
-            if (q2 - q1) * (r - r1) - (r2 - r1) * (q - q1) >= 0.0:
-                hull.pop()
-            else:
-                break
-        hull.append((q, r))
-    hq = np.array([p[0] for p in hull])
-    hr = np.array([p[1] for p in hull])
-    return hq, hr
-
-
 def iron(curve: RevenueCurve) -> RevenueCurve:
     """Replace the revenue curve by its upper concave envelope.
 
-    The envelope is the upper convex hull over all curve knots (both sides of
-    each jump); the intervals where it exceeds the curve are recorded.
+    The envelope is the upper convex hull of the curve's points: a quantile
+    that appears twice (the two sides of a jump) keeps its higher point, and
+    collinear points are dropped. A run of points more than 1e-12 of the
+    curve's scale below the envelope gives an ironing interval reaching to
+    the points on either side of it; touching intervals merge.
     """
-    hq, hr = _upper_hull(curve.qs, curve.rs)
-    env = np.interp(curve.qs, hq, hr)
-    scale = max(1.0, float(np.max(curve.rs, initial=0.0)))
-    below = env > curve.rs + 1e-12 * scale
-    intervals: list[tuple[float, float]] = []
-    i = 0
-    n = len(curve.qs)
-    while i < n:
-        if below[i]:
-            j = i
-            while j + 1 < n and below[j + 1]:
-                j += 1
-            lo = curve.qs[i - 1] if i > 0 else curve.qs[i]
-            hi = curve.qs[j + 1] if j + 1 < n else curve.qs[j]
-            if intervals and intervals[-1][1] >= lo:
-                intervals[-1] = (intervals[-1][0], float(hi))
-            else:
-                intervals.append((float(lo), float(hi)))
-            i = j + 1
-        else:
-            i += 1
-    return RevenueCurve(curve.qs, curve.rs, hq, hr, tuple(intervals))
+    qs, rs = curve.qs, curve.rs
+    order = np.lexsort((rs, qs))
+    sq, sr = qs[order], rs[order]
+    highest = np.append(sq[1:] != sq[:-1], True)
+    # Andrew's monotone chain, the one sequential step
+    hq: list[float] = []
+    hr: list[float] = []
+    for q, r in zip(sq[highest].tolist(), sr[highest].tolist()):
+        while len(hq) >= 2 and (hq[-1] - hq[-2]) * (r - hr[-2]) - (hr[-1] - hr[-2]) * (q - hq[-2]) >= 0.0:
+            hq.pop()
+            hr.pop()
+        hq.append(q)
+        hr.append(r)
+    scale = max(1.0, float(np.max(rs, initial=0.0)))
+    below = np.interp(qs, hq, hr) > rs + 1e-12 * scale
+    step = np.diff(below.astype(np.int8), prepend=0, append=0)
+    lo = qs[np.maximum(np.flatnonzero(step == 1) - 1, 0)]
+    hi = qs[np.minimum(np.flatnonzero(step == -1), len(qs) - 1)]
+    first = lo > np.append(-np.inf, hi[:-1])
+    intervals = tuple(zip(lo[first].tolist(), hi[np.roll(first, -1)].tolist()))
+    return RevenueCurve(qs, rs, np.array(hq), np.array(hr), intervals)
 
 
-def revenue_curve(d: Dist, curve_grid: int = 1024) -> RevenueCurve:
-    """Sample r(q) = q * F^{-1}(1-q) at all atom-induced breakpoints (both
-    jump sides) plus subdivided continuous segments, then iron.
+def revenue_curve(d: Dist) -> RevenueCurve:
+    """The revenue curve r(q) = q * F^{-1}(1-q) at the knots, ironed.
 
-    Continuous CDF pieces make r a concave quadratic in q; each piece is
-    sampled at its endpoints, its interior revenue maximum, and enough
-    intermediate quantiles for the envelope to be grid-exact.
-
-    ``curve_grid=0`` samples only the exact knots (no subdivision, no
-    interior maxima): segment endpoints lie exactly on the representation's
-    curve, so concave regions stay exactly concave and ironing intervals
-    reflect the knot-level shape. Structural checks use this mode.
+    From the top of the support down, the points are both sides of each
+    atom's jump and both ends of each rising continuous segment, priced along
+    its linear CDF; a point equal to the one before it is skipped. Between
+    its ends a segment makes r a concave quadratic in q, and the envelope is
+    that of the knot points, so ironing intervals reflect the knot-level
+    shape. Built once per (immutable) instance and memoized on it.
     """
-    if d.support_lo < 0:
-        raise ValueError("revenue curves need non-negative support")
-    qs: list[float] = [0.0]
-    rs: list[float] = [0.0]
-
-    def push(q, r):
-        if qs and q == qs[-1] and r == rs[-1]:
-            return
-        qs.append(float(q))
-        rs.append(float(r))
-
-    m = len(d.xs)
-    for i in range(m - 1, -1, -1):
-        x = float(d.xs[i])
-        q_a = 1.0 - float(d.f_right[i])  # selling strictly above x
-        q_b = 1.0 - float(d.f_left[i])  # selling at price x
-        if q_b > q_a:  # atom at x
-            push(q_a, q_a * x)
-            push(q_b, q_b * x)
-        if i > 0:
-            c_lo, c_hi = float(d.f_right[i - 1]), float(d.f_left[i])
-            if c_hi > c_lo:
-                x_lo = float(d.xs[i - 1])
-                qa, qb = 1.0 - c_hi, 1.0 - c_lo
-                slope = (x - x_lo) / (c_hi - c_lo)
-
-                def price(q):
-                    return x - (q - qa) * slope
-
-                if curve_grid > 0:
-                    n_sub = max(1, int(math.ceil((qb - qa) * curve_grid)))
-                    sub = list(np.linspace(qa, qb, n_sub + 1))
-                    # interior revenue maximum of the quadratic q * price(q)
-                    q_vertex = 0.5 * (x / slope + qa) if slope > 0 else None
-                    if q_vertex is not None and qa < q_vertex < qb:
-                        sub = sorted(set(sub) | {q_vertex})
-                else:
-                    sub = [qa, qb]
-                for q in sub:
-                    push(q, q * price(q))
-    raw = RevenueCurve(np.array(qs), np.array(rs), np.array(qs), np.array(rs), ())
-    return iron(raw)
+    curve = getattr(d, "_curve_memo", None)
+    if curve is None:
+        xs, fl, fr = d.xs, d.f_left, d.f_right
+        # the continuous segment entering knot i: its lower knot and CDF
+        x_lo, c_lo = np.append(xs[0], xs[:-1]), np.append(fl[0], fr[:-1])
+        rising = fl > c_lo
+        q_top, q_bot = 1.0 - fl, 1.0 - c_lo
+        with np.errstate(divide="ignore", invalid="ignore"):
+            price_bot = xs - (q_bot - q_top) * ((xs - x_lo) / (fl - c_lo))
+        atom = 1.0 - fl > 1.0 - fr
+        # per knot, from the top down: above its jump, at it, the segment's bottom
+        qs = np.column_stack([1.0 - fr, q_top, q_bot])[::-1]
+        rs = np.column_stack([(1.0 - fr) * xs, q_top * xs, q_bot * price_bot])[::-1]
+        emitted = np.column_stack([atom, atom | rising, rising])[::-1]
+        qs, rs = np.append(0.0, qs[emitted]), np.append(0.0, rs[emitted])
+        fresh = np.append(True, (qs[1:] != qs[:-1]) | (rs[1:] != rs[:-1]))
+        qs, rs = qs[fresh], rs[fresh]
+        curve = iron(RevenueCurve(qs, rs, qs, rs, ()))
+        object.__setattr__(d, "_curve_memo", curve)
+    return curve
 
 
 # -- monopoly price, regularity, virtual values -------------------------------
@@ -543,12 +507,12 @@ class RegularityReport:
     violating_intervals: tuple[tuple[float, float], ...]
 
 
-def is_regular_above_reserve(d: Dist, curve_grid: int = 0) -> RegularityReport:
+def is_regular_above_reserve(d: Dist) -> RegularityReport:
     """Check that no ironing interval intersects quantiles below the reserve
     quantile 1 - F(p*-), i.e. the ironed and raw revenue curves agree at all
-    prices >= the monopoly price. Uses the exact-knot curve so the verdict
-    is about the representation, not about subdivision noise."""
-    curve = revenue_curve(d, curve_grid=curve_grid)
+    prices >= the monopoly price. The curve is the knot-level one, so the
+    verdict is about the representation itself."""
+    curve = revenue_curve(d)
     p_star, _ = monopoly_price(d)
     q_star = float(d.survival_left(p_star))
     bad = tuple(
@@ -571,7 +535,8 @@ class VirtualValueFn:
     phi_hi[j]; phi_top is the value at the top of the support. Below the
     support the virtual value is -inf (a bid there never wins); above it the
     map continues as the identity. flat_regions lists the value intervals
-    pooled to a constant by ironing (atom spans included).
+    where the map is constant: ironed spans, atoms followed by a zero-mass
+    gap, and spans the monotone regularization levels.
     """
 
     bp: np.ndarray
@@ -581,25 +546,23 @@ class VirtualValueFn:
     support_lo: float
     support_hi: float
     flat_regions: tuple[tuple[float, float], ...]
-    raw_segments: tuple[tuple[float, float, float, float], ...]
 
     def __post_init__(self):
         for name in ("bp", "phi_lo", "phi_hi"):
             object.__setattr__(self, name, _as_readonly(getattr(self, name)))
-        # per piece: its width, and its rise in virtual value; a piece without
-        # width gets width 1 and rise 0 * rise, so it adds what weight 0 adds
+        # per piece: its width, its rise in virtual value, and the rise to
+        # divide by; a piece without width gets width 1 and rise 0 * rise, so
+        # it adds what weight 0 adds, and a piece without rise divides by 1
         width = self.bp[1:] - self.bp[:-1]
         with np.errstate(invalid="ignore"):  # a piece at -inf has no rise
-            rise = self.phi_hi - self.phi_lo
-            object.__setattr__(
-                self, "_pieces", (np.where(width > 0, width, 1.0), np.where(width > 0, rise, 0.0 * rise))
-            )
+            rise = np.where(width > 0, self.phi_hi - self.phi_lo, 0.0 * (self.phi_hi - self.phi_lo))
+        object.__setattr__(self, "_pieces", (np.where(width > 0, width, 1.0), rise, np.where(rise > 0, rise, 1.0)))
 
     def eval(self, v):
         """Ironed virtual value at v (vectorized)."""
         v = np.asarray(v, dtype=np.float64)
         if len(self.bp) > 1:
-            width, rise = self._pieces
+            width, rise, _ = self._pieces
             # the piece holding v counts the inner breakpoints at or below v
             j = np.searchsorted(self.bp[1:-1], v, side="right")
             t = np.clip((v - self.bp[j]) / width[j], 0, 1)
@@ -611,30 +574,18 @@ class VirtualValueFn:
         np.copyto(out, v, where=v > self.support_hi)
         return out if out.ndim else float(out)
 
-    def raw(self, v: float):
-        """Raw virtual value from the density, or None at atoms and gaps."""
-        for v0, v1, p0, p1 in self.raw_segments:
-            if v0 <= v < v1 or (v == v1 == self.support_hi):
-                t = (v - v0) / (v1 - v0)
-                return p0 + t * (p1 - p0)
-        return None
-
     def _invert(self, t, strict: bool):
         t = np.asarray(t, dtype=np.float64)
-        side = "right" if strict else "left"
-        if len(self.phi_hi):
-            j = np.searchsorted(self.phi_hi, t, side=side)
-        else:
-            j = np.zeros(t.shape, dtype=int)
         out = np.empty(t.shape)
-        past = j >= len(self.phi_hi)
-        jc = np.clip(j, 0, max(len(self.phi_hi) - 1, 0))
+        past = np.ones(t.shape, dtype=bool)
         if len(self.phi_hi):
-            lo_hit = self.phi_lo[jc] > t if strict else self.phi_lo[jc] >= t
-            rise = self.phi_hi[jc] - self.phi_lo[jc]
-            frac = np.where(rise > 0, (t - self.phi_lo[jc]) / np.where(rise > 0, rise, 1.0), 0.0)
-            interp = self.bp[jc] + np.clip(frac, 0, 1) * (self.bp[jc + 1] - self.bp[jc])
-            out = np.where(lo_hit, self.bp[jc], interp)
+            width, rise, divisor = self._pieces
+            j = np.searchsorted(self.phi_hi, t, side="right" if strict else "left")
+            past = j >= len(self.phi_hi)
+            j = np.minimum(j, len(self.phi_hi) - 1)
+            lo = self.phi_lo[j]
+            frac = np.where(rise[j] > 0, (t - lo) / divisor[j], 0.0)
+            out = np.where(lo > t if strict else lo >= t, self.bp[j], self.bp[j] + np.clip(frac, 0, 1) * width[j])
         top_hit = self.phi_top > t if strict else self.phi_top >= t
         out = np.where(past, np.where(top_hit, self.support_hi, np.maximum(self.support_hi, t)), out)
         return out if out.ndim else float(out)
@@ -648,153 +599,101 @@ class VirtualValueFn:
         return self._invert(t, strict=True)
 
 
-def virtual_values(d: Dist, curve_grid: int = 0) -> VirtualValueFn:
-    """Raw and ironed virtual values of a distribution.
+def virtual_values(d: Dist) -> VirtualValueFn:
+    """Ironed virtual values of a distribution, from its revenue curve's
+    envelope; memoized on the (immutable) instance.
 
-    On continuous segments outside ironing intervals the ironed value equals
-    the density formula v - (1-F(v))/f(v) exactly. Inside an ironing interval
-    it is the constant slope of the envelope edge; an atom takes the envelope
-    chord slope across its quantile span and extends it over the zero-mass
-    gap above. Ironing intervals come from the exact-knot curve.
+    Each hull edge's slope is one float, taken by every atom on the edge and
+    by every continuous segment in an ironing interval. Elsewhere a segment
+    follows the density formula v - (1-F(v))/f(v). An atom is a piece of no
+    width unless a zero-mass gap follows it, which it then spans; a gap with
+    no atom at its base continues the level below it. The pieces are made
+    non-decreasing by a running maximum, split where a segment's raw value
+    catches up with it.
     """
-    if d.support_lo < 0:
-        raise ValueError("virtual values need non-negative support")
-    curve = revenue_curve(d, curve_grid=curve_grid)
-    hq, hr = curve.ironed_qs, curve.ironed_rs
+    phi = getattr(d, "_phi_memo", None)
+    if phi is not None:
+        return phi
+    curve = revenue_curve(d)
+    hq = curve.ironed_qs
+    slope = np.diff(curve.ironed_rs) / np.diff(hq)
 
-    def env(q):
-        return float(np.interp(q, hq, hr))
+    def edge_slope(q_lo, q_hi):
+        e = np.searchsorted(hq, 0.5 * (q_lo + q_hi), side="right") - 1
+        return slope[np.clip(e, 0, len(slope) - 1)]
 
-    intervals = curve.ironed_intervals
+    xs, fl, fr = d.xs, d.f_left, d.f_right
+    atom = fr - fl > MASS_TOL
+    phi_atom = edge_slope(1.0 - fr, 1.0 - fl)
+    # the continuous segment from knot i to knot i + 1
+    x, x_hi, c_lo, c_hi = xs[:-1], xs[1:], fr[:-1], fl[1:]
+    rising = c_hi > c_lo
+    q_top, q_bot = 1.0 - c_hi, 1.0 - c_lo
+    # in an ironing interval: its midpoint lies in the first one not ending below it
+    lo, hi = np.reshape(curve.ironed_intervals, (-1, 2)).T
+    q_mid = 0.5 * (q_top + q_bot)
+    ironed = np.append(lo, np.inf)[np.searchsorted(hi + 1e-15, q_mid)] - 1e-15 <= q_mid
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv_f = (x_hi - x) / (c_hi - c_lo)
+        # the segment's bottom as its quantile -> value map reads it
+        v_bot = x_hi - (q_bot - q_top) * inv_f
 
-    def ironed_slope_at(q_lo, q_hi):
-        return (env(q_hi) - env(q_lo)) / (q_hi - q_lo)
+        def raw(v):
+            return v - (1.0 - (c_lo + (v - x) / (x_hi - x) * (c_hi - c_lo))) * inv_f
 
-    def covering_interval(q):
-        for lo, hi in intervals:
-            if lo - 1e-15 <= q <= hi + 1e-15:
-                return lo, hi
-        return None
+        seg_lo = np.where(ironed, edge_slope(q_top, q_bot), raw(v_bot))
+        seg_hi = np.where(ironed, seg_lo, raw(x_hi))
+    segment = rising & (x_hi > v_bot)
+    gap = ~rising & ~atom[:-1]
+    # per knot below the top: its atom, then its segment or gap, all ending
+    # at the next knot; an atom under a segment starts with the segment
+    start = np.column_stack([np.where(segment, np.minimum(x, v_bot), x), np.where(segment, v_bot, x)])
+    p0 = np.column_stack([phi_atom[:-1], np.where(segment, seg_lo, -np.inf)])
+    p1 = np.column_stack([phi_atom[:-1], np.where(segment, seg_hi, -np.inf)])
+    v1 = np.column_stack([x_hi, x_hi])
+    present = np.column_stack([atom[:-1], segment | gap])
+    order = np.argsort(start[present], kind="stable")
+    v0, p0, p1, v1 = (a[present][order] for a in (start, p0, p1, v1))
 
-    pieces: list[tuple[float, float, float, float]] = []  # v0, v1, phi0, phi1
-    raw_segments: list[tuple[float, float, float, float]] = []
-    flats: list[tuple[float, float]] = []
-
-    def add_piece(v0, v1, p0, p1):
-        if v1 > v0:
-            pieces.append((v0, v1, p0, p1))
-
-    m = len(d.xs)
-    phi_top = None
-    for i in range(m):
-        x = float(d.xs[i])
-        mass = float(d.f_right[i] - d.f_left[i])
-        if mass > MASS_TOL:
-            qa = 1.0 - float(d.f_right[i])
-            qb = 1.0 - float(d.f_left[i])
-            phi_atom = ironed_slope_at(qa, qb)
-            if i == m - 1:
-                phi_top = phi_atom
-            else:
-                add_piece(x, float(d.xs[i + 1]), phi_atom, phi_atom)
-                flats.append((x, float(d.xs[i + 1])))
-        if i < m - 1:
-            c_lo, c_hi = float(d.f_right[i]), float(d.f_left[i + 1])
-            x_hi = float(d.xs[i + 1])
-            if c_hi > c_lo:
-                inv_f = (x_hi - x) / (c_hi - c_lo)
-
-                def raw_phi(v, x=x, c_lo=c_lo, inv_f=inv_f, x_hi=x_hi, c_hi=c_hi):
-                    fv = c_lo + (v - x) / (x_hi - x) * (c_hi - c_lo)
-                    return v - (1.0 - fv) * inv_f
-
-                raw_segments.append((x, x_hi, raw_phi(x), raw_phi(x_hi)))
-                # split the value segment along ironing intervals in q-space
-                def v_of_q(q):
-                    return x_hi - (q - (1.0 - c_hi)) * inv_f
-
-                q_cuts = {1.0 - c_hi, 1.0 - c_lo}
-                for lo, hi in intervals:
-                    for q in (lo, hi):
-                        if 1.0 - c_hi < q < 1.0 - c_lo:
-                            q_cuts.add(q)
-                q_sorted = sorted(q_cuts)
-                for qa, qb in zip(q_sorted[:-1], q_sorted[1:]):
-                    qm = 0.5 * (qa + qb)
-                    va, vb = v_of_q(qb), v_of_q(qa)  # descending q -> ascending v
-                    cov = covering_interval(qm)
-                    if cov is not None:
-                        s = ironed_slope_at(*cov)
-                        add_piece(va, vb, s, s)
-                        flats.append((va, vb))
-                    else:
-                        add_piece(va, vb, raw_phi(va), raw_phi(vb))
-            elif not (d.f_right[i] - d.f_left[i] > MASS_TOL):
-                # zero-mass gap with no atom at its base: continue the
-                # previous piece's level across the gap
-                prev = pieces[-1][3] if pieces else -math.inf
-                add_piece(x, x_hi, prev, prev)
-    if phi_top is None:
-        # continuous at the top: 1 - F = 0 there, so the virtual value is the value
-        phi_top = d.support_hi
-
-    pieces.sort(key=lambda p: p[0])
-    # Monotone regularization: the discretized density is a staircase, so the
-    # raw virtual value can dip slightly at knot seams even where the curve is
-    # concave at knot level. Take the running maximum, splitting pieces where
-    # the raw value catches back up, and record the clamped spans as flats.
-    fixed: list[tuple[float, float, float, float]] = []
-    level = -math.inf
-    for v0, v1, p0, p1 in pieces:
-        p1 = max(p1, p0)
-        if p0 >= level:
-            fixed.append((v0, v1, p0, p1))
-            level = p1
-        elif p1 <= level:
-            fixed.append((v0, v1, level, level))
-            flats.append((v0, v1))
-        else:
-            v_cross = v0 + (level - p0) / (p1 - p0) * (v1 - v0)
-            v_cross = min(max(v_cross, v0), v1)
-            if v_cross > v0:
-                fixed.append((v0, v_cross, level, level))
-                flats.append((v0, v_cross))
-            if v1 > v_cross:
-                fixed.append((v_cross, v1, level, p1))
-            level = p1
-    phi_top = max(phi_top, level) if fixed else phi_top
-
-    if fixed:
-        bp = np.array([p[0] for p in fixed] + [fixed[-1][1]])
-        phi_lo = np.array([p[2] for p in fixed])
-        phi_hi = np.array([p[3] for p in fixed])
-    else:  # single point mass
+    # running maximum: a piece below the level so far is raised to it, up to
+    # where its own value crosses the level
+    p1 = np.maximum(p1, p0)
+    level = np.maximum.accumulate(np.append(-np.inf, p1))[:-1]
+    keep = p0 >= level
+    cross = ~keep & (p1 > level)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v_cross = np.clip(v0 + (level - p0) / (p1 - p0) * (v1 - v0), v0, v1)
+    rows = np.stack([
+        np.column_stack([v0, np.where(keep, p0, level), np.where(keep, p1, level)]),
+        np.column_stack([v_cross, level, p1]),
+    ], axis=1)
+    shown = np.column_stack([~cross | (v_cross > v0), cross & (v1 > v_cross)])
+    bp, phi_lo, phi_hi = rows[shown].T
+    if len(v0):
+        bp = np.append(bp, v1[-1])
+    else:  # a single point mass
         bp = np.array([d.support_lo])
-        phi_lo = np.array([])
-        phi_hi = np.array([])
-    merged_flats: list[tuple[float, float]] = []
-    for lo, hi in sorted(flats):
-        if merged_flats and lo <= merged_flats[-1][1] + 1e-15:
-            merged_flats[-1] = (merged_flats[-1][0], max(hi, merged_flats[-1][1]))
-        else:
-            merged_flats.append((lo, hi))
-    return VirtualValueFn(
+    phi_top = phi_atom[-1] if atom[-1] else d.support_hi
+    phi_top = max(phi_top, p1.max(initial=-np.inf))
+    width = np.diff(bp)
+    flat = (phi_hi == phi_lo)[width > 0]
+    f_lo, f_hi = bp[:-1][width > 0], bp[1:][width > 0]
+    first = flat & ~np.append(False, flat[:-1])
+    last = flat & ~np.append(flat[1:], False)
+    phi = VirtualValueFn(
         bp=bp,
         phi_lo=phi_lo,
         phi_hi=phi_hi,
         phi_top=float(phi_top),
         support_lo=d.support_lo,
         support_hi=d.support_hi,
-        flat_regions=tuple(merged_flats),
-        raw_segments=tuple(raw_segments),
+        flat_regions=tuple(zip(f_lo[first].tolist(), f_hi[last].tolist())),
     )
+    object.__setattr__(d, "_phi_memo", phi)
+    return phi
 
 
 # -- geometric averaging ------------------------------------------------------
-
-
-def merged_grid(*dists: Dist) -> np.ndarray:
-    return np.unique(np.concatenate([d.xs for d in dists]))
 
 
 def geometric_average(d1: Dist, d2: Dist) -> Dist:
@@ -804,7 +703,7 @@ def geometric_average(d1: Dist, d2: Dist) -> Dist:
     independent values by two i.i.d. draws from the result preserves the
     distribution of the pair's minimum.
     """
-    xs = merged_grid(d1, d2)
+    xs = np.unique(np.concatenate([d1.xs, d2.xs]))
     s_left = np.sqrt(d1.survival_left(xs) * d2.survival_left(xs))
     s_right = np.sqrt(d1.survival(xs) * d2.survival(xs))
     return dist_from_arrays(xs, 1.0 - s_left, 1.0 - s_right, label="geom_avg")

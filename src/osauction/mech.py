@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Union
 
-from .dist import Dist, VirtualValueFn, virtual_values
+from .dist import Dist, virtual_values
 
 
 @dataclass(frozen=True)
@@ -179,15 +179,6 @@ def laddered_outcome(click_rates, reserve: float, prof: Profile) -> Outcome:
 # -- Myerson ------------------------------------------------------------------
 
 
-def _phi_of(base: Dist) -> VirtualValueFn:
-    # memoized on the (immutable) distribution instance
-    phi = getattr(base, "_phi_memo", None)
-    if phi is None:
-        phi = virtual_values(base)
-        object.__setattr__(base, "_phi_memo", phi)
-    return phi
-
-
 def priority_from_uniform(u: float, n: int) -> tuple[int, ...]:
     """Unrank a uniform draw into a full priority order over n bidders.
 
@@ -213,7 +204,6 @@ def myerson_outcome(
     base: Dist,
     tiebreak: str,
     prof: Profile,
-    u: float | None = None,
     priority: tuple[int, ...] | None = None,
 ) -> Outcome:
     """Symmetric Myerson auction designed for i.i.d. bidders from ``base``.
@@ -223,16 +213,17 @@ def myerson_outcome(
     non-negative, weakly above every rival she out-prioritizes, and strictly
     above every rival who out-prioritizes her. Values pooled on an ironed
     flat therefore pay the flat's lower endpoint unless strict dominance over
-    an on-flat rival forces the next rise.
+    an on-flat rival forces the next rise. ``priority[i]`` is bidder i's
+    tie-break rank (lower wins); lexicographic tie-breaking defaults to the
+    bidders' order, and uniform tie-breaking needs one order drawn from (or
+    averaged over) all of them.
     """
-    phi_fn = _phi_of(base)
+    phi_fn = virtual_values(base)
     if priority is None:
         if tiebreak == "lexicographic":
             priority = tuple(range(prof.n))
         elif tiebreak == "uniform":
-            if u is None:
-                raise ValueError("uniform tie-breaking needs a uniform draw")
-            priority = priority_from_uniform(u, prof.n)
+            raise ValueError("uniform tie-breaking needs a priority order")
         else:
             raise ValueError(f"unknown tiebreak {tiebreak!r}")
     phis = phi_fn.eval(prof.values).tolist()
@@ -250,8 +241,9 @@ def myerson_outcome(
     return Outcome.of([(best, pay)])
 
 
-def outcome(mech: Mechanism, prof: Profile, u: float | None = None) -> Outcome:
-    """Evaluate any mechanism on a profile. ``u`` feeds uniform tie-breaking."""
+def outcome(mech: Mechanism, prof: Profile, priority: tuple[int, ...] | None = None) -> Outcome:
+    """Evaluate any mechanism on a profile. ``priority`` feeds Myerson's
+    tie-breaking (see ``myerson_outcome``)."""
     if isinstance(mech, PostedPrice):
         return pp_outcome(mech.price, prof)
     if isinstance(mech, SPAReserve):
@@ -261,7 +253,7 @@ def outcome(mech: Mechanism, prof: Profile, u: float | None = None) -> Outcome:
     if isinstance(mech, Laddered):
         return laddered_outcome(mech.click_rates, mech.reserve, prof)
     if isinstance(mech, MyersonIID):
-        return myerson_outcome(mech.base, mech.tiebreak, prof, u=u)
+        return myerson_outcome(mech.base, mech.tiebreak, prof, priority=priority)
     raise TypeError(f"unknown mechanism {mech!r}")
 
 

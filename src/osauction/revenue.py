@@ -167,7 +167,7 @@ def _myerson_payments(base: Dist, tiebreak: str, values: np.ndarray) -> np.ndarr
     with probability c/(c+1) for c rivals at t*, and that average is taken
     exactly instead of drawn.
     """
-    phi_fn = M._phi_of(base)
+    phi_fn = virtual_values(base)
     phi = phi_fn.eval(values)
     wmax = phi.max(axis=0)
     at_top = phi == wmax
@@ -249,10 +249,17 @@ def worst_case_revenue_topk(mechanism: M.Mechanism, spec: AmbiguitySpec, grid: i
     For a mechanism separable across its top k' <= k order statistics the
     minimum is attained at the consistent i.i.d. distribution, so the worst
     case is an exact closed-form evaluation there. Mechanisms outside that
-    class (Myerson with ironing) are refused: their worst case is not at the
-    i.i.d. point and evaluating there would overstate the guarantee.
+    class (Myerson with ironing) are refused: for k < n their worst case is
+    not at the i.i.d. point and evaluating there would overstate the
+    guarantee, and at k = n no exact evaluation of it is implemented.
     """
     kc = M.topk_class(mechanism)
+    if kc is None and spec.k == spec.n:
+        raise NotSeparableError(
+            "worst case unavailable: the lowest order statistic is observed, "
+            "but this mechanism's revenue is not separable across order "
+            "statistics and no exact evaluation of its worst case is implemented"
+        )
     if kc is None:
         raise NotSeparableError(
             "worst case unavailable: this mechanism's revenue depends on "

@@ -249,7 +249,7 @@ def test_c09_figure_family_regularity():
                 fbar = OS.consistent_iid(OS.AmbiguitySpec(n, 2, G))
                 rep = D.is_regular_above_reserve(fbar)
                 assert rep.regular_above_reserve, (G.describe(), n)
-                curve = D.revenue_curve(fbar, curve_grid=0)
+                curve = D.revenue_curve(fbar)
                 env = np.interp(curve.qs, curve.ironed_qs, curve.ironed_rs)
                 above = curve.qs <= rep.reserve_quantile
                 assert float(np.max(env[above] - curve.rs[above])) <= 1e-8

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 
@@ -6,6 +7,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy
 
 from osauction import cli
 
@@ -171,6 +173,19 @@ class TestWorstCase:
         assert code == 3
         assert "not attained at the consistent i.i.d." in err
 
+    def test_myerson_at_lowest_statistic_exit_3(self, tmp_path, capsys):
+        # at k = n nothing lies below the observed statistic: the refusal says
+        # why it still refuses
+        cfg = write_cfg(
+            tmp_path, "c.json",
+            {"n": 3, "k": 3, "G": {"family": "uniform", "lo": 0, "hi": 1},
+             "mechanism": {"type": "myerson"}},
+        )
+        code, out, err = run_cli(["worstcase", "--config", cfg], capsys)
+        assert (code, out) == (3, "")
+        assert "lowest order statistic is observed" in err
+        assert "below the observed one" not in err
+
     def test_multiunit_matches_oracle_on_discretized_iid(self, tmp_path, capsys):
         from osauction import dist as D, mech as M, orderstat as OS, oracle as O
 
@@ -248,6 +263,31 @@ class TestCurve:
         assert code == 0
         for r in parse_csv(out):
             assert float(r["ironed_revenue"]) == pytest.approx(float(r["revenue"]), abs=1e-9)
+
+
+# SHA-256 of the curve CSV at grid 1024 as the per-knot loops wrote it: the
+# array-built curve, hull and intervals must write the same bytes. The CSV
+# carries the last digits of scipy.special.betaincinv (through the
+# inversion), so the hashes hold for the scipy they were taken with.
+CURVE_SHA256 = {
+    "uniform-n4-k2": ({"n": 4, "k": 2, "G": {"family": "uniform", "lo": 0, "hi": 1}},
+                      "c520b73c9137f38e608119b8649c8d4ec14920782ce9ce4e1c1f404713cf31ea"),
+    "exponential-n6-k3": ({"n": 6, "k": 3, "G": {"family": "exponential", "rate": 1}},
+                          "91538a6bca30a00026d2d7df16dd0ac4fdd57a11cdd4dd81cbc26a591f0338e6"),
+    "table-atom-n5-k2": ({"n": 5, "k": 2, "G": {"family": "table", "knots": [[0, 0], [1, 0.4], [2, 0.8]],
+                                               "atoms": [[1.5, 0.2]]}},
+                         "d6113e9325425cae830a22e10e75b13c080aa19fd92742a55c9904b442ce51c8"),
+}
+
+
+@pytest.mark.skipif(not scipy.__version__.startswith("1.17."),
+                    reason="curve hashes recorded with scipy 1.17")
+@pytest.mark.parametrize("name", list(CURVE_SHA256))
+def test_curve_csv_pinned(name, tmp_path):
+    cfg, want = CURVE_SHA256[name]
+    out = tmp_path / "curve.csv"
+    assert cli.main(["curve", "--config", write_cfg(tmp_path, "c.json", dict(cfg, grid=1024)), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == want
 
 
 class TestReproduce:

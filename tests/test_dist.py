@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from osauction import dist as D
-from conftest import random_mixed_dist
+from osauction import orderstat as OS
+from conftest import random_discrete_dist, random_mixed_dist
 
 F_DISC = D.two_point(1.0, 0.8, 2.0)
 
@@ -67,7 +68,9 @@ class TestRevenueCurve:
         assert np.all(curve.rs == 0.0)
 
     def test_uniform_parabola(self):
-        curve = D.revenue_curve(D.uniform(0, 1))
+        # uniform(0, 1) knotted every 1/1024: the curve is read at the knots
+        xs = np.linspace(0.0, 1.0, 1025)
+        curve = D.revenue_curve(D.dist_from_arrays(xs, xs, xs))
         # r(q) = q (1 - q) at every emitted knot, maximum 1/4 at q = 1/2
         assert np.allclose(curve.rs, curve.qs * (1 - curve.qs), atol=1e-12)
         k = int(np.argmax(curve.rs))
@@ -77,6 +80,77 @@ class TestRevenueCurve:
     def test_rejects_negative_support(self):
         with pytest.raises(ValueError):
             D.Dist(np.array([-1.0, 1.0]), np.array([0.0, 1.0]), np.array([0.0, 1.0]))
+
+
+def reference_upper_hull(qs, rs):
+    best = {}
+    for q, r in zip(qs, rs):
+        if q not in best or r > best[q]:
+            best[float(q)] = float(r)
+    hull = []
+    for q, r in sorted(best.items()):
+        while len(hull) >= 2:
+            (q1, r1), (q2, r2) = hull[-2], hull[-1]
+            if (q2 - q1) * (r - r1) - (r2 - r1) * (q - q1) >= 0.0:
+                hull.pop()
+            else:
+                break
+        hull.append((q, r))
+    return np.array([p[0] for p in hull]), np.array([p[1] for p in hull])
+
+
+def reference_knot_curve(d):
+    """The knot-level revenue curve, its hull and its ironing intervals as the
+    per-knot loops built them before they became array operations; the
+    arithmetic is the same, so the results must be equal bit for bit."""
+    qs, rs = [0.0], [0.0]
+
+    def push(q, r):
+        if not (q == qs[-1] and r == rs[-1]):
+            qs.append(float(q))
+            rs.append(float(r))
+
+    for i in range(len(d.xs) - 1, -1, -1):
+        x = float(d.xs[i])
+        q_a, q_b = 1.0 - float(d.f_right[i]), 1.0 - float(d.f_left[i])
+        if q_b > q_a:
+            push(q_a, q_a * x)
+            push(q_b, q_b * x)
+        if i > 0:
+            c_lo, c_hi = float(d.f_right[i - 1]), float(d.f_left[i])
+            if c_hi > c_lo:
+                qa, qb = 1.0 - c_hi, 1.0 - c_lo
+                slope = (x - float(d.xs[i - 1])) / (c_hi - c_lo)
+                for q in (qa, qb):
+                    push(q, q * (x - (q - qa) * slope))
+    qs, rs = np.array(qs), np.array(rs)
+    hq, hr = reference_upper_hull(qs, rs)
+    below = np.interp(qs, hq, hr) > rs + 1e-12 * max(1.0, float(np.max(rs, initial=0.0)))
+    intervals = []
+    i, n = 0, len(qs)
+    while i < n:
+        if below[i]:
+            j = i
+            while j + 1 < n and below[j + 1]:
+                j += 1
+            lo = qs[i - 1] if i > 0 else qs[i]
+            hi = qs[j + 1] if j + 1 < n else qs[j]
+            if intervals and intervals[-1][1] >= lo:
+                intervals[-1] = (intervals[-1][0], float(hi))
+            else:
+                intervals.append((float(lo), float(hi)))
+            i = j + 1
+        else:
+            i += 1
+    return qs, rs, hq, hr, tuple(intervals)
+
+
+def _assert_curve_matches_reference(d):
+    curve = D.revenue_curve(d)
+    qs, rs, hq, hr, intervals = reference_knot_curve(d)
+    for got, want in ((curve.qs, qs), (curve.rs, rs), (curve.ironed_qs, hq), (curve.ironed_rs, hr)):
+        assert got.tobytes() == want.tobytes()
+    assert curve.ironed_intervals == intervals
 
 
 def _envelope_oracle(qs, rs, q):
@@ -115,6 +189,20 @@ class TestIron:
         for q in np.linspace(0, 1, 17):
             want = _envelope_oracle(list(curve.qs), list(curve.rs), q)
             assert curve.ironed_value(q) == pytest.approx(want, abs=1e-10)
+
+    @given(st.integers(0, 10**6), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_knot_curve_matches_reference_on_random(self, seed, discrete):
+        rng = np.random.default_rng(seed)
+        _assert_curve_matches_reference(random_discrete_dist(rng, 6) if discrete else random_mixed_dist(rng, 8))
+
+    @pytest.mark.parametrize("grid", [16, 1024])
+    def test_knot_curve_matches_reference_on_families(self, grid):
+        table = D.from_literal({"family": "table", "knots": [[0, 0], [1, 0.4], [2, 0.8]], "atoms": [[1.5, 0.2]]})
+        for G in (D.exponential(1.3, grid=grid), D.beta_dist(2, 3, grid=grid), D.normal(1.0, 0.6, grid=grid), table):
+            _assert_curve_matches_reference(G)
+            for n, k in ((4, 2), (6, 3), (3, 3)):
+                _assert_curve_matches_reference(OS.consistent_iid(OS.AmbiguitySpec(n, k, G), grid=grid))
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=50, deadline=None)
@@ -164,15 +252,29 @@ class TestVirtualValues:
             vals = vv.eval(grid)
             assert np.all(np.diff(vals) >= -1e-12)
 
+    @given(st.lists(st.tuples(st.floats(0.05, 2.0), st.floats(0.05, 1.0)), min_size=2, max_size=7))
+    @settings(max_examples=80, deadline=None)
+    def test_values_pooled_on_one_edge_share_one_float(self, steps):
+        # atoms a random gap apart with random masses; those whose quantile
+        # spans lie on one edge of the hull take that edge's slope, one float
+        vs = np.cumsum([gap for gap, _ in steps])
+        ms = np.array([m for _, m in steps])
+        d = D.from_table([], atoms=list(zip(vs, ms / ms.sum())))
+        edge = np.searchsorted(D.revenue_curve(d).ironed_qs, 1.0 - 0.5 * (d.f_left + d.f_right)) - 1
+        levels = D.virtual_values(d).eval(d.xs)
+        for e in np.unique(edge):
+            assert np.unique(levels[edge == e]).size == 1
+
     def test_phi_bar_equals_raw_outside_flats(self):
         d = D.exponential(1.0, grid=512)
         vv = D.virtual_values(d)
         for v in np.linspace(0.1, 5.0, 23):
             if any(lo <= v <= hi for lo, hi in vv.flat_regions):
                 continue
-            raw = vv.raw(v)
-            assert raw is not None
-            assert vv.eval(v) == pytest.approx(raw, abs=1e-9)
+            # the density formula v - (1 - F(v)) / f(v) on the segment holding v
+            i = int(np.searchsorted(d.xs, v, side="right")) - 1
+            density = (d.f_left[i + 1] - d.f_right[i]) / (d.xs[i + 1] - d.xs[i])
+            assert vv.eval(v) == pytest.approx(v - (1.0 - d.cdf(v)) / density, abs=1e-9)
 
 
 class TestMonopolyPrice:

@@ -1,6 +1,7 @@
-"""The table-driven ``Dist.quantile`` and ``VirtualValueFn.eval`` against the
-per-point implementations they replaced, copied below verbatim: the Monte
-Carlo path must draw the same values and pay the same amounts bit for bit."""
+"""The table-driven ``Dist.quantile``, ``VirtualValueFn.eval`` and the
+thresholds against the per-point implementations they replaced, copied below
+verbatim: the Monte Carlo path must draw the same values and pay the same
+amounts bit for bit."""
 
 import numpy as np
 import pytest
@@ -42,6 +43,27 @@ def reference_eval(self, v):
         out = np.where(inside, self.phi_lo[j] + np.clip(t, 0, 1) * (self.phi_hi[j] - self.phi_lo[j]), out)
     out = np.where(v == self.support_hi, self.phi_top, out)
     out = np.where(v > self.support_hi, v, out)
+    return out if out.ndim else float(out)
+
+
+def reference_invert(self, t, strict: bool):
+    t = np.asarray(t, dtype=np.float64)
+    side = "right" if strict else "left"
+    if len(self.phi_hi):
+        j = np.searchsorted(self.phi_hi, t, side=side)
+    else:
+        j = np.zeros(t.shape, dtype=int)
+    out = np.empty(t.shape)
+    past = j >= len(self.phi_hi)
+    jc = np.clip(j, 0, max(len(self.phi_hi) - 1, 0))
+    if len(self.phi_hi):
+        lo_hit = self.phi_lo[jc] > t if strict else self.phi_lo[jc] >= t
+        rise = self.phi_hi[jc] - self.phi_lo[jc]
+        frac = np.where(rise > 0, (t - self.phi_lo[jc]) / np.where(rise > 0, rise, 1.0), 0.0)
+        interp = self.bp[jc] + np.clip(frac, 0, 1) * (self.bp[jc + 1] - self.bp[jc])
+        out = np.where(lo_hit, self.bp[jc], interp)
+    top_hit = self.phi_top > t if strict else self.phi_top >= t
+    out = np.where(past, np.where(top_hit, self.support_hi, np.maximum(self.support_hi, t)), out)
     return out if out.ndim else float(out)
 
 
@@ -117,6 +139,32 @@ def test_virtual_value_eval_matches_reference(name):
         assert type(got) is float and np.float64(got).tobytes() == np.float64(reference_eval(phi, x)).tobytes()
 
 
+def _levels(phi, rng):
+    """Virtual values to invert: every piece's ends, their neighbours, values
+    between and outside them, and 0."""
+    t = np.concatenate([phi.phi_lo, phi.phi_hi, [phi.phi_top, 0.0, -1.0, 1e3, -np.inf]])
+    t = t[np.isfinite(t) | (t == -np.inf)]
+    finite = t[np.isfinite(t)]
+    t = np.concatenate([t, rng.uniform(finite.min() - 1.0, finite.max() + 1.0, 2000)])
+    return np.concatenate([t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf)])
+
+
+@pytest.mark.parametrize("name", list(DISTS))
+def test_thresholds_match_reference(name):
+    phi = D.virtual_values(DISTS[name])
+    t = _levels(phi, np.random.default_rng(len(name)))
+    with np.errstate(over="ignore"):  # t far past a piece of tiny rise
+        check_thresholds(phi, t)
+
+
+def check_thresholds(phi, t):
+    for strict, got in ((False, phi.threshold_weak), (True, phi.threshold_strict)):
+        assert_bitwise(got(t), reference_invert(phi, t, strict))
+        assert_bitwise(got(t.reshape(3, -1)), reference_invert(phi, t.reshape(3, -1), strict))
+        for x in (0.0, float(t[3]), float(t[-7])):
+            assert np.float64(got(x)).tobytes() == np.float64(reference_invert(phi, x, strict)).tobytes()
+
+
 def test_single_atom_base_has_one_breakpoint():
     phi = D.virtual_values(D.point_mass(2.0))
     assert len(phi.bp) == 1
@@ -134,9 +182,10 @@ def test_hand_built_map_with_zero_width_pieces():
         support_lo=0.0,
         support_hi=3.0,
         flat_regions=(),
-        raw_segments=(),
     )
     v = np.concatenate([np.linspace(-0.5, 3.5, 81), phi.bp])
     with np.errstate(invalid="ignore"):
         want = reference_eval(phi, v)
     assert_bitwise(phi.eval(v), want)
+    with np.errstate(invalid="ignore"):
+        check_thresholds(phi, np.concatenate([np.linspace(-1.0, 6.0, 56), phi.phi_lo, phi.phi_hi]))

@@ -219,7 +219,7 @@ class TestPaymentBounds:
         rng = np.random.default_rng(11)
         for _ in range(300):
             vals = tuple(rng.uniform(0, 2.5, size=4))
-            out = M.outcome(mech, P(vals), u=rng.random())
+            out = M.outcome(mech, P(vals), priority=M.priority_from_uniform(rng.random(), 4))
             assert all(p >= 0 for _, p in out.winners)
             assert out.total_payment <= slots * max(vals) + 1e-12
 

@@ -13,6 +13,21 @@ from conftest import random_mixed_dist
 F_DISC = D.two_point(1.0, 0.8, 2.0)
 
 
+def _pooled_atom_bases(rng, count):
+    """Random atomic bases, atoms a value unit apart on average with similar
+    masses, kept when their revenue curve's hull holds two atoms on one edge."""
+    out = []
+    while len(out) < count:
+        vs = np.cumsum(rng.uniform(0.5, 1.5, size=5))
+        ms = rng.uniform(0.5, 1.5, size=5)
+        base = D.from_table([], atoms=list(zip(vs, ms / ms.sum())))
+        hull_q = D.revenue_curve(base).ironed_qs
+        edge = np.searchsorted(hull_q, 1.0 - 0.5 * (base.f_left + base.f_right)) - 1
+        if np.bincount(edge).max() > 1:
+            out.append(base)
+    return out
+
+
 class TestExhaustiveRevenue:
     def test_pooled_optimum_exact(self):
         inst = O.DiscreteInstance.from_dists([F_DISC] * 3)
@@ -46,6 +61,22 @@ class TestExhaustiveRevenue:
                 assert O.exhaustive_revenue(mech, inst) == pytest.approx(
                     R.closed_form_revenue(mech, pd), abs=1e-12
                 )
+
+    @pytest.mark.parametrize("tiebreak", ["lexicographic", "uniform"])
+    def test_myerson_closed_form_matches_enumeration(self, tiebreak):
+        # atoms pooled on one hull edge share one virtual value, so every
+        # profile's outcome runs the ironed mechanism whose revenue the
+        # closed form gives; the first base pools its two middle atoms, and
+        # before one slope per edge half of the random ones failed too
+        cases = [(4, D.from_table([], atoms=[(0.8632, 0.11485), (1.5546, 0.25288), (2.7518, 0.24785),
+                                             (3.2547, 0.13711), (4.5386, 0.24731)]))]
+        for base in _pooled_atom_bases(np.random.default_rng(9), 8):
+            cases += [(n, base) for n in ((2, 3) if tiebreak == "uniform" else (2, 3, 4))]
+        for n, base in cases:
+            inst = O.DiscreteInstance.from_dists([base] * n)
+            assert O.exhaustive_revenue(M.MyersonIID(base, tiebreak), inst) == pytest.approx(
+                R.myerson_iid_revenue(base, n), abs=1e-12
+            ), (base.atoms, n)
 
     def test_guard(self):
         with pytest.raises(ValueError):

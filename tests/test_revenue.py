@@ -197,26 +197,26 @@ PINNED_MC = {
     (2, "spa"): ("0x1.453a8152883c2p-1", "0x1.2e1c0a8490edep-8"),  # 0.6352 0.0046
     (2, "multi_unit"): ("0x1.3a9d778f4d7bep-1", "0x1.3e847ec8b4b80p-8"),  # 0.6145 0.0049
     (2, "laddered"): ("0x1.2beccfd0dbe22p-1", "0x1.454a28310056ep-9"),  # 0.5858 0.0025
-    (2, "myerson_lexicographic"): ("0x1.6fc0a60647d11p-1", "0x1.bfe0763f1237bp-8"),  # 0.7183 0.0068
-    (2, "myerson_uniform"): ("0x1.634b3ad88ab7dp-1", "0x1.2481bbabc4f8ap-8"),  # 0.6939 0.0045
+    (2, "myerson_lexicographic"): ("0x1.604ea4a8c154dp-1", "0x1.45c4533908be8p-7"),  # 0.6881 0.0099
+    (2, "myerson_uniform"): ("0x1.469ad42c3c9efp-1", "0x1.1d5b78ccda2a7p-7"),  # 0.6379 0.0087
     (3, "posted_price"): ("0x1.36ae7d566cf42p-1", "0x1.66fe035a40d12p-7"),  # 0.6068 0.0110
     (3, "spa"): ("0x1.afd6ba163b6a2p-1", "0x1.f207e566f858ap-9"),  # 0.8434 0.0038
     (3, "multi_unit"): ("0x1.25f8d7fd08b85p+0", "0x1.9d4ab9c4016a3p-8"),  # 1.1483 0.0063
     (3, "laddered"): ("0x1.e682f7fed0f4cp-1", "0x1.ed6eba1dc7f3cp-9"),  # 0.9502 0.0038
-    (3, "myerson_lexicographic"): ("0x1.fe425aee631f9p-1", "0x1.07e601e676f61p-8"),  # 0.9966 0.0040
-    (3, "myerson_uniform"): ("0x1.f672c76e00175p-1", "0x1.0c02ede7f6f52p-8"),  # 0.9813 0.0041
+    (3, "myerson_lexicographic"): ("0x1.fe425aee631f9p-1", "0x1.07e601e676f62p-8"),  # 0.9966 0.0040
+    (3, "myerson_uniform"): ("0x1.09652bd3c3611p+0", "0x1.95eb51f2ffb1ep-9"),  # 1.0367 0.0031
     (5, "posted_price"): ("0x1.c5d63886594afp-1", "0x1.3b79891ddc524p-7"),  # 0.8864 0.0096
     (5, "spa"): ("0x1.137abc29270bep+0", "0x1.252fa7f0d1f65p-8"),  # 1.0761 0.0045
     (5, "multi_unit"): ("0x1.aea3a04bfb1ecp+0", "0x1.ea5dcdeabdbeap-8"),  # 1.6822 0.0075
     (5, "laddered"): ("0x1.7f715de8aca5bp+0", "0x1.a3d000cd9285cp-8"),  # 1.4978 0.0064
-    (5, "myerson_lexicographic"): ("0x1.2ec33e1f67153p+0", "0x1.74c75de415a9fp-8"),  # 1.1827 0.0057
-    (5, "myerson_uniform"): ("0x1.25982e17f9aa4p+0", "0x1.1fd26e43b0c53p-8"),  # 1.1469 0.0044
+    (5, "myerson_lexicographic"): ("0x1.30a3d70a3d70ap+0", "0x1.66d0d777ca686p-8"),  # 1.1900 0.0055
+    (5, "myerson_uniform"): ("0x1.2874df5e58336p+0", "0x1.0dc59dd220f20p-8"),  # 1.1580 0.0041
     (8, "posted_price"): ("0x1.16f0068db8bacp+0", "0x1.9f0f174332ecep-8"),  # 1.0896 0.0063
     (8, "spa"): ("0x1.4d7ebdbe3c868p+0", "0x1.6451bb2cf324ap-8"),  # 1.3027 0.0054
     (8, "multi_unit"): ("0x1.1354c0fc677aep+1", "0x1.15d96880a7937p-7"),  # 2.1510 0.0085
     (8, "laddered"): ("0x1.f6790b97d0f57p+0", "0x1.b5ea0441f5a96p-8"),  # 1.9628 0.0067
-    (8, "myerson_lexicographic"): ("0x1.678ee7a7cbacep+0", "0x1.54901944af2d6p-8"),  # 1.4045 0.0052
-    (8, "myerson_uniform"): ("0x1.5fe31a6228e28p+0", "0x1.36821cd6c8be9p-8"),  # 1.3746 0.0047
+    (8, "myerson_lexicographic"): ("0x1.678ee7a7cbacep+0", "0x1.54901944af2d7p-8"),  # 1.4045 0.0052
+    (8, "myerson_uniform"): ("0x1.5fe31a6228e28p+0", "0x1.36821cd6c8beap-8"),  # 1.3746 0.0047
     (12, "posted_price"): ("0x1.2acd9e83e4259p+0", "0x1.d44ec253788c3p-9"),  # 1.1672 0.0036
     (12, "spa"): ("0x1.7b7cf0420813fp+0", "0x1.4c83d05d726f6p-8"),  # 1.4824 0.0051
     (12, "multi_unit"): ("0x1.436ecbea3f736p+1", "0x1.320411ad504ddp-7"),  # 2.5268 0.0093
