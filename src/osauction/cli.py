@@ -80,18 +80,27 @@ def _require(cfg: dict, key: str):
     return cfg[key]
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int; bools and non-integral numbers are refused, an
+    integral float such as 1000.0 is taken."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if not isinstance(value, (bool, float)):
+        try:
+            return int(value)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
 def _grid(args, cfg: dict) -> int:
-    grid = args.grid if args.grid is not None else cfg.get("grid", 4096)
-    try:
-        return int(grid)
-    except (TypeError, ValueError):
-        raise ConfigError(f"grid must be an integer, got {grid!r}") from None
+    return _integer("grid", args.grid if args.grid is not None else cfg.get("grid", 4096))
 
 
 def _spec_from_config(cfg: dict, grid: int) -> AmbiguitySpec:
     try:
-        n = int(_require(cfg, "n"))
-        k = int(_require(cfg, "k"))
+        n = _integer("n", _require(cfg, "n"))
+        k = _integer("k", _require(cfg, "k"))
         G = from_literal(_require(cfg, "G"), grid=grid)
         return AmbiguitySpec(n, k, G)
     except (ValueError, TypeError) as e:
@@ -108,7 +117,7 @@ def _mechanism_from_config(obj, grid: int) -> M.Mechanism:
         if t == "spa":
             return M.SPAReserve(float(obj.get("reserve", 0.0)))
         if t == "multi_unit":
-            return M.MultiUnit(int(obj["units"]), float(obj.get("reserve", 0.0)))
+            return M.MultiUnit(_integer("units", obj["units"]), float(obj.get("reserve", 0.0)))
         if t == "laddered":
             return M.Laddered(tuple(obj["click_rates"]), float(obj.get("reserve", 0.0)))
         if t == "myerson":
@@ -249,7 +258,7 @@ def cmd_simulate(args) -> int:
     mechanism = _mechanism_from_config(_require(cfg, "mechanism"), grid)
     if isinstance(mechanism, M.MyersonIID) and mechanism.base is None:
         raise ConfigError("simulate needs an explicit 'base' for the myerson mechanism")
-    report = R.mc_expected_revenue(mechanism, pd, int(samples), int(seed))
+    report = R.mc_expected_revenue(mechanism, pd, _integer("samples", samples), _integer("seed", seed))
     row = report.as_row()
     _write_csv(args.out, tuple(row), [tuple(row.values())])
     return EXIT_OK
@@ -351,8 +360,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", help="path to a JSON scenario config")
         sp.add_argument("--out", help="write CSV here instead of stdout")
         sp.add_argument("--grid", type=int, help="discretization grid size override")
-        sp.add_argument("--seed", type=int, help="seed for randomized evaluation")
-        sp.add_argument("--samples", type=int, help="Monte Carlo sample count")
 
     for name, fn in (
         ("invert", cmd_invert),
@@ -364,6 +371,9 @@ def _build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name)
         common(sp)
         sp.set_defaults(fn=fn)
+        if name == "simulate":
+            sp.add_argument("--seed", type=int, help="seed for randomized evaluation")
+            sp.add_argument("--samples", type=int, help="Monte Carlo sample count")
 
     sp = sub.add_parser("reproduce")
     sp.add_argument("name", help=f"one of {', '.join(REPRODUCTIONS)}")

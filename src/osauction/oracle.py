@@ -183,15 +183,7 @@ def symmetric_optimum_grid_check(n: int, k: int, i: int, g: float, grid_step: fl
     grids = np.meshgrid(*([pts] * (n - 1)), indexing="ij")
     rest = np.stack([a.ravel() for a in grids], axis=1)  # (m, n-1)
     m = rest.shape[0]
-    # pmf of the first n-1 coordinates, vectorized over grid points
-    pmf = np.zeros((m, n))
-    pmf[:, 0] = 1.0
-    for j in range(n - 1):
-        p = rest[:, j][:, None]
-        nxt = np.zeros_like(pmf)
-        nxt[:, : j + 1] += pmf[:, : j + 1] * (1.0 - p)
-        nxt[:, 1 : j + 2] += pmf[:, : j + 1] * p
-        pmf = nxt
+    pmf = poisson_binomial_pmf(rest.T).T  # of the first n-1 coordinates, per grid point
     cdf_k = pmf[:, :k].sum(axis=1)
     at_k = pmf[:, k - 1]
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -6,9 +6,9 @@ k-th largest of n i.i.d. draws, the regularized incomplete beta
     H(n, k, u) = Pr(Bin(n, 1-u) <= k-1) = I_u(n-k+1, k),
 
 its inverse, and the unique i.i.d. distribution consistent with an observed
-k-th order statistic. I.i.d. products (one ``Dist`` repeated, as ``iid``
-builds them) go through H of the common marginal, with tails integrated in
-closed form; heterogeneous ones through exact Poisson-binomial convolution.
+k-th order statistic. One count kernel gives Pr(v_(i) <= v) for i = 1..m:
+H of the common marginal on i.i.d. products (one ``Dist`` repeated, as ``iid``
+builds them), a Poisson-binomial recursion cut at row m on heterogeneous ones.
 """
 
 from __future__ import annotations
@@ -80,12 +80,36 @@ def _check_index(n: int, i: int) -> None:
 
 def h_poly(n: int, k: int, u):
     """CDF mapping for the k-th of n i.i.d. draws: Pr(Bin(n, 1-u) <= k-1),
-    the regularized incomplete beta I_u(n-k+1, k)."""
+    the regularized incomplete beta I_u(n-k+1, k). ``betainc`` loses digits
+    below about 1e-280; there the log-sum ``_log_betainc`` takes over."""
     from scipy.special import betainc
 
     _check_index(n, k)
-    out = betainc(n - k + 1, k, np.asarray(u, dtype=np.float64))
+    u = np.asarray(u, dtype=np.float64)
+    out = np.asarray(betainc(n - k + 1, k, u))
+    deep = (out < _BETAINC_FLOOR) & (u > 0.0)
+    if np.any(deep):
+        out[deep] = np.exp(_log_betainc(n - k + 1, k, np.log(u[deep])))
     return out if out.ndim else float(out)
+
+
+_BETAINC_FLOOR = 1e-280
+
+
+def _log_betainc(a: int, k: int, x: np.ndarray) -> np.ndarray:
+    """log I_u(a, k) at u = exp(x), as the log-sum of the binomial terms of
+    Pr(Bin(a+k-1, u) >= a), all positive. log C(n, a) is summed term by term,
+    because ``betaln`` is off by 1e-12 at (2, 2000)."""
+    from scipy.special import logsumexp
+
+    n = a + k - 1
+    j = np.arange(a, n + 1)
+    i = np.arange(1, min(a, k - 1) + 1)
+    # log C(n, j), from log C(n, a) = log C(n, k-1) up by the ratios of neighbours
+    log_binom = math.fsum(np.log((n + 1 - i) / i)) + np.concatenate(
+        [[0.0], np.cumsum(np.log((n - j[:-1]) / (j[:-1] + 1)))]
+    )
+    return logsumexp(log_binom + j * x[:, None] + (n - j) * np.log1p(-np.exp(x))[:, None], axis=1)
 
 
 _DEEP_TAIL = 1e-96
@@ -126,25 +150,16 @@ def _polish_deep_root(a: int, k: int, g: np.ndarray, x: np.ndarray) -> np.ndarra
     That function is increasing and concave, so Newton steps from below stay
     below the root and increase monotonically; a step that leaves the bracket
     anyway (rounding) is replaced by bisection of the bracket in log u.
-    log I_u is the log-sum of the binomial terms of Pr(Bin(a+k-1, u) >= a),
-    all positive: ``betainc`` itself loses digits near 1e-300. log C(n, a)
-    is summed term by term, because the root moves by its error over a and
-    ``betaln`` is off by 1e-12 at (2, 2000).
+    log I_u is ``_log_betainc``, accurate where ``betainc`` is not; the root
+    moves by its error over a.
     """
-    from scipy.special import betaln, logsumexp
+    from scipy.special import betaln
 
-    n = a + k - 1
-    j = np.arange(a, n + 1)
-    i = np.arange(1, min(a, k - 1) + 1)
-    # log C(n, j), from log C(n, a) = log C(n, k-1) up by the ratios of neighbours
-    log_binom = math.fsum(np.log((n + 1 - i) / i)) + np.concatenate(
-        [[0.0], np.cumsum(np.log((n - j[:-1]) / (j[:-1] + 1)))]
-    )
     log_g, log_b = np.log(g), betaln(a, k)
     lo, hi = x, np.zeros(x.shape)  # log u brackets the root
     for _ in range(100):
         u = np.exp(x)
-        log_i = logsumexp(log_binom + j * x[:, None] + (n - j) * np.log1p(-u)[:, None], axis=1)
+        log_i = _log_betainc(a, k, x)
         f = log_i - log_g
         with np.errstate(over="ignore"):
             # d log I / d log u = u^a (1-u)^(k-1) / (B(a, k) I_u)
@@ -198,37 +213,41 @@ def poisson_binomial_pmf(x) -> np.ndarray:
     return _pb_pmf(x)
 
 
-def _pb_pmf(x: np.ndarray) -> np.ndarray:
-    pmf = np.zeros((len(x) + 1,) + x.shape[1:])
+def _pb_pmf(x: np.ndarray, rows: int | None = None) -> np.ndarray:
+    # the first ``rows`` rows only: row t reads rows t and t-1 alone, so they equal the
+    # full table's bit for bit (the k-out-of-n recursion of Barlow and Heidtmann, 1984)
+    pmf = np.zeros((rows or len(x) + 1,) + x.shape[1:])
     pmf[0] = 1.0
     for j, p in enumerate(x):
-        pmf[1 : j + 2] = pmf[1 : j + 2] * (1.0 - p) + pmf[: j + 1] * p
+        top = min(j + 2, len(pmf))
+        pmf[1:top] = pmf[1:top] * (1.0 - p) + pmf[: top - 1] * p
         pmf[0] = pmf[0] * (1.0 - p)
     return pmf
+
+
+def _order_stat_below(pd: ProductDist, rows: range, v, strict: bool = False) -> np.ndarray:
+    """Pr(v_(i) < v) if ``strict`` else Pr(v_(i) <= v), one row per i in
+    ``rows`` at every entry of ``v``: at most i-1 of the n values reach
+    (exceed) v, counted by H or by one table cut at the last row."""
+    F = pd.common
+    if F is not None:
+        u = F.cdf_left(v) if strict else F.cdf(v)
+        return np.stack([h_poly(pd.n, i, u) for i in rows])
+    # survivals of valid distributions lie in [0, 1]: no need to re-check
+    x = np.stack([c.survival_left(v) if strict else c.survival(v) for c in pd.components])
+    return np.minimum(np.cumsum(_pb_pmf(x, rows=rows.stop - 1), axis=0)[rows.start - 1 :], 1.0)
 
 
 def order_stat_cdf(pd: ProductDist, i: int, v):
     """Pr(v_(i) <= v): at most i-1 of the n values strictly exceed v."""
     _check_index(pd.n, i)
-    F = pd.common
-    if F is not None:
-        return h_poly(pd.n, i, F.cdf(v))
-    v = np.asarray(v, dtype=np.float64)
-    # survivals of valid distributions lie in [0, 1]: no need to re-check
-    surv = np.stack([np.atleast_1d(c.survival(v)) for c in pd.components])
-    out = np.clip(_pb_pmf(surv)[:i].sum(axis=0), 0.0, 1.0)
-    return out if v.ndim else float(out[0])
+    return _order_stat_below(pd, range(i, i + 1), v)[0]
 
 
 def order_stat_reach(pd: ProductDist, m: int, r: np.ndarray) -> np.ndarray:
     """Pr(v_(i) >= r) for i = 1..m (rows) at every entry of ``r`` (columns)."""
     _check_index(pd.n, m)
-    F = pd.common
-    if F is not None:
-        below = F.cdf_left(r)
-        return np.stack([1.0 - h_poly(pd.n, i, below) for i in range(1, m + 1)])
-    surv = np.stack([c.survival_left(r) for c in pd.components])
-    return 1.0 - np.cumsum(_pb_pmf(surv)[:m], axis=0)
+    return 1.0 - _order_stat_below(pd, range(1, m + 1), r, strict=True)
 
 
 # below this relative move of x the antiderivative difference cancels, while
@@ -256,19 +275,20 @@ def _mean_betainc(p: int, q: int, x0: np.ndarray, x1: np.ndarray) -> np.ndarray:
 
 
 class OrderStatTail:
-    """Precomputed exact integrals of Pr(v_(j) > t) over [lo, inf).
+    """Precomputed exact integrals of sum_j w_j Pr(v_(j) > t) over [lo, inf),
+    w_j = ``weights[j-1]``.
 
     Between merged knots every CDF is linear in t. For an i.i.d. product,
     Pr(v_(j) > t) = I_s(j, n-j+1) = 1 - I_F(n-j+1, j) with the common
-    survival s = 1 - F, integrated in closed form (in the smaller of s and F,
-    where the antiderivative cancels least); for a heterogeneous one it is a
-    polynomial of degree <= n, integrated by exact Gauss-Legendre.
+    survival s = 1 - F, integrated in closed form per j (in the smaller of s
+    and F, where the antiderivative cancels least); for a heterogeneous one
+    the sum is a polynomial of degree <= n, integrated by exact Gauss-Legendre.
     """
 
-    def __init__(self, pd: ProductDist, j: int):
-        _check_index(pd.n, j)
+    def __init__(self, pd: ProductDist, weights):
+        _check_index(pd.n, len(weights))
         self.pd = pd
-        self.j = j
+        self._w = np.asarray(weights, dtype=np.float64)
         self.knots = pd.merged_knots()
         if pd.common is None:
             # exact for polynomial degree n
@@ -282,23 +302,26 @@ class OrderStatTail:
         if F is None:
             mid, half = 0.5 * (a + b), 0.5 * (b - a)
             pts = mid[:, None] + half[:, None] * self._gx[None, :]
-            sf = 1.0 - order_stat_cdf(self.pd, self.j, pts.ravel()).reshape(pts.shape)
+            below = _order_stat_below(self.pd, range(1, len(self._w) + 1), pts.ravel())
+            sf = (self._w @ (1.0 - below)).reshape(pts.shape)
             return (sf * self._gw[None, :]).sum(axis=1) * half
-        n, j = self.pd.n, self.j
+        n = self.pd.n
         F0, F1 = F.cdf(a), F.cdf_left(b)
         upper = F0 + F1 >= 1.0  # survival below one half
-        mean = np.empty(a.shape)
-        mean[upper] = _mean_betainc(j, n - j + 1, 1.0 - F0[upper], 1.0 - F1[upper])
-        mean[~upper] = 1.0 - _mean_betainc(n - j + 1, j, F0[~upper], F1[~upper])
+        s0, s1, f0, f1 = 1.0 - F0[upper], 1.0 - F1[upper], F0[~upper], F1[~upper]
+        mean = np.zeros(a.shape)
+        for j in np.flatnonzero(self._w) + 1:
+            mean[upper] += self._w[j - 1] * _mean_betainc(j, n - j + 1, s0, s1)
+            mean[~upper] += self._w[j - 1] * (1.0 - _mean_betainc(n - j + 1, j, f0, f1))
         return (b - a) * mean
 
     def integral_from(self, lo: np.ndarray) -> np.ndarray:
-        """Integral of Pr(v_(j) > t) over [lo, inf) for every entry of ``lo``."""
+        """Integral of sum_j w_j Pr(v_(j) > t) over [lo, inf) for every entry of ``lo``."""
         k = self.knots
         start = np.clip(lo, k[0], k[-1])
         nxt = np.minimum(np.searchsorted(k, start, side="right"), len(k) - 1)
-        # below every support the order statistic exceeds t surely
-        return np.maximum(k[0] - lo, 0.0) + self._segments(start, k[nxt]) + self._suffix[nxt]
+        # below every support each order statistic exceeds t surely
+        return self._w.sum() * np.maximum(k[0] - lo, 0.0) + self._segments(start, k[nxt]) + self._suffix[nxt]
 
 
 def fosd_check(d1: Dist, d2: Dist, tol: float = 1e-12) -> bool:

@@ -12,10 +12,9 @@ values are bidder-major, one row per bidder and one column per sample, so
 the kernels reduce over contiguous rows; each row is drawn through
 ``Dist.quantile`` and scored through ``VirtualValueFn.eval``, which read
 per-segment tables built once per instance. The evaluator's
-order-statistic terms, Pr(v_(i) >= r) and the exact tail integrals of
-Pr(v_(j) > t), come from ``orderstat``, which picks the closed-form
-incomplete-beta path for i.i.d. products and the Poisson-binomial path for
-heterogeneous ones. The unknown-n guarantee and its root z* take arrays of
+order-statistic terms come from ``orderstat``: Pr(v_(i) >= r) for the top
+rows at once, and one ``OrderStatTail`` per mechanism for the weighted sum
+of the exact tail integrals of Pr(v_(j) > t). The unknown-n guarantee and its root z* take arrays of
 reserves, so its reserve search scores every candidate in one pass too.
 """
 
@@ -87,16 +86,15 @@ def _separable_revenue(a, b, pd: ProductDist):
         r * sum_i a_i Pr(v_(i) >= r) + sum_j b_j * integral_r^inf Pr(v_(j) > t) dt.
 
     Statistics below the last bidder are 0, so they add nothing at r > 0.
+    All tail terms share one ``OrderStatTail``, none when ``b`` is empty.
     """
-    a = a[: pd.n]
-    tails = [(bj, OrderStatTail(pd, j)) for j, bj in enumerate(b, start=2) if bj and j <= pd.n]
+    a = np.asarray(a[: pd.n], dtype=np.float64)
+    w = (0.0,) + tuple(b[: pd.n - 1])  # the weight of v_(j) at index j-1
+    tail = OrderStatTail(pd, w) if any(w) else None
 
     def revenue(rs: np.ndarray) -> np.ndarray:
-        reach = order_stat_reach(pd, len(a), rs)
-        total = rs * sum(ai * reach[i] for i, ai in enumerate(a))
-        for bj, tail in tails:
-            total = total + bj * tail.integral_from(rs)
-        return total
+        total = rs * (a @ order_stat_reach(pd, len(a), rs))
+        return total if tail is None else total + tail.integral_from(rs)
 
     return revenue
 
@@ -404,7 +402,7 @@ def _survival_tail(G: Dist) -> OrderStatTail:
     # distribution instance
     tail = getattr(G, "_tail_memo", None)
     if tail is None:
-        tail = OrderStatTail(iid(G, 1), 1)
+        tail = OrderStatTail(iid(G, 1), (1.0,))
         object.__setattr__(G, "_tail_memo", tail)
     return tail
 

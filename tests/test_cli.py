@@ -135,6 +135,12 @@ REFUSED = {
     "decreasing_table_cdf": (
         "reserve", {"n": 3, "k": 2, "family": "spa",
                     "G": {"family": "table", "knots": [[0, 0], [1, 0.5], [2, 0.4]], "atoms": [[1.5, 0.6]]}}),
+    "fractional_k": ("invert", {"n": 3, "k": 2.7, "G": UNIF_LIT, "grid": 64}),
+    "fractional_grid": ("invert", {"n": 3, "k": 2, "G": UNIF_LIT, "grid": 100.9}),
+    "boolean_n": ("invert", {"n": True, "k": 1, "G": UNIF_LIT, "grid": 64}),
+    "fractional_units": (
+        "worstcase", {"n": 4, "k": 3, "G": UNIF_LIT, "grid": 64,
+                      "mechanism": {"type": "multi_unit", "units": 2.5}}),
 }
 
 
@@ -145,6 +151,21 @@ def test_bad_family_mechanism_or_literal_exits_2(case, tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+def test_integral_float_is_an_integer(tmp_path, capsys):
+    cfg = {"n": 3.0, "k": 2, "G": UNIF_LIT}
+    code, out, _ = run_cli(["invert", "--config", write_cfg(tmp_path, "c.json", dict(cfg, grid=64.0))], capsys)
+    assert code == 0
+    assert out == run_cli(["invert", "--config", write_cfg(tmp_path, "d.json", dict(cfg, n=3, grid=64))], capsys)[1]
+
+
+def test_sampling_flags_only_on_simulate(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "c.json", {"n": 3, "k": 2, "G": UNIF_LIT, "family": "spa", "grid": 64})
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["reserve", "--seed", "3", "--config", cfg])
+    assert exit_.value.code == 2
+    assert "--seed" in capsys.readouterr().err
 
 
 class TestWorstCase:

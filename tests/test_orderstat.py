@@ -96,12 +96,14 @@ class TestHInverse:
             (2000, 1999, 1.999e-254),
             (2000, 2, 0.5),
             (2000, 1000, 1e-9),
+            (28, 10, 1e-300),  # bare betainc is off by 3.7e-2 there
+            (25, 2, 1e-305),  # and by 1.4e-5 there
         ],
     )
     def test_deep_tail_and_large_n_round_trip(self, n, k, g):
         u = OS.h_inverse(n, k, g)
         assert 0.0 < u < 1.0
-        assert OS.h_poly(n, k, u) == pytest.approx(g, rel=1e-10)
+        assert OS.h_poly(n, k, u) == pytest.approx(g, rel=1e-10, abs=0.0)
 
     @pytest.mark.parametrize(
         "n,k,g",
@@ -210,6 +212,16 @@ class TestPoissonBinomial:
         assert abs(pmf.sum() - 1.0) <= 1e-12
         for i in range(1, len(pmf) - 1):
             assert pmf[i] ** 2 >= pmf[i - 1] * pmf[i + 1] - 1e-12
+
+    @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_truncated_rows_equal_full_table(self, x, columns):
+        x = np.array(x)
+        if columns:  # one sum per column of a trailing axis
+            x = np.stack([x, x[::-1], 1.0 - x], axis=1)
+        full = OS._pb_pmf(x)
+        for m in range(1, len(x) + 2):
+            assert np.array_equal(OS._pb_pmf(x, rows=m), full[:m])
 
 
 class TestDominance:
