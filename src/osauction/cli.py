@@ -18,13 +18,14 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import numbers
 import sys
 
 import numpy as np
 
 from . import mech as M
 from . import revenue as R
-from .dist import Dist, from_literal, is_regular_above_reserve, revenue_curve, two_point, uniform
+from .dist import _finite, from_literal, is_regular_above_reserve, revenue_curve, two_point, uniform
 from .orderstat import AmbiguitySpec, ProductDist, consistent_iid, h_poly, iid
 from .oracle import counterexample_certificate
 
@@ -81,15 +82,12 @@ def _require(cfg: dict, key: str):
 
 
 def _integer(name: str, value) -> int:
-    """``value`` as an int; bools and non-integral numbers are refused, an
-    integral float such as 1000.0 is taken."""
+    """``value`` as an int; bools, strings and non-integral numbers are
+    refused, an integral float such as 1000.0 is taken."""
     if isinstance(value, float) and value.is_integer():
         return int(value)
-    if not isinstance(value, (bool, float)):
-        try:
-            return int(value)
-        except (TypeError, ValueError):
-            pass
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
     raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
@@ -111,15 +109,19 @@ def _mechanism_from_config(obj, grid: int) -> M.Mechanism:
     if not isinstance(obj, dict) or "type" not in obj:
         raise ConfigError("mechanism must be an object with a 'type' key")
     t = obj["type"]
+
+    def reserve() -> float:
+        return _finite(obj.get("reserve", 0.0), "reserve")
+
     try:
         if t == "posted_price":
-            return M.PostedPrice(float(obj["price"]))
+            return M.PostedPrice(_finite(obj["price"], "price"))
         if t == "spa":
-            return M.SPAReserve(float(obj.get("reserve", 0.0)))
+            return M.SPAReserve(reserve())
         if t == "multi_unit":
-            return M.MultiUnit(_integer("units", obj["units"]), float(obj.get("reserve", 0.0)))
+            return M.MultiUnit(_integer("units", obj["units"]), reserve())
         if t == "laddered":
-            return M.Laddered(tuple(obj["click_rates"]), float(obj.get("reserve", 0.0)))
+            return M.Laddered(tuple(_finite(a, "click rate") for a in obj["click_rates"]), reserve())
         if t == "myerson":
             base = from_literal(obj["base"], grid=grid) if "base" in obj else None
             return M.MyersonIID(base, obj.get("tiebreak", "lexicographic"))
@@ -228,18 +230,14 @@ def cmd_curve(args) -> int:
     # the implied i.i.d. distribution is densely knotted, so the knot-level
     # curve is already plot-ready; the regularity check reads the same one
     curve = revenue_curve(fbar)
-    report = is_regular_above_reserve(fbar)
-    q_star = report.reserve_quantile
-    qs = list(curve.qs)
-    rs = list(curve.rs)
+    q_star = is_regular_above_reserve(fbar).reserve_quantile
+    qs, rs = curve.qs, curve.rs
     if q_star not in qs:
-        j = int(np.searchsorted(curve.qs, q_star))
-        qs.insert(j, q_star)
-        rs.insert(j, float(np.interp(q_star, curve.qs, curve.rs)))
-    rows = []
-    for q, r in zip(qs, rs):
-        rows.append((q, r, float(curve.ironed_value(q)), int(q == q_star)))
-    _write_csv(args.out, ("quantile", "revenue", "ironed_revenue", "is_reserve_quantile"), rows)
+        j = int(np.searchsorted(qs, q_star))
+        qs, rs = np.insert(qs, j, q_star), np.insert(rs, j, np.interp(q_star, qs, rs))
+    cols = (qs, rs, curve.ironed_value(qs), qs == q_star)
+    _write_csv(args.out, ("quantile", "revenue", "ironed_revenue", "is_reserve_quantile"),
+               zip(*(c.tolist() for c in cols)))
     return EXIT_OK
 
 
@@ -252,7 +250,7 @@ def cmd_simulate(args) -> int:
         raise ConfigError("simulate needs an explicit seed (config 'seed' or --seed)")
     if samples is None:
         raise ConfigError("simulate needs a sample count (config 'samples' or --samples)")
-    if "product" not in cfg:
+    if not isinstance(cfg.get("product"), list):
         raise ConfigError("simulate needs 'product': a list of distribution literals")
     pd = ProductDist(tuple(from_literal(lit, grid=grid) for lit in cfg["product"]))
     mechanism = _mechanism_from_config(_require(cfg, "mechanism"), grid)
@@ -267,66 +265,46 @@ def cmd_simulate(args) -> int:
 # -- named reproductions ----------------------------------------------------------
 
 
-def _check(name, computed, reference, tol):
-    status = "PASS" if abs(computed - reference) <= tol else "FAIL"
-    return (name, computed, reference, tol, status), status == "PASS"
+def _check(name, computed, reference, tol, ok=None):
+    """One reproduction row; it passes when ``ok``, by default when
+    ``computed`` lies within ``tol`` of ``reference``."""
+    ok = abs(computed - reference) <= tol if ok is None else ok
+    return (name, computed, reference, tol, "PASS" if ok else "FAIL")
 
 
-def _reproduce_bernoulli() -> tuple[list, bool]:
-    G = two_point(0.0, 0.5, 1.0)
-    bound = R.unknown_n_bound(1.0, G)
-    row, ok = _check("bernoulli_guarantee_at_reserve_1", bound, 0.813, 1e-3)
-    return [row], ok
+def _reproduce_bernoulli() -> list:
+    bound = R.unknown_n_bound(1.0, two_point(0.0, 0.5, 1.0))
+    return [_check("bernoulli_guarantee_at_reserve_1", bound, 0.813, 1e-3)]
 
 
-def _reproduce_uniform() -> tuple[list, bool]:
+def _reproduce_uniform() -> list:
     res = R.optimal_unknown_n_reserve(uniform(0.0, 1.0))
-    rows, oks = [], []
-    for name, computed, ref in (
-        ("uniform_z_star", res.z_star, 0.198),
-        ("uniform_reserve", res.reserve, 0.519),
-        ("uniform_guarantee", res.guarantee, 0.531),
-    ):
-        row, ok = _check(name, computed, ref, 2e-3)
-        rows.append(row)
-        oks.append(ok)
-    return rows, all(oks)
+    return [
+        _check("uniform_z_star", res.z_star, 0.198, 2e-3),
+        _check("uniform_reserve", res.reserve, 0.519, 2e-3),
+        _check("uniform_guarantee", res.guarantee, 0.531, 2e-3),
+    ]
 
 
-def _reproduce_counterexample(q: float) -> tuple[list, bool]:
+def _reproduce_counterexample(q: float) -> list:
     rep = counterexample_certificate(q)
-    rows, oks = [], []
-    for name, computed, ref, tol in (
-        ("iid_optimal_revenue", rep.opt_iid, rep.opt_iid_formula, 1e-9),
-        ("construction_optimal_revenue", rep.opt_construction, rep.opt_construction_formula, 1e-9),
-        ("second_stat_match", rep.second_stat_max_error, 0.0, 1e-12),
-        ("regime_threshold", rep.regime_threshold, 0.673, 1e-3),
-    ):
-        row, ok = _check(name, computed, ref, tol)
-        rows.append(row)
-        oks.append(ok)
-    strict = rep.gap > 0.03
-    rows.append(("strict_gap", rep.gap, 0.03, 0.0, "PASS" if strict else "FAIL"))
-    oks.append(strict)
-    return rows, all(oks)
+    return [
+        _check("iid_optimal_revenue", rep.opt_iid, rep.opt_iid_formula, 1e-9),
+        _check("construction_optimal_revenue", rep.opt_construction, rep.opt_construction_formula, 1e-9),
+        _check("second_stat_match", rep.second_stat_max_error, 0.0, 1e-12),
+        _check("regime_threshold", rep.regime_threshold, 0.673, 1e-3),
+        _check("strict_gap", rep.gap, 0.03, 0.0, ok=rep.gap > 0.03),
+    ]
 
 
-def _reproduce_sandwich() -> tuple[list, bool]:
+def _reproduce_sandwich() -> list:
     q = 0.8
-    g_disc = two_point(1.0, 3 * q**2 - 2 * q**3, 2.0)
-    sw = R.robust_sandwich(AmbiguitySpec(3, 2, g_disc))
-    rows, oks = [], []
-    for name, computed, ref, tol in (
-        ("spa_optimal_lower", sw.lower, 1.104, 1e-9),
-        ("iid_optimal_upper", sw.upper, 1.36, 1e-9),
-    ):
-        row, ok = _check(name, computed, ref, tol)
-        rows.append(row)
-        oks.append(ok)
-    ratio_ok = sw.lower <= sw.upper and sw.ratio >= 0.5
-    rows.append(("lower_within_half_of_upper", sw.ratio, 0.5, 0.0, "PASS" if ratio_ok else "FAIL"))
-    oks.append(ratio_ok)
-    return rows, all(oks)
+    sw = R.robust_sandwich(AmbiguitySpec(3, 2, two_point(1.0, 3 * q**2 - 2 * q**3, 2.0)))
+    return [
+        _check("spa_optimal_lower", sw.lower, 1.104, 1e-9),
+        _check("iid_optimal_upper", sw.upper, 1.36, 1e-9),
+        _check("lower_within_half_of_upper", sw.ratio, 0.5, 0.0, ok=sw.lower <= sw.upper and sw.ratio >= 0.5),
+    ]
 
 
 REPRODUCTIONS = ("bernoulli-example", "uniform-example", "counterexample", "sandwich")
@@ -335,18 +313,18 @@ REPRODUCTIONS = ("bernoulli-example", "uniform-example", "counterexample", "sand
 def cmd_reproduce(args) -> int:
     name = args.name
     if name == "bernoulli-example":
-        rows, ok = _reproduce_bernoulli()
+        rows = _reproduce_bernoulli()
     elif name == "uniform-example":
-        rows, ok = _reproduce_uniform()
+        rows = _reproduce_uniform()
     elif name == "counterexample":
-        rows, ok = _reproduce_counterexample(args.q)
+        rows = _reproduce_counterexample(args.q)
     elif name == "sandwich":
-        rows, ok = _reproduce_sandwich()
+        rows = _reproduce_sandwich()
     else:
         print(f"error: unknown reproduction {name!r}; choose from {REPRODUCTIONS}", file=sys.stderr)
         return EXIT_CONFIG
     _write_csv(args.out, ("check", "computed", "reference", "tolerance", "status"), rows)
-    return EXIT_OK if ok else 1
+    return EXIT_OK if all(row[-1] == "PASS" for row in rows) else 1
 
 
 # -- entry point -------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """Value distributions as atoms plus piecewise-linear CDF segments.
 
-The representation is exact: between knots the CDF is linear, atoms are jump
-discontinuities, and quantiles, revenue curves and monopoly prices are
-computed in closed form on that structure. Continuous families are imported
-by discretizing their exact CDF onto a union of quantile-spaced and
-value-spaced knots.
+The representation is exact: between knots the CDF is linear and atoms are
+jumps. One segment table per distribution, memoized on the instance, holds
+the segment entering each knot; both CDF sides, the quantile, the revenue
+curve, the monopoly price and the virtual values read it in closed form.
+Continuous families are discretized onto quantile- and value-spaced knots.
 
 Ironing reads one envelope per distribution, built once and memoized on the
 (immutable) instance: the upper concave hull of the revenue curve's knot
@@ -19,7 +19,10 @@ not computed.
 from __future__ import annotations
 
 import math
+import numbers
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -31,6 +34,10 @@ def _as_readonly(a) -> np.ndarray:
     arr = np.ascontiguousarray(a, dtype=np.float64)
     arr.setflags(write=False)
     return arr
+
+
+# on the segment entering a knot the CDF is lower + (v - left) / width * rise
+Segments = namedtuple("Segments", "left width lower rise")
 
 
 @dataclass(frozen=True)
@@ -66,7 +73,7 @@ class Dist:
             raise ValueError("CDF must start at 0 and end at 1")
         if np.any(fr - fl < -MASS_TOL):
             raise ValueError("atom masses must be non-negative")
-        if len(xs) > 1 and np.any(fl[1:] - fr[:-1] < -MASS_TOL):
+        if np.any(self.segments.rise < -MASS_TOL):
             raise ValueError("CDF must be non-decreasing between knots")
 
     # -- basic structure ---------------------------------------------------
@@ -89,38 +96,41 @@ class Dist:
     @property
     def is_discrete(self) -> bool:
         """True when all mass sits in atoms."""
-        cont = self.f_left[1:] - self.f_right[:-1] if len(self.xs) > 1 else np.array([])
-        return bool(cont.size == 0 or np.all(cont <= MASS_TOL))
+        return bool(np.all(self.segments.rise <= MASS_TOL))
+
+    @cached_property
+    def segments(self) -> Segments:
+        """Per knot j, the linear CDF segment entering it, read-only; so that
+        ``lower + rise == f_left`` everywhere, knot 0 gets width 1 and rise 0."""
+        left, lower = np.append(self.xs[0], self.xs[:-1]), np.append(self.f_left[0], self.f_right[:-1])
+        width, rise = self.xs - left, self.f_left - lower
+        width[0] = 1.0
+        return Segments(*map(_as_readonly, (left, width, lower, rise)))
 
     # -- CDF / survival / quantile ----------------------------------------
 
+    def _cdf(self, v, side: str):
+        """F(v) on the right side, F(v-) on the left (f_left exactly at a knot)."""
+        v = np.asarray(v, dtype=np.float64)
+        flat = v.reshape(-1)
+        left, width, lower, rise = self.segments
+        j = np.searchsorted(self.xs, flat, side=side)
+        s = np.minimum(j, len(self.xs) - 1)
+        with np.errstate(over="ignore", invalid="ignore"):  # v far past the support
+            out = lower[s] + (flat - left[s]) / width[s] * rise[s]
+        if side == "left":
+            np.copyto(out, self.f_left[s], where=self.xs[s] == flat)
+        np.copyto(out, 0.0, where=flat < self.xs[0])
+        np.copyto(out, 1.0, where=j == len(self.xs))
+        return out.reshape(v.shape) if v.ndim else float(out[0])
+
     def cdf(self, v):
         """Right-continuous CDF, clamped to {0, 1} outside the support."""
-        v = np.asarray(v, dtype=np.float64)
-        i = np.searchsorted(self.xs, v, side="right") - 1
-        i_c = np.maximum(i, 0)
-        x0 = self.xs[i_c]
-        f0 = self.f_right[i_c]
-        i_next = np.minimum(i_c + 1, len(self.xs) - 1)
-        x1 = self.xs[i_next]
-        f1 = self.f_left[i_next]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            t = np.where(x1 > x0, (v - x0) / np.where(x1 > x0, x1 - x0, 1.0), 0.0)
-        out = f0 + np.minimum(np.maximum(t, 0.0), 1.0) * (f1 - f0)
-        out = np.where(i < 0, 0.0, out)
-        out = np.where(v >= self.xs[-1], 1.0, out)
-        return out if out.ndim else float(out)
+        return self._cdf(v, "right")
 
     def cdf_left(self, v):
         """Left limit F(v-) = Pr(value < v)."""
-        v = np.asarray(v, dtype=np.float64)
-        i = np.searchsorted(self.xs, v, side="left")
-        i_c = np.minimum(i, len(self.xs) - 1)
-        at_knot = (self.xs[i_c] == v) & (i < len(self.xs))
-        out = np.where(at_knot, self.f_left[i_c], self.cdf(v))
-        out = np.where(v < self.xs[0], 0.0, out)
-        out = np.where(v > self.xs[-1], 1.0, out)
-        return out if out.ndim else float(out)
+        return self._cdf(v, "left")
 
     def survival(self, v):
         """Pr(value > v)."""
@@ -130,44 +140,23 @@ class Dist:
         """Pr(value >= v)."""
         return 1.0 - self.cdf_left(v)
 
-    def _segments_below(self):
-        """Per knot j, the continuous segment entering it: its lower CDF, its
-        rise (1 where it has none), its left knot and its width, plus a flag
-        for segments that carry mass (None when no segment does). Memoized on
-        the (immutable) instance."""
-        table = getattr(self, "_segments_memo", None)
-        if table is None:
-            j = np.arange(len(self.xs))
-            jm = np.maximum(j - 1, 0)
-            lower, left = self.f_right[jm], self.xs[jm]
-            rise = self.f_left - lower
-            reachable = (j > 0) & (rise > 0)
-            table = (
-                lower,
-                np.where(rise > 0, rise, 1.0),
-                left,
-                self.xs - left,
-                reachable if reachable.any() else None,
-            )
-            object.__setattr__(self, "_segments_memo", table)
-        return table
-
     def quantile(self, q):
         """Generalized inverse inf{v : F(v) >= q}; q must lie in [0, 1]."""
         q_arr = np.asarray(q, dtype=np.float64)
         if q_arr.size and (q_arr.min() < 0.0 or q_arr.max() > 1.0):
             raise ValueError("quantile argument must lie in [0, 1]")
         flat = q_arr.reshape(-1)
-        lower, rise, left, width, reachable = self._segments_below()
+        left, width, lower, rise = self.segments
         # first knot whose right CDF reaches q; the last one takes every q above
         j = np.searchsorted(self.f_right[:-1], flat, side="left")
         out = self.xs[j]
-        if reachable is not None:
-            # the continuous segment entering knot j may attain q earlier
+        if np.any(rise > 0):
+            # the segment entering knot j attains q earlier where f_left >= q > lower: it rises
             lo = lower[j]
-            reach = reachable[j] & (self.f_left[j] >= flat) & (flat > lo)
+            reach = (self.f_left[j] >= flat) & (flat > lo)
             if reach.any():
-                np.copyto(out, left[j] + (flat - lo) / rise[j] * width[j], where=reach)
+                with np.errstate(divide="ignore", invalid="ignore"):  # unreached flat segments
+                    np.copyto(out, left[j] + (flat - lo) / rise[j] * width[j], where=reach)
         return out.reshape(q_arr.shape) if q_arr.ndim else float(out[0])
 
     def describe(self) -> str:
@@ -248,6 +237,8 @@ def from_table(knots: Sequence[tuple[float, float]], atoms: Sequence[tuple[float
         if m <= 0:
             raise ValueError("atom masses must be positive")
         pts[float(v)] = pts.get(float(v), 0.0) + float(m)
+    if not pts:
+        raise ValueError("a table needs knots or atoms")
     xs = np.array(sorted(pts))
     mass = np.array([pts[x] for x in xs])
     cont = np.interp(xs, kx, kf, left=0.0, right=kf[-1]) if knots else np.zeros(len(xs))
@@ -333,9 +324,9 @@ _MIN_GRID = 16
 def from_literal(spec, grid: int = 4096) -> Dist:
     """Parse the distribution literal format used in config files.
 
-    Parameters must be finite numbers and ``grid`` at least 16;
-    anything else raises ValueError rather than yielding a degenerate
-    distribution.
+    Parameters must be finite numbers (not bools or strings) and ``grid`` at
+    least 16; anything else raises ValueError rather than yielding a
+    degenerate distribution.
     """
     if isinstance(spec, Dist):
         return spec
@@ -372,10 +363,14 @@ def from_literal(spec, grid: int = 4096) -> Dist:
 
 
 def _finite(x, what: str) -> float:
+    """``x`` as a finite float; a bool, a string or any other non-number is
+    refused rather than converted."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise ValueError(f"{what} must be a number, got {x!r}")
     try:
         out = float(x)
-    except (TypeError, ValueError):
-        raise ValueError(f"{what} must be a number, got {x!r}") from None
+    except OverflowError:  # an integer past the float range
+        out = math.inf
     if not math.isfinite(out):
         raise ValueError(f"{what} must be finite, got {x!r}")
     return out
@@ -453,12 +448,11 @@ def revenue_curve(d: Dist) -> RevenueCurve:
     curve = getattr(d, "_curve_memo", None)
     if curve is None:
         xs, fl, fr = d.xs, d.f_left, d.f_right
-        # the continuous segment entering knot i: its lower knot and CDF
-        x_lo, c_lo = np.append(xs[0], xs[:-1]), np.append(fl[0], fr[:-1])
-        rising = fl > c_lo
+        _, width, c_lo, rise = d.segments
+        rising = rise > 0
         q_top, q_bot = 1.0 - fl, 1.0 - c_lo
         with np.errstate(divide="ignore", invalid="ignore"):
-            price_bot = xs - (q_bot - q_top) * ((xs - x_lo) / (fl - c_lo))
+            price_bot = xs - (q_bot - q_top) * (width / rise)
         atom = 1.0 - fl > 1.0 - fr
         # per knot, from the top down: above its jump, at it, the segment's bottom
         qs = np.column_stack([1.0 - fr, q_top, q_bot])[::-1]
@@ -481,11 +475,8 @@ def monopoly_price(d: Dist) -> tuple[float, float]:
     Exact on the representation: candidates are knots, atoms, and the
     interior stationary point of each linear-CDF segment.
     """
-    x_lo, x_hi = d.xs[:-1], d.xs[1:]
-    c_lo, c_hi = d.f_right[:-1], d.f_left[1:]
-    rising = c_hi > c_lo
-    x_lo, x_hi, c_lo = x_lo[rising], x_hi[rising], c_lo[rising]
-    slope = (c_hi[rising] - c_lo) / (x_hi - x_lo)
+    left, width, lower, rise = d.segments
+    x_lo, x_hi, c_lo, slope = (a[rise > 0] for a in (left, d.xs, lower, rise / width))
     # stationary point of p * (1 - F(p)) inside each rising segment
     p_star = 0.5 * (x_lo + (1.0 - c_lo) / slope)
     interior = p_star[(x_lo < p_star) & (p_star < x_hi)]
@@ -626,20 +617,20 @@ def virtual_values(d: Dist) -> VirtualValueFn:
     atom = fr - fl > MASS_TOL
     phi_atom = edge_slope(1.0 - fr, 1.0 - fl)
     # the continuous segment from knot i to knot i + 1
-    x, x_hi, c_lo, c_hi = xs[:-1], xs[1:], fr[:-1], fl[1:]
-    rising = c_hi > c_lo
-    q_top, q_bot = 1.0 - c_hi, 1.0 - c_lo
+    x, width, c_lo, rise = (a[1:] for a in d.segments)
+    x_hi, rising = xs[1:], rise > 0
+    q_top, q_bot = 1.0 - fl[1:], 1.0 - c_lo
     # in an ironing interval: its midpoint lies in the first one not ending below it
     lo, hi = np.reshape(curve.ironed_intervals, (-1, 2)).T
     q_mid = 0.5 * (q_top + q_bot)
     ironed = np.append(lo, np.inf)[np.searchsorted(hi + 1e-15, q_mid)] - 1e-15 <= q_mid
     with np.errstate(divide="ignore", invalid="ignore"):
-        inv_f = (x_hi - x) / (c_hi - c_lo)
+        inv_f = width / rise
         # the segment's bottom as its quantile -> value map reads it
         v_bot = x_hi - (q_bot - q_top) * inv_f
 
         def raw(v):
-            return v - (1.0 - (c_lo + (v - x) / (x_hi - x) * (c_hi - c_lo))) * inv_f
+            return v - (1.0 - (c_lo + (v - x) / width * rise)) * inv_f
 
         seg_lo = np.where(ironed, edge_slope(q_top, q_bot), raw(v_bot))
         seg_hi = np.where(ironed, seg_lo, raw(x_hi))

@@ -187,7 +187,7 @@ def consistent_iid(spec: AmbiguitySpec, grid: int = 4096) -> Dist:
     inversion of an exact knot of G.
     """
     G = spec.G
-    rise = G.f_left[1:] - G.f_right[:-1]
+    rise = G.segments.rise[1:]
     n_sub = np.where(rise > _REFINE_MASS, np.ceil(rise * grid), 1).astype(np.int64)
     seg = np.repeat(np.arange(len(rise)), n_sub)  # the G segment of every new knot
     t = (np.arange(len(seg)) - np.repeat(np.cumsum(n_sub) - n_sub, n_sub)) / n_sub[seg]

@@ -126,20 +126,9 @@ def myerson_iid_revenue(base: Dist, n: int) -> float:
     discrete bases."""
     if not base.is_discrete:
         raise ValueError("exact evaluation needs a purely atomic base")
-    phi_fn = virtual_values(base)
-    levels: dict[float, float] = {}
-    for v, m in base.atoms:
-        p = float(phi_fn.eval(v))
-        levels[p] = levels.get(p, 0.0) + m
-    phis = sorted(levels)
-    masses = np.array([levels[p] for p in phis])
-    cum = np.concatenate([[0.0], np.cumsum(masses)])
-    cum = cum / cum[-1]
-    total = 0.0
-    for t, p in enumerate(phis):
-        if p > 0:
-            total += p * (cum[t + 1] ** n - cum[t] ** n)
-    return float(total)
+    # phi_bar is non-decreasing, so the highest value carries the highest level
+    phi = np.maximum(virtual_values(base).eval(base.xs), 0.0)
+    return float(phi @ (base.f_right**n - base.f_left**n))
 
 
 # -- Monte Carlo ---------------------------------------------------------------
@@ -297,6 +286,9 @@ def _family_mechanism(family) -> M.Mechanism:
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# golden-section brackets at which the two reserve searches stop
+_ROBUST_PRICE_TOL = 1e-8
+_UNKNOWN_N_PRICE_TOL = 1e-6
 
 
 def _maximize(objective, candidates: np.ndarray, scan: int, price_tol: float) -> tuple[float, float]:
@@ -340,9 +332,7 @@ def _maximize(objective, candidates: np.ndarray, scan: int, price_tol: float) ->
     return r_best, v_best
 
 
-def optimal_robust_reserve(
-    spec: AmbiguitySpec, family, grid: int = 4096, price_tol: float = 1e-8
-) -> ReserveResult:
+def optimal_robust_reserve(spec: AmbiguitySpec, family, grid: int = 4096) -> ReserveResult:
     """Maximize the worst-case revenue of a reserve-parameterized family.
 
     Candidates are the knots of the consistent i.i.d. distribution, all
@@ -364,7 +354,7 @@ def optimal_robust_reserve(
     fbar = consistent_iid(spec, grid=grid)
     revenue = _separable_revenue(a, b, iid(fbar, spec.n))
     candidates = np.unique(np.concatenate([[0.0], fbar.xs]))
-    r_best, v_best = _maximize(revenue, candidates, scan=64, price_tol=price_tol)
+    r_best, v_best = _maximize(revenue, candidates, scan=64, price_tol=_ROBUST_PRICE_TOL)
     report = is_regular_above_reserve(fbar)
     certified = report.regular_above_reserve and family == "spa"
     return ReserveResult(
@@ -431,12 +421,12 @@ class UnknownNReserve:
     z_star: float
 
 
-def optimal_unknown_n_reserve(G: Dist, price_tol: float = 1e-6) -> UnknownNReserve:
+def optimal_unknown_n_reserve(G: Dist) -> UnknownNReserve:
     """Reserve maximizing the any-number-of-bidders guarantee."""
 
     candidates = np.unique(np.concatenate([[0.0], G.xs]))
     r_best, v_best = _maximize(
-        lambda rs: unknown_n_bound(rs, G), candidates, scan=128, price_tol=price_tol
+        lambda rs: unknown_n_bound(rs, G), candidates, scan=128, price_tol=_UNKNOWN_N_PRICE_TOL
     )
     return UnknownNReserve(r_best, v_best, z_star(float(G.cdf_left(r_best))))
 

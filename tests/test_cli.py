@@ -138,9 +138,31 @@ REFUSED = {
     "fractional_k": ("invert", {"n": 3, "k": 2.7, "G": UNIF_LIT, "grid": 64}),
     "fractional_grid": ("invert", {"n": 3, "k": 2, "G": UNIF_LIT, "grid": 100.9}),
     "boolean_n": ("invert", {"n": True, "k": 1, "G": UNIF_LIT, "grid": 64}),
+    "string_n": ("invert", {"n": "3", "k": 2, "G": UNIF_LIT, "grid": 64}),
     "fractional_units": (
         "worstcase", {"n": 4, "k": 3, "G": UNIF_LIT, "grid": 64,
                       "mechanism": {"type": "multi_unit", "units": 2.5}}),
+    # mechanism numbers are read like distribution parameters: finite JSON numbers only
+    "nan_reserve": (
+        "worstcase", {"n": 3, "k": 2, "G": UNIF_LIT, "grid": 64,
+                      "mechanism": {"type": "spa", "reserve": float("nan")}}),
+    "infinite_price": (
+        "worstcase", {"n": 3, "k": 2, "G": UNIF_LIT, "grid": 64,
+                      "mechanism": {"type": "posted_price", "price": float("inf")}}),
+    "nan_click_rate": (
+        "reserve", {"n": 4, "k": 3, "G": UNIF_LIT, "grid": 64,
+                    "family": {"type": "laddered", "click_rates": [1, float("nan")]}}),
+    "boolean_price": (
+        "worstcase", {"n": 3, "k": 2, "G": UNIF_LIT, "grid": 64,
+                      "mechanism": {"type": "posted_price", "price": True}}),
+    "string_reserve": (
+        "worstcase", {"n": 3, "k": 2, "G": UNIF_LIT, "grid": 64,
+                      "mechanism": {"type": "spa", "reserve": "0.5"}}),
+    "string_lo": ("invert", {"n": 3, "k": 2, "G": {"family": "uniform", "lo": "0", "hi": True}, "grid": 64}),
+    # malformed shapes are refused before any iteration or indexing
+    "product_not_a_list": (
+        "simulate", {"product": 5, "mechanism": {"type": "spa"}, "samples": 10, "seed": 1}),
+    "empty_table": ("invert", {"n": 3, "k": 2, "G": {"family": "table"}, "grid": 64}),
 }
 
 

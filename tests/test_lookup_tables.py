@@ -1,13 +1,44 @@
-"""The table-driven ``Dist.quantile``, ``VirtualValueFn.eval`` and the
-thresholds against the per-point implementations they replaced, copied below
-verbatim: the Monte Carlo path must draw the same values and pay the same
-amounts bit for bit."""
+"""The table-driven ``Dist.cdf``, ``Dist.cdf_left``, ``Dist.quantile``,
+``VirtualValueFn.eval`` and the thresholds against the per-point
+implementations they replaced, copied below verbatim: the closed forms must
+read the same CDFs, and the Monte Carlo path must draw the same values and
+pay the same amounts, bit for bit."""
 
 import numpy as np
 import pytest
 
 from osauction import dist as D
 from conftest import random_discrete_dist, random_mixed_dist
+
+
+def reference_cdf(self, v):
+    """Right-continuous CDF, clamped to {0, 1} outside the support."""
+    v = np.asarray(v, dtype=np.float64)
+    i = np.searchsorted(self.xs, v, side="right") - 1
+    i_c = np.maximum(i, 0)
+    x0 = self.xs[i_c]
+    f0 = self.f_right[i_c]
+    i_next = np.minimum(i_c + 1, len(self.xs) - 1)
+    x1 = self.xs[i_next]
+    f1 = self.f_left[i_next]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        t = np.where(x1 > x0, (v - x0) / np.where(x1 > x0, x1 - x0, 1.0), 0.0)
+    out = f0 + np.minimum(np.maximum(t, 0.0), 1.0) * (f1 - f0)
+    out = np.where(i < 0, 0.0, out)
+    out = np.where(v >= self.xs[-1], 1.0, out)
+    return out if out.ndim else float(out)
+
+
+def reference_cdf_left(self, v):
+    """Left limit F(v-) = Pr(value < v)."""
+    v = np.asarray(v, dtype=np.float64)
+    i = np.searchsorted(self.xs, v, side="left")
+    i_c = np.minimum(i, len(self.xs) - 1)
+    at_knot = (self.xs[i_c] == v) & (i < len(self.xs))
+    out = np.where(at_knot, self.f_left[i_c], reference_cdf(self, v))
+    out = np.where(v < self.xs[0], 0.0, out)
+    out = np.where(v > self.xs[-1], 1.0, out)
+    return out if out.ndim else float(out)
 
 
 def reference_quantile(self, q):
@@ -113,6 +144,36 @@ def test_quantile_matches_reference(name):
         got = d.quantile(x)
         assert type(got) is float and got == reference_quantile(d, x)
     assert d.quantile(np.empty(0)).shape == (0,)
+
+
+@pytest.mark.parametrize("name", list(DISTS))
+def test_cdf_matches_reference(name):
+    d = DISTS[name]
+    lo, hi = d.support_lo, d.support_hi
+    rng = np.random.default_rng(len(name))
+    v = np.concatenate([
+        d.xs, rng.uniform(lo, hi, 2000),
+        [lo - 1.0, hi + 1.0, -1.0, 0.0, 1e9, -np.inf, np.inf],
+    ])
+    v = np.concatenate([v, np.nextafter(v, -np.inf), np.nextafter(v, np.inf)])
+    for got, want in ((d.cdf, reference_cdf), (d.cdf_left, reference_cdf_left)):
+        with np.errstate(over="ignore"):  # the reference past the top of the support
+            want_flat, want_2d = want(d, v), want(d, v.reshape(3, -1))
+        assert_bitwise(got(v), want_flat)
+        assert_bitwise(got(v.reshape(3, -1)), want_2d)
+        assert_bitwise(got(v[::-2]), want_flat[::-2])
+        for x in (lo, hi, lo - 1.0, hi + 1.0, float(v[5]), float(d.xs[len(d.xs) // 2])):
+            out = got(x)
+            assert type(out) is float and np.float64(out).tobytes() == np.float64(want(d, x)).tobytes()
+
+
+def test_cdf_left_reads_f_left_at_a_knot():
+    # on the segment entering knot 2, lower + (f_left - lower) rounds away from f_left
+    lo, up = 0.36773300555455796, 0.9679261899246464
+    d = D.Dist(np.array([0.0, 1.0, 2.0]), np.array([0.0, lo, up]), np.array([0.0, lo, 1.0]))
+    assert lo + (up - lo) != up
+    assert_bitwise(d.cdf_left(d.xs), d.f_left)
+    assert_bitwise(d.cdf_left(d.xs), reference_cdf_left(d, d.xs))
 
 
 @pytest.mark.parametrize("q", [-1e-300, -0.5, 1.0 + 1e-15, 2.0, [0.5, -0.1], [[0.2], [1.5]]])

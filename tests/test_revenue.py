@@ -428,6 +428,37 @@ class TestUnknownN:
                 assert z * (1 - math.log(z)) == pytest.approx(g, abs=1e-12)
 
 
+def reference_myerson_iid_revenue(base, n):
+    """The per-level loop ``myerson_iid_revenue`` replaced: group atoms by
+    ironed virtual value and weight each positive level by the chance that
+    it is the highest one."""
+    phi_fn = D.virtual_values(base)
+    levels = {}
+    for v, m in base.atoms:
+        p = float(phi_fn.eval(v))
+        levels[p] = levels.get(p, 0.0) + m
+    phis = sorted(levels)
+    cum = np.concatenate([[0.0], np.cumsum([levels[p] for p in phis])])
+    cum = cum / cum[-1]
+    return sum(p * (cum[t + 1] ** n - cum[t] ** n) for t, p in enumerate(phis) if p > 0)
+
+
+class TestMyersonIIDRevenue:
+    def test_matches_per_level_loop(self):
+        # the dot product sums per atom where the loop summed per level:
+        # only rounding may differ, a few ulps of the result
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            base = random_discrete_dist(rng, max_atoms=8)
+            for n in (1, 2, 3, 5, 10):
+                want = reference_myerson_iid_revenue(base, n)
+                assert R.myerson_iid_revenue(base, n) == pytest.approx(want, rel=64 * np.finfo(float).eps, abs=0.0)
+
+    def test_refuses_continuous_base(self):
+        with pytest.raises(ValueError):
+            R.myerson_iid_revenue(UNIF, 3)
+
+
 class TestSandwich:
     def test_requires_second_statistic(self):
         with pytest.raises(ValueError):
