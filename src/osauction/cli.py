@@ -33,6 +33,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_UNSUPPORTED = 3
 
+# size caps, refused before anything is allocated
+MAX_SIZE = 10**6  # bidders n, and a multi-unit auction's units
+MAX_DRAWS = 2**25  # values one simulate request draws: samples x bidders
+
 
 class ConfigError(ValueError):
     pass
@@ -81,14 +85,17 @@ def _require(cfg: dict, key: str):
     return cfg[key]
 
 
-def _integer(name: str, value) -> int:
-    """``value`` as an int; bools, strings and non-integral numbers are
-    refused, an integral float such as 1000.0 is taken."""
+def _integer(name: str, value, most: int | None = None) -> int:
+    """``value`` as an int, at most ``most`` when given; bools, strings and
+    non-integral numbers are refused, an integral float such as 1000.0 is
+    taken."""
     if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        return int(value)
-    raise ConfigError(f"{name} must be an integer, got {value!r}")
+        value = int(value)
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if most is not None and value > most:
+        raise ConfigError(f"{name} must be at most {most}, got {value}")
+    return int(value)
 
 
 def _grid(args, cfg: dict) -> int:
@@ -97,7 +104,7 @@ def _grid(args, cfg: dict) -> int:
 
 def _spec_from_config(cfg: dict, grid: int) -> AmbiguitySpec:
     try:
-        n = _integer("n", _require(cfg, "n"))
+        n = _integer("n", _require(cfg, "n"), MAX_SIZE)
         k = _integer("k", _require(cfg, "k"))
         G = from_literal(_require(cfg, "G"), grid=grid)
         return AmbiguitySpec(n, k, G)
@@ -119,7 +126,7 @@ def _mechanism_from_config(obj, grid: int) -> M.Mechanism:
         if t == "spa":
             return M.SPAReserve(reserve())
         if t == "multi_unit":
-            return M.MultiUnit(_integer("units", obj["units"]), reserve())
+            return M.MultiUnit(_integer("units", obj["units"], MAX_SIZE), reserve())
         if t == "laddered":
             return M.Laddered(tuple(_finite(a, "click rate") for a in obj["click_rates"]), reserve())
         if t == "myerson":
@@ -132,15 +139,16 @@ def _mechanism_from_config(obj, grid: int) -> M.Mechanism:
         raise ConfigError(f"bad mechanism spec: {e}") from None
 
 
-def _family_from_config(obj, grid: int):
-    if obj in ("spa", "posted_price"):
-        return obj
+def _family_from_config(obj, grid: int) -> M.Mechanism:
+    """The family's mechanism; the reserve search sets its reserve."""
+    if obj == "spa":
+        return M.SPAReserve(0.0)
+    if obj == "posted_price":
+        return M.PostedPrice(0.0)
     if isinstance(obj, dict) and obj.get("type") in ("multi_unit", "laddered"):
-        # built once here so a malformed family is refused before any inversion
-        mech = _mechanism_from_config(obj, grid)
-        if isinstance(mech, M.MultiUnit):
-            return ("multi_unit", mech.units)
-        return ("laddered", mech.click_rates)
+        if "reserve" in obj:
+            raise ConfigError("a family takes no 'reserve': the search sets it")
+        return _mechanism_from_config(obj, grid)
     raise ConfigError(f"unknown mechanism family {obj!r}")
 
 
@@ -165,11 +173,14 @@ def cmd_invert(args) -> int:
 def cmd_reserve(args) -> int:
     cfg = _load_config(args.config)
     grid = _grid(args, cfg)
-    family = _family_from_config(_require(cfg, "family"), grid)
+    family_field = _require(cfg, "family")
+    family = _family_from_config(family_field, grid)
     n_field = _require(cfg, "n")
     if n_field == "unknown":
-        if family != "spa":
+        if family_field != "spa":
             raise ConfigError("the any-number-of-bidders bound is for the 'spa' family")
+        if _integer("k", cfg.get("k", 2)) != 2:
+            raise ConfigError("the any-number-of-bidders bound observes the second-highest value: k must be 2")
         res = R.optimal_unknown_n_reserve(from_literal(_require(cfg, "G"), grid=grid))
         _write_csv(
             args.out,
@@ -189,7 +200,7 @@ def cmd_reserve(args) -> int:
         args.out,
         ("family", "mode", "reserve", "worst_case_revenue", "regular_above_reserve", "certificate"),
         [(
-            family if isinstance(family, str) else family[0],
+            family_field if isinstance(family_field, str) else family_field["type"],
             f"n={spec.n}",
             res.reserve,
             res.worst_case_revenue,
@@ -252,11 +263,14 @@ def cmd_simulate(args) -> int:
         raise ConfigError("simulate needs a sample count (config 'samples' or --samples)")
     if not isinstance(cfg.get("product"), list):
         raise ConfigError("simulate needs 'product': a list of distribution literals")
+    samples, seed = _integer("samples", samples), _integer("seed", seed)
+    if samples * len(cfg["product"]) > MAX_DRAWS:
+        raise ConfigError(f"simulate draws samples x bidders values, at most {MAX_DRAWS}")
     pd = ProductDist(tuple(from_literal(lit, grid=grid) for lit in cfg["product"]))
     mechanism = _mechanism_from_config(_require(cfg, "mechanism"), grid)
     if isinstance(mechanism, M.MyersonIID) and mechanism.base is None:
         raise ConfigError("simulate needs an explicit 'base' for the myerson mechanism")
-    report = R.mc_expected_revenue(mechanism, pd, _integer("samples", samples), _integer("seed", seed))
+    report = R.mc_expected_revenue(mechanism, pd, samples, seed)
     row = report.as_row()
     _write_csv(args.out, tuple(row), [tuple(row.values())])
     return EXIT_OK

@@ -270,6 +270,8 @@ def _from_family(cdf, ppf, grid: int, label: str, floor: float | None = None, ta
         xs_q = np.maximum(xs_q, floor)
     xs = np.unique(np.concatenate([xs_q, np.linspace(lo, hi, half + 1)]))
     c = np.asarray(cdf(xs), dtype=np.float64)
+    if not (hi > lo and c[-1] > c[0]):  # fewer than two knots, or no mass between them
+        raise ValueError(f"{label} has no spread to discretize: its kept window is [{lo:g}, {hi:g}]")
     f = (c - c[0]) / (c[-1] - c[0])  # condition on the kept window
     f = np.maximum.accumulate(np.clip(f, 0.0, 1.0))
     f[-1] = 1.0
@@ -318,22 +320,23 @@ def normal(mean: float, sd: float, grid: int = 4096, tail: float = _FAMILY_TAIL)
     )
 
 
-_MIN_GRID = 16
+_MIN_GRID, _MAX_GRID = 16, 2**20
 
 
 def from_literal(spec, grid: int = 4096) -> Dist:
     """Parse the distribution literal format used in config files.
 
-    Parameters must be finite numbers (not bools or strings) and ``grid`` at
-    least 16; anything else raises ValueError rather than yielding a
-    degenerate distribution.
+    Parameters must be finite numbers (not bools or strings), a table's
+    ``knots`` and ``atoms`` lists of number pairs, and ``grid`` between 16 and
+    2**20; anything else raises ValueError rather than yielding a degenerate
+    distribution.
     """
     if isinstance(spec, Dist):
         return spec
     if not isinstance(spec, dict) or "family" not in spec:
         raise ValueError(f"distribution literal must be a dict with a 'family' key, got {spec!r}")
-    if grid < _MIN_GRID:
-        raise ValueError(f"grid must be at least {_MIN_GRID}, got {grid}")
+    if not _MIN_GRID <= grid <= _MAX_GRID:
+        raise ValueError(f"grid must lie between {_MIN_GRID} and {_MAX_GRID}, got {grid}")
     fam = spec["family"]
 
     def num(name: str) -> float:
@@ -354,11 +357,14 @@ def from_literal(spec, grid: int = 4096) -> Dist:
     if fam == "atom":
         return point_mass(num("v"))
     if fam == "table":
-        knots, atoms = (
-            [tuple(_finite(x, f"table {key} entry") for x in pair) for pair in spec.get(key, [])]
-            for key in ("knots", "atoms")
-        )
-        return from_table(knots, atoms)
+
+        def pairs(key: str) -> list[tuple[float, float]]:
+            rows = spec.get(key, [])
+            if not isinstance(rows, (list, tuple)) or any(not isinstance(p, (list, tuple)) or len(p) != 2 for p in rows):
+                raise ValueError(f"table {key!r} must be a list of [value, number] pairs")
+            return [tuple(_finite(x, f"table {key} entry") for x in p) for p in rows]
+
+        return from_table(pairs("knots"), pairs("atoms"))
     raise ValueError(f"unknown distribution family {fam!r}")
 
 

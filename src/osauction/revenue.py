@@ -229,16 +229,15 @@ def mc_expected_revenue(
 # -- robust evaluation ----------------------------------------------------------
 
 
-def worst_case_revenue_topk(mechanism: M.Mechanism, spec: AmbiguitySpec, grid: int = 4096) -> float:
-    """Worst-case expected revenue over all product distributions consistent
-    with the observed k-th order statistic.
+def _worst_case_law(mechanism: M.Mechanism, spec: AmbiguitySpec, grid: int) -> Dist:
+    """The law at which ``mechanism``'s worst case over the ambiguity set is
+    attained.
 
-    For a mechanism separable across its top k' <= k order statistics the
-    minimum is attained at the consistent i.i.d. distribution, so the worst
-    case is an exact closed-form evaluation there. Mechanisms outside that
-    class (Myerson with ironing) are refused: for k < n their worst case is
-    not at the i.i.d. point and evaluating there would overstate the
-    guarantee, and at k = n no exact evaluation of it is implemented.
+    For a mechanism separable across its top k' <= k order statistics that is
+    the consistent i.i.d. distribution. Mechanisms outside that class
+    (Myerson with ironing) are refused: for k < n their worst case is not at
+    the i.i.d. point and evaluating there would overstate the guarantee, and
+    at k = n no exact evaluation of it is implemented.
     """
     kc = M.topk_class(mechanism)
     if kc is None and spec.k == spec.n:
@@ -258,8 +257,14 @@ def worst_case_revenue_topk(mechanism: M.Mechanism, spec: AmbiguitySpec, grid: i
             f"mechanism needs the top {kc} order statistics but only the "
             f"{spec.k}-th is observed"
         )
-    fbar = consistent_iid(spec, grid=grid)
-    return closed_form_revenue(mechanism, iid(fbar, spec.n))
+    return consistent_iid(spec, grid=grid)
+
+
+def worst_case_revenue_topk(mechanism: M.Mechanism, spec: AmbiguitySpec, grid: int = 4096) -> float:
+    """Worst-case expected revenue over all product distributions consistent
+    with the observed k-th order statistic: an exact closed-form evaluation
+    at ``_worst_case_law``."""
+    return closed_form_revenue(mechanism, iid(_worst_case_law(mechanism, spec, grid), spec.n))
 
 
 @dataclass(frozen=True)
@@ -269,20 +274,6 @@ class ReserveResult:
     regular_above_reserve: bool
     monopoly_price: float
     optimality_certified: bool
-
-
-def _family_mechanism(family) -> M.Mechanism:
-    """The zero-reserve member of a reserve-parameterized family; every member
-    shares its payment weights."""
-    if family == "posted_price":
-        return M.PostedPrice(0.0)
-    if family == "spa":
-        return M.SPAReserve(0.0)
-    if isinstance(family, tuple) and len(family) == 2 and family[0] == "multi_unit":
-        return M.MultiUnit(int(family[1]))
-    if isinstance(family, tuple) and len(family) == 2 and family[0] == "laddered":
-        return M.Laddered(tuple(family[1]))
-    raise ValueError(f"unknown mechanism family {family!r}")
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -332,8 +323,9 @@ def _maximize(objective, candidates: np.ndarray, scan: int, price_tol: float) ->
     return r_best, v_best
 
 
-def optimal_robust_reserve(spec: AmbiguitySpec, family, grid: int = 4096) -> ReserveResult:
-    """Maximize the worst-case revenue of a reserve-parameterized family.
+def optimal_robust_reserve(spec: AmbiguitySpec, family: M.Mechanism, grid: int = 4096) -> ReserveResult:
+    """Maximize the worst-case revenue of a separable mechanism over its
+    reserve (a posted price's price), which replaces ``family``'s own.
 
     Candidates are the knots of the consistent i.i.d. distribution, all
     scored in one array pass of the separable evaluator, refined by a scan
@@ -343,26 +335,19 @@ def optimal_robust_reserve(spec: AmbiguitySpec, family, grid: int = 4096) -> Res
     implementation, as the second-price family does), the returned reserve is
     robustly optimal among all mechanisms, not merely within the family.
     """
-    mech = _family_mechanism(family)
-    kc = M.topk_class(mech)
-    if kc > spec.k:
-        raise ValueError(
-            f"family needs the top {kc} order statistics but only the "
-            f"{spec.k}-th is observed"
-        )
-    _, a, b = M.separable_form(mech)
-    fbar = consistent_iid(spec, grid=grid)
+    fbar = _worst_case_law(family, spec, grid)
+    _, a, b = M.separable_form(family)
     revenue = _separable_revenue(a, b, iid(fbar, spec.n))
     candidates = np.unique(np.concatenate([[0.0], fbar.xs]))
     r_best, v_best = _maximize(revenue, candidates, scan=64, price_tol=_ROBUST_PRICE_TOL)
     report = is_regular_above_reserve(fbar)
-    certified = report.regular_above_reserve and family == "spa"
+    certified = report.regular_above_reserve and isinstance(family, M.SPAReserve)
     return ReserveResult(
         reserve=r_best,
         worst_case_revenue=v_best,
         regular_above_reserve=report.regular_above_reserve,
         monopoly_price=report.monopoly_price,
-        optimality_certified=bool(certified or (family == "posted_price" and spec.k == 1)),
+        optimality_certified=bool(certified or (isinstance(family, M.PostedPrice) and spec.k == 1)),
     )
 
 
@@ -457,7 +442,7 @@ def robust_sandwich(
     upper one."""
     if spec.k < 2:
         raise ValueError("sandwich bounds need k >= 2")
-    res = optimal_robust_reserve(spec, "spa", grid=grid)
+    res = optimal_robust_reserve(spec, M.SPAReserve(0.0), grid=grid)
     fbar = consistent_iid(spec, grid=grid)
     if fbar.is_discrete:
         upper = myerson_iid_revenue(fbar, spec.n)

@@ -163,6 +163,30 @@ REFUSED = {
     "product_not_a_list": (
         "simulate", {"product": 5, "mechanism": {"type": "spa"}, "samples": 10, "seed": 1}),
     "empty_table": ("invert", {"n": 3, "k": 2, "G": {"family": "table"}, "grid": 64}),
+    # the search sets a family's reserve, so one given in the config is refused
+    "family_with_reserve": (
+        "reserve", {"n": 4, "k": 3, "G": UNIF_LIT, "grid": 64,
+                    "family": {"type": "multi_unit", "units": 2, "reserve": 0.3}}),
+    # the any-number-of-bidders bound reads G as the second-highest value
+    "unknown_n_third_statistic": ("reserve", {"n": "unknown", "k": 3, "G": UNIF_LIT, "family": "spa", "grid": 64}),
+    # a table's knots and atoms are lists of [value, number] pairs
+    "table_knots_not_a_list": (
+        "reserve", {"n": "unknown", "k": 2, "G": {"family": "table", "knots": 5}, "family": "spa", "grid": 64}),
+    "product_table_knots_not_a_list": (
+        "simulate", {"product": [{"family": "table", "knots": 5}], "mechanism": {"type": "spa"},
+                     "samples": 10, "seed": 1, "grid": 64}),
+    # a family whose kept window holds a single value is not a distribution to discretize
+    "beta_without_spread": ("invert", {"n": 3, "k": 2, "G": {"family": "beta", "a": 1e30, "b": 3}, "grid": 64}),
+    "normal_without_spread": (
+        "invert", {"n": 3, "k": 2, "G": {"family": "normal", "mean": 1e17, "sd": 1}, "grid": 64}),
+    # size caps, refused before anything is allocated
+    "n_past_cap": (
+        "worstcase", {"n": 1e30, "k": 2, "G": UNIF_LIT, "mechanism": {"type": "spa"}, "grid": 64}),
+    "integer_n_past_cap": ("reserve", {"n": 10**30, "k": 2, "G": UNIF_LIT, "family": "spa", "grid": 64}),
+    "units_past_cap": (
+        "worstcase", {"n": 4, "k": 3, "G": UNIF_LIT, "mechanism": {"type": "multi_unit", "units": 1e30}, "grid": 64}),
+    "draws_past_cap": (
+        "simulate", {"product": [UNIF_LIT, UNIF_LIT], "mechanism": {"type": "spa"}, "samples": 10**12, "seed": 1}),
 }
 
 

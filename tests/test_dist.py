@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -403,6 +404,31 @@ class TestLiterals:
         with pytest.raises(ValueError, match="grid"):
             D.from_literal({"family": "exponential", "rate": 1}, grid=grid)
         assert D.from_literal({"family": "exponential", "rate": 1}, grid=16).xs.size > 2
+
+    def test_grid_above_cap_rejected(self):
+        lit = {"family": "uniform", "lo": 0, "hi": 1}  # allocates nothing grid-sized
+        with pytest.raises(ValueError, match="grid"):
+            D.from_literal(lit, grid=2**20 + 1)
+        assert D.from_literal(lit, grid=2**20).xs.size == 2
+
+    @pytest.mark.parametrize(
+        "lit, field",
+        [
+            ({"family": "table", "knots": 5}, "table 'knots'"),
+            ({"family": "table", "knots": [[0, 0, 1], [1, 1]]}, "table 'knots'"),
+            ({"family": "table", "atoms": [0.5]}, "table 'atoms'"),
+            ({"family": "table", "atoms": {"0.5": 1}}, "table 'atoms'"),
+            # the kept window of these holds a single value
+            ({"family": "beta", "a": 1e30, "b": 3}, r"beta\(1e\+30,3\)"),
+            ({"family": "normal", "mean": 1e17, "sd": 1}, r"normal\(1e\+17,1\)"),
+        ],
+        ids=["knots_not_a_list", "knot_triple", "atom_not_a_pair", "atoms_a_dict", "beta_point", "normal_point"],
+    )
+    def test_malformed_literal_names_its_field(self, lit, field):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused, not computed through 0/0
+            with pytest.raises(ValueError, match=field):
+                D.from_literal(lit, grid=64)
 
     def test_beta_cdf_matches_closed_form(self):
         d = D.beta_dist(2, 2, grid=4096)

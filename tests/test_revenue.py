@@ -101,6 +101,12 @@ class TestClosedFormsAgainstMC:
         assert abs(rep.expected_revenue - got) <= 4 * rep.mc_stderr
 
 
+# the zero-reserve member of each reserve family; the ids are the ones these
+# cases have always been reported under
+FAMILIES = [M.PostedPrice(0.0), M.SPAReserve(0.0), M.MultiUnit(2), M.Laddered((1.0, 0.6, 0.2))]
+FAMILY_IDS = ["posted_price", "spa", "family2", "family3"]
+
+
 def _at_reserve(mech, r):
     if isinstance(mech, M.PostedPrice):
         return M.PostedPrice(r)
@@ -134,21 +140,20 @@ class TestSeparableForm:
         with pytest.raises(ValueError, match="more bidders than units"):
             R.mc_expected_revenue(M.MultiUnit(2, 0.0), OS.iid(UNIF, 2), 100, 1)
 
-    @pytest.mark.parametrize("family", ["posted_price", "spa", ("multi_unit", 2), ("laddered", (1.0, 0.6, 0.2))])
+    @pytest.mark.parametrize("family", FAMILIES, ids=FAMILY_IDS)
     @pytest.mark.parametrize("product", ["iid", "heterogeneous"])
     def test_batched_objective_matches_closed_form(self, family, product):
         if product == "iid":
             pd = OS.iid(OS.consistent_iid(OS.AmbiguitySpec(4, 3, UNIF), grid=64), 4)
         else:
             pd = OS.ProductDist((UNIF, F_DISC, D.two_point(0.2, 0.4, 1.5), D.exponential(2.0, grid=64)))
-        mech = R._family_mechanism(family)
-        _, a, b = M.separable_form(mech)
+        _, a, b = M.separable_form(family)
         candidates = np.unique(np.concatenate([[0.0], pd.merged_knots()]))
         got = R._separable_revenue(a, b, pd)(candidates)
-        want = [R.closed_form_revenue(_at_reserve(mech, float(r)), pd) for r in candidates]
+        want = [R.closed_form_revenue(_at_reserve(family, float(r)), pd) for r in candidates]
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
-    @pytest.mark.parametrize("family", ["posted_price", "spa", ("multi_unit", 2), ("laddered", (1.0, 0.6, 0.2))])
+    @pytest.mark.parametrize("family", FAMILIES, ids=FAMILY_IDS)
     @pytest.mark.parametrize(
         "G",
         [UNIF, D.exponential(1.0, grid=256), BERN, D.from_table([(0.5, 0.0), (1.5, 0.6)], atoms=[(2.0, 0.4)])],
@@ -157,14 +162,13 @@ class TestSeparableForm:
     def test_iid_closed_form_matches_heterogeneous_path(self, family, G):
         # one Dist object repeated takes the incomplete-beta path; n equal but
         # distinct objects take the Poisson-binomial + Gauss-Legendre one
-        mech = R._family_mechanism(family)
         for n in (3, 8, 25):
             f = OS.consistent_iid(OS.AmbiguitySpec(n, 2, G), grid=256)
             twins = OS.ProductDist(tuple(D.Dist(f.xs, f.f_left, f.f_right) for _ in range(n)))
             assert twins.common is None
             mid = 0.5 * (f.xs[len(f.xs) // 3] + f.xs[len(f.xs) // 3 + 1])
             for r in (0.0, float(f.xs[len(f.xs) // 2]), float(mid), f.support_hi + 1.0):
-                m = _at_reserve(mech, r)
+                m = _at_reserve(family, r)
                 assert R.closed_form_revenue(m, OS.iid(f, n)) == pytest.approx(
                     R.closed_form_revenue(m, twins), rel=0.0, abs=1e-12
                 )
@@ -348,14 +352,14 @@ class TestWorstCase:
 
 class TestOptimalReserve:
     def test_posted_price_first_statistic_monopoly(self):
-        res = R.optimal_robust_reserve(OS.AmbiguitySpec(3, 1, UNIF), "posted_price")
+        res = R.optimal_robust_reserve(OS.AmbiguitySpec(3, 1, UNIF), M.PostedPrice(0.0))
         assert res.reserve == pytest.approx(0.5, abs=1e-2)
         assert res.worst_case_revenue == pytest.approx(0.25, abs=1e-6)
         assert res.optimality_certified
 
     def test_spa_uniform_against_grid_search(self):
         spec = OS.AmbiguitySpec(5, 2, UNIF)
-        res = R.optimal_robust_reserve(spec, "spa", grid=512)
+        res = R.optimal_robust_reserve(spec, M.SPAReserve(0.0), grid=512)
         fbar = OS.consistent_iid(spec, grid=512)
         pd = OS.iid(fbar, 5)
         grid_best = max(
@@ -365,23 +369,23 @@ class TestOptimalReserve:
 
     def test_spa_bernoulli_reserve_is_top_atom(self):
         for n in (2, 3, 5):
-            res = R.optimal_robust_reserve(OS.AmbiguitySpec(n, 2, BERN), "spa")
+            res = R.optimal_robust_reserve(OS.AmbiguitySpec(n, 2, BERN), M.SPAReserve(0.0))
             assert res.reserve == pytest.approx(1.0, abs=1e-9)
             u = OS.h_inverse(n, 2, 0.5)
             assert res.worst_case_revenue == pytest.approx(1 - u**n, abs=1e-10)
 
     def test_multiunit_family(self):
         res = R.optimal_robust_reserve(
-            OS.AmbiguitySpec(4, 3, UNIF), ("multi_unit", 2), grid=256
+            OS.AmbiguitySpec(4, 3, UNIF), M.MultiUnit(2), grid=256
         )
         assert 0.0 <= res.reserve <= 1.0
         assert res.worst_case_revenue > 0
 
     def test_family_must_fit_observation(self):
         with pytest.raises(ValueError):
-            R.optimal_robust_reserve(OS.AmbiguitySpec(3, 1, UNIF), "spa")
+            R.optimal_robust_reserve(OS.AmbiguitySpec(3, 1, UNIF), M.SPAReserve(0.0))
         with pytest.raises(ValueError):
-            R.optimal_robust_reserve(OS.AmbiguitySpec(4, 2, UNIF), ("multi_unit", 2))
+            R.optimal_robust_reserve(OS.AmbiguitySpec(4, 2, UNIF), M.MultiUnit(2))
 
 
 class TestUnknownN:
