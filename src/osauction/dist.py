@@ -547,13 +547,15 @@ class VirtualValueFn:
     def __post_init__(self):
         for name in ("bp", "phi_lo", "phi_hi"):
             object.__setattr__(self, name, _as_readonly(getattr(self, name)))
-        # per piece: its width, its rise in virtual value, and the rise to
-        # divide by; a piece without width gets width 1 and rise 0 * rise, so
-        # it adds what weight 0 adds, and a piece without rise divides by 1
+        # per piece: its width, its rise in virtual value, and the rise a
+        # threshold divides by. As in ``Dist.segments``, a piece without width
+        # gets width 1 and no rise (0 times its rise, so it adds what weight 0
+        # adds), and a piece without rise divides by inf: a level inside it
+        # maps to its left end
         width = self.bp[1:] - self.bp[:-1]
         with np.errstate(invalid="ignore"):  # a piece at -inf has no rise
-            rise = np.where(width > 0, self.phi_hi - self.phi_lo, 0.0 * (self.phi_hi - self.phi_lo))
-        object.__setattr__(self, "_pieces", (np.where(width > 0, width, 1.0), rise, np.where(rise > 0, rise, 1.0)))
+            rise = (self.phi_hi - self.phi_lo) * (width > 0)
+        object.__setattr__(self, "_pieces", (np.where(width > 0, width, 1.0), rise, np.where(rise > 0, rise, np.inf)))
 
     def eval(self, v):
         """Ironed virtual value at v (vectorized)."""
@@ -576,13 +578,14 @@ class VirtualValueFn:
         out = np.empty(t.shape)
         past = np.ones(t.shape, dtype=bool)
         if len(self.phi_hi):
-            width, rise, divisor = self._pieces
+            width, _, divisor = self._pieces
             j = np.searchsorted(self.phi_hi, t, side="right" if strict else "left")
             past = j >= len(self.phi_hi)
             j = np.minimum(j, len(self.phi_hi) - 1)
             lo = self.phi_lo[j]
-            frac = np.where(rise[j] > 0, (t - lo) / divisor[j], 0.0)
-            out = np.where(lo > t if strict else lo >= t, self.bp[j], self.bp[j] + np.clip(frac, 0, 1) * width[j])
+            with np.errstate(invalid="ignore"):  # an infinite level at a piece without rise
+                frac = np.clip((t - lo) / divisor[j], 0, 1)
+            out = np.where(lo > t if strict else lo >= t, self.bp[j], self.bp[j] + frac * width[j])
         top_hit = self.phi_top > t if strict else self.phi_top >= t
         out = np.where(past, np.where(top_hit, self.support_hi, np.maximum(self.support_hi, t)), out)
         return out if out.ndim else float(out)

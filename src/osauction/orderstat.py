@@ -151,11 +151,14 @@ def _polish_deep_root(a: int, k: int, g: np.ndarray, x: np.ndarray) -> np.ndarra
     below the root and increase monotonically; a step that leaves the bracket
     anyway (rounding) is replaced by bisection of the bracket in log u.
     log I_u is ``_log_betainc``, accurate where ``betainc`` is not; the root
-    moves by its error over a.
+    moves by its error over a. An entry stops at its own last step, so its
+    root does not depend on the batch it is solved in.
     """
     from scipy.special import betaln
 
     log_g, log_b = np.log(g), betaln(a, k)
+    root = x.copy()
+    live = np.arange(x.size)  # the entries still stepping
     lo, hi = x, np.zeros(x.shape)  # log u brackets the root
     for _ in range(100):
         u = np.exp(x)
@@ -167,11 +170,12 @@ def _polish_deep_root(a: int, k: int, g: np.ndarray, x: np.ndarray) -> np.ndarra
             step = x - f / slope
         lo, hi = np.where(f <= 0.0, x, lo), np.where(f > 0.0, x, hi)
         nxt = np.where((step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
-        done = np.abs(nxt - x) <= 4.0 * np.finfo(float).eps * np.abs(x)
-        x = nxt
-        if np.all(done):
+        root[live] = nxt
+        going = ~(np.abs(nxt - x) <= 4.0 * np.finfo(float).eps * np.abs(x))
+        if not going.any():
             break
-    return np.exp(x)
+        live, x, lo, hi, log_g = live[going], nxt[going], lo[going], hi[going], log_g[going]
+    return np.exp(root)
 
 
 _REFINE_MASS = 1.0 / 64.0

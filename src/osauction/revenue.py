@@ -11,16 +11,21 @@ needs no random draw and works for any number of bidders. Monte Carlo
 values are bidder-major, one row per bidder and one column per sample, so
 the kernels reduce over contiguous rows; each row is drawn through
 ``Dist.quantile`` and scored through ``VirtualValueFn.eval``, which read
-per-segment tables built once per instance. The evaluator's
-order-statistic terms come from ``orderstat``: Pr(v_(i) >= r) for the top
-rows at once, and one ``OrderStatTail`` per mechanism for the weighted sum
-of the exact tail integrals of Pr(v_(j) > t). The unknown-n guarantee and its root z* take arrays of
-reserves, so its reserve search scores every candidate in one pass too.
+per-segment tables built once per instance. Samples run in fixed blocks,
+each drawing its own slice of one counter-based stream, on every available
+CPU, and the payments are reduced in sample order, so an estimate does not
+depend on the number of CPUs. The evaluator's order-statistic terms come
+from ``orderstat``: Pr(v_(i) >= r) for the top rows at once, and one
+``OrderStatTail`` per mechanism for the weighted sum of the exact tail
+integrals of Pr(v_(j) > t). The unknown-n guarantee and its root z* take
+arrays of reserves, so its reserve search scores every candidate in one
+pass too.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,11 +139,23 @@ def myerson_iid_revenue(base: Dist, n: int) -> float:
 # -- Monte Carlo ---------------------------------------------------------------
 
 
-def _uniform_matrix(seed: int, samples: int, width: int) -> np.ndarray:
-    # counter-based generator: the draw for sample s and column c is a fixed
-    # function of (seed, s, c), independent of evaluation order
-    gen = np.random.Generator(np.random.Philox(key=seed))
-    return gen.random((samples, width))
+# samples per Monte Carlo block; a multiple of 4, so every block's first draw
+# starts a Philox counter
+_MC_BLOCK = 16384
+
+
+def _uniform_matrix(seed: int, samples: int, width: int, start: int = 0) -> np.ndarray:
+    """Rows ``start`` to ``start + samples`` of the seed's draw matrix.
+
+    The generator is counter-based: the draw for sample s and column c is a
+    fixed function of (seed, s, c), independent of evaluation order. Each
+    counter yields four draws, so ``start * width`` must be a multiple of 4.
+    """
+    if start * width % 4:
+        raise ValueError("the first draw must start a Philox counter")
+    bits = np.random.Philox(key=seed)
+    bits.advance(start * width // 4)
+    return np.random.Generator(bits).random((samples, width))
 
 
 def _myerson_payments(base: Dist, tiebreak: str, values: np.ndarray) -> np.ndarray:
@@ -196,23 +213,62 @@ def _mechanism_payments(mechanism: M.Mechanism, values: np.ndarray) -> np.ndarra
     return total
 
 
+def _available_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def mc_expected_revenue(
     mechanism: M.Mechanism, pd: ProductDist, samples: int, seed: int
 ) -> RevenueReport:
     """Monte Carlo revenue estimate, bit-reproducible for a given
-    (seed, samples): sample s consumes row s of a Philox counter stream."""
+    (seed, samples): sample s consumes row s of a Philox counter stream.
+
+    Samples are drawn and priced in blocks of ``_MC_BLOCK``, each from its own
+    slice of the stream and on as many threads as there are CPUs to run on;
+    numpy releases the GIL in the draws, the searches and the ufuncs. The
+    payments land in one array in sample order, so the estimate does not
+    depend on the number of threads or the order the blocks finish in.
+    """
     if samples < 1:
         raise ValueError("need at least one sample")
     n = pd.n
-    # the last column is unused; it keeps the stream's layout, so every value
-    # column stays the draw it has always been
-    unif = _uniform_matrix(seed, samples, n + 1)
-    # bidder-major: row j holds bidder j's draws, then its values
-    values = unif[:, :n].T.copy()
-    del unif
-    for row, component in zip(values, pd.components):
-        row[:] = component.quantile(row)
-    payments = _mechanism_payments(mechanism, values)
+    # refuse, and build the memos the blocks share, before any block runs, so
+    # that no two threads build one
+    if isinstance(mechanism, M.MyersonIID):
+        virtual_values(mechanism.base)
+    else:
+        _separable_form(mechanism, n)
+    for component in pd.components:
+        component.segments
+    payments = np.empty(samples)
+
+    def block(start: int) -> None:
+        out = payments[start : start + _MC_BLOCK]
+        # the last column is unused; it keeps the stream's layout, so every
+        # value column stays the draw it has always been
+        unif = _uniform_matrix(seed, len(out), n + 1, start)
+        # bidder-major: row j holds bidder j's draws, then its values
+        values = unif[:, :n].T.copy()
+        del unif
+        for row, component in zip(values, pd.components):
+            row[:] = component.quantile(row)
+        out[:] = _mechanism_payments(mechanism, values)
+
+    starts = range(0, samples, _MC_BLOCK)
+    workers = min(len(starts), _available_cpus())
+    if workers == 1:
+        for start in starts:
+            block(start)
+    else:
+        # imported here: it is about 10 ms, which a run without Monte Carlo
+        # need not pay at start-up
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(block, starts))  # raises what a block raised
     mean = float(payments.mean())
     stderr = float(payments.std(ddof=1) / math.sqrt(samples)) if samples > 1 else float("inf")
     return RevenueReport(
@@ -335,7 +391,11 @@ def optimal_robust_reserve(spec: AmbiguitySpec, family: M.Mechanism, grid: int =
     implementation, as the second-price family does), the returned reserve is
     robustly optimal among all mechanisms, not merely within the family.
     """
-    fbar = _worst_case_law(family, spec, grid)
+    return _robust_reserve(spec, family, _worst_case_law(family, spec, grid))
+
+
+def _robust_reserve(spec: AmbiguitySpec, family: M.Mechanism, fbar: Dist) -> ReserveResult:
+    """``optimal_robust_reserve`` on the family's worst-case law ``fbar``."""
     _, a, b = M.separable_form(family)
     revenue = _separable_revenue(a, b, iid(fbar, spec.n))
     candidates = np.unique(np.concatenate([[0.0], fbar.xs]))
@@ -442,8 +502,9 @@ def robust_sandwich(
     upper one."""
     if spec.k < 2:
         raise ValueError("sandwich bounds need k >= 2")
-    res = optimal_robust_reserve(spec, M.SPAReserve(0.0), grid=grid)
-    fbar = consistent_iid(spec, grid=grid)
+    spa = M.SPAReserve(0.0)
+    fbar = _worst_case_law(spa, spec, grid)
+    res = _robust_reserve(spec, spa, fbar)
     if fbar.is_discrete:
         upper = myerson_iid_revenue(fbar, spec.n)
         method = "closed-form"

@@ -125,6 +125,14 @@ class TestHInverse:
         u = OS.h_inverse(n, k, np.geomspace(1e-300, 1e-96, 3000))
         assert np.all(np.diff(u) > 0)
 
+    @pytest.mark.parametrize("n,k", [(15, 2), (28, 10), (60, 3), (300, 150)])
+    def test_deep_tail_root_independent_of_batch(self, n, k):
+        # a root polished in a batch is the root of g inverted alone
+        g = np.geomspace(1e-300, 1e-97, 400)
+        alone = np.array([OS.h_inverse(n, k, x) for x in g])
+        assert OS.h_inverse(n, k, g).tobytes() == alone.tobytes()
+        assert OS.h_inverse(n, k, g[::-3]).tobytes() == alone[::-3].tobytes()
+
     @given(st.integers(1, 10), st.data())
     @settings(max_examples=60, deadline=None)
     def test_round_trip(self, n, data):

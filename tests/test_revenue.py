@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -304,6 +305,91 @@ class TestMonteCarlo:
             R.RevenueReport("m", "d", 1.0, "closed-form", mc_stderr=0.1)
 
 
+def _single_matrix_mc(mechanism, pd, samples, seed):
+    """Monte Carlo on one draw matrix for all samples, as it ran before the
+    samples were split into blocks."""
+    n = pd.n
+    unif = np.random.Generator(np.random.Philox(key=seed)).random((samples, n + 1))
+    values = unif[:, :n].T.copy()
+    for row, component in zip(values, pd.components):
+        row[:] = component.quantile(row)
+    payments = R._mechanism_payments(mechanism, values)
+    stderr = float(payments.std(ddof=1) / math.sqrt(samples)) if samples > 1 else float("inf")
+    return float(payments.mean()), stderr
+
+
+BLOCK_MECHANISMS = {
+    "posted_price": M.PostedPrice(0.9),
+    "spa": M.SPAReserve(0.5),
+    "multi_unit": M.MultiUnit(2, 0.4),
+    "laddered": M.Laddered((1.0, 0.6, 0.25), 0.3),
+    "myerson_lexicographic": M.MyersonIID(D.from_literal(PIN_BASE), "lexicographic"),
+    "myerson_uniform": M.MyersonIID(D.from_literal(PIN_BASE), "uniform"),
+}
+
+
+class TestMonteCarloBlocks:
+    BLOCK = R._MC_BLOCK
+
+    @pytest.mark.parametrize("name", list(BLOCK_MECHANISMS))
+    @pytest.mark.parametrize("n", [3, 4])  # n + 1 draws per sample: even, then odd
+    @pytest.mark.parametrize("samples", [1, BLOCK - 1, BLOCK + 1, 2 * BLOCK + 5])
+    def test_same_bits_for_any_worker_count(self, monkeypatch, name, n, samples):
+        comps = [D.from_literal(PIN_LITERALS[j % 4]) for j in range(n - 1)] + [D.exponential(1.0, grid=64)]
+        pd = OS.ProductDist(tuple(comps))
+        mech = BLOCK_MECHANISMS[name]
+        want = _single_matrix_mc(mech, pd, samples, 23)
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(R, "_available_cpus", lambda: workers)
+            rep = R.mc_expected_revenue(mech, pd, samples, 23)
+            assert (rep.expected_revenue, rep.mc_stderr) == want
+
+    def test_many_threads_on_cold_memos(self, monkeypatch):
+        # more threads than CPUs on fresh distributions, switching threads
+        # often: the memos are built once, before any block runs
+        def fresh():
+            pd = OS.ProductDist((D.from_literal(PIN_BASE), D.from_literal(PIN_LITERALS[0]), D.from_literal(PIN_BASE)))
+            return M.MyersonIID(D.from_literal(PIN_BASE), "uniform"), pd
+
+        samples = 5 * self.BLOCK + 3
+        want = _single_matrix_mc(*fresh(), samples, 8)
+        mech, pd = fresh()
+        monkeypatch.setattr(R, "_available_cpus", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            rep = R.mc_expected_revenue(mech, pd, samples, 8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert (rep.expected_revenue, rep.mc_stderr) == want
+
+    def test_block_draws_are_slices_of_one_matrix(self):
+        whole = R._uniform_matrix(5, 40, 7)
+        for start in (0, 4, 36):
+            assert R._uniform_matrix(5, 40 - start, 7, start).tobytes() == whole[start:].tobytes()
+        with pytest.raises(ValueError):
+            R._uniform_matrix(5, 10, 7, 2)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_error_in_a_block_reaches_the_caller(self, monkeypatch, workers):
+        pay = R._mechanism_payments
+
+        def fail_on_short_block(mechanism, values):
+            if values.shape[1] < self.BLOCK:
+                raise RuntimeError("block failed")
+            return pay(mechanism, values)
+
+        monkeypatch.setattr(R, "_available_cpus", lambda: workers)
+        monkeypatch.setattr(R, "_mechanism_payments", fail_on_short_block)
+        with pytest.raises(RuntimeError, match="block failed"):
+            R.mc_expected_revenue(M.SPAReserve(0.5), OS.iid(UNIF, 3), 2 * self.BLOCK + 5, 1)
+
+    def test_refusals_come_before_any_draw(self, monkeypatch):
+        monkeypatch.setattr(R, "_uniform_matrix", None)  # a draw would fail with TypeError
+        with pytest.raises(ValueError, match="more bidders than units"):
+            R.mc_expected_revenue(M.MultiUnit(3, 0.0), OS.iid(UNIF, 3), 100, 1)
+
+
 class TestWorstCase:
     def test_posted_price_first_statistic(self):
         spec = OS.AmbiguitySpec(3, 1, UNIF)
@@ -504,6 +590,30 @@ class TestSandwich:
         sw = R.robust_sandwich(OS.AmbiguitySpec(4, 2, G), grid=512, mc_samples=100_000)
         assert sw.upper_method == "monte-carlo"
         assert sw.lower <= sw.upper + 3e-3  # MC noise on the upper side only
+
+    @pytest.mark.parametrize(
+        "G", [D.two_point(1.0, 0.5, 2.0), D.from_table([(0.5, 0.0), (1.5, 0.6)], atoms=[(2.0, 0.4)])],
+        ids=["discrete", "mixed"],
+    )
+    def test_inverts_the_observation_once(self, monkeypatch, G):
+        spec = OS.AmbiguitySpec(4, 2, G)
+        res = R.optimal_robust_reserve(spec, M.SPAReserve(0.0), grid=512)
+        fbar = OS.consistent_iid(spec, grid=512)
+        if fbar.is_discrete:
+            upper = R.myerson_iid_revenue(fbar, 4)
+        else:
+            upper = R.mc_expected_revenue(M.MyersonIID(fbar), OS.iid(fbar, 4), 5000, 3).expected_revenue
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return OS.consistent_iid(*args, **kwargs)
+
+        monkeypatch.setattr(R, "consistent_iid", counted)
+        sw = R.robust_sandwich(spec, grid=512, mc_samples=5000, seed=3)
+        assert len(calls) == 1
+        assert (sw.lower, sw.upper, sw.spa_reserve) == (res.worst_case_revenue, upper, res.reserve)
+        assert sw.regular_above_reserve == res.regular_above_reserve
 
 
 class TestSaddlePoint:
