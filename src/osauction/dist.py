@@ -221,18 +221,18 @@ def two_point(v1: float, p1: float, v2: float) -> Dist:
 def from_table(knots: Sequence[tuple[float, float]], atoms: Sequence[tuple[float, float]] = ()) -> Dist:
     """Mixed distribution from continuous CDF knots plus a list of atoms.
 
-    ``knots`` give the cumulative mass of the continuous part at increasing
-    values, which must be non-negative and non-decreasing; atom masses are
-    added as jumps at their locations.
+    ``knots`` give the cumulative mass of the continuous part, non-negative
+    and non-decreasing, at distinct values; a jump in the CDF is an atom,
+    whose mass is added at its location.
     """
-    pts: dict[float, float] = {}
     knots = sorted(knots)
     kx = np.array([float(v) for v, _ in knots])
     kf = np.array([float(f) for _, f in knots])
+    if np.any(np.diff(kx) == 0.0):
+        raise ValueError("table knot values must be distinct; a jump in the CDF belongs under 'atoms'")
     if np.any(kf < 0.0) or np.any(np.diff(kf) < 0.0):
         raise ValueError("table knot CDF values must be non-negative and non-decreasing")
-    for v in kx:
-        pts.setdefault(float(v), 0.0)
+    pts = dict.fromkeys(kx.tolist(), 0.0)
     for v, m in atoms:
         if m <= 0:
             raise ValueError("atom masses must be positive")

@@ -135,6 +135,10 @@ REFUSED = {
     "decreasing_table_cdf": (
         "reserve", {"n": 3, "k": 2, "family": "spa",
                     "G": {"family": "table", "knots": [[0, 0], [1, 0.5], [2, 0.4]], "atoms": [[1.5, 0.6]]}}),
+    # a repeated knot value would be a jump, which belongs under "atoms"
+    "repeated_table_knot": (
+        "reserve", {"n": 3, "k": 2, "family": "spa",
+                    "G": {"family": "table", "knots": [[0.2, 0.1], [0.5, 0.1], [0.5, 0.3], [1, 1]]}}),
     "fractional_k": ("invert", {"n": 3, "k": 2.7, "G": UNIF_LIT, "grid": 64}),
     "fractional_grid": ("invert", {"n": 3, "k": 2, "G": UNIF_LIT, "grid": 100.9}),
     "boolean_n": ("invert", {"n": True, "k": 1, "G": UNIF_LIT, "grid": 64}),

@@ -430,6 +430,16 @@ class TestLiterals:
             with pytest.raises(ValueError, match=field):
                 D.from_literal(lit, grid=64)
 
+    @pytest.mark.parametrize(
+        "knots",
+        [[(0.2, 0.1), (0.5, 0.1), (0.5, 0.3), (1, 1)], [(0.5, 0.3), (0.5, 0.0), (1, 1)]],
+        ids=["flat_then_jump", "decreasing_pair"],
+    )
+    def test_repeated_table_knot_rejected(self, knots):
+        # either reading of a repeated knot value changes the input: a jump is an atom
+        with pytest.raises(ValueError, match="atoms"):
+            D.from_table(knots)
+
     def test_beta_cdf_matches_closed_form(self):
         d = D.beta_dist(2, 2, grid=4096)
         for v in (0.2, 0.5, 0.8):

@@ -585,11 +585,14 @@ class TestSandwich:
         assert sw.upper == pytest.approx(1.5, abs=1e-12)
         assert sw.regular_above_reserve
 
-    def test_mixed_observation_monte_carlo_upper(self):
+    def test_mixed_observation_closed_form_upper(self):
         G = D.from_table([(0.5, 0.0), (1.5, 0.6)], atoms=[(2.0, 0.4)])
-        sw = R.robust_sandwich(OS.AmbiguitySpec(4, 2, G), grid=512, mc_samples=100_000)
-        assert sw.upper_method == "monte-carlo"
-        assert sw.lower <= sw.upper + 3e-3  # MC noise on the upper side only
+        spec = OS.AmbiguitySpec(4, 2, G)
+        sw = R.robust_sandwich(spec, grid=512)
+        fbar = OS.consistent_iid(spec, grid=512)
+        assert not fbar.is_discrete
+        # n * max(width * rise) / 4 at n = 4
+        assert 0.0 <= sw.upper - sw.lower <= np.max(fbar.segments.width * fbar.segments.rise)
 
     @pytest.mark.parametrize(
         "G", [D.two_point(1.0, 0.5, 2.0), D.from_table([(0.5, 0.0), (1.5, 0.6)], atoms=[(2.0, 0.4)])],
@@ -598,11 +601,7 @@ class TestSandwich:
     def test_inverts_the_observation_once(self, monkeypatch, G):
         spec = OS.AmbiguitySpec(4, 2, G)
         res = R.optimal_robust_reserve(spec, M.SPAReserve(0.0), grid=512)
-        fbar = OS.consistent_iid(spec, grid=512)
-        if fbar.is_discrete:
-            upper = R.myerson_iid_revenue(fbar, 4)
-        else:
-            upper = R.mc_expected_revenue(M.MyersonIID(fbar), OS.iid(fbar, 4), 5000, 3).expected_revenue
+        upper = R._optimal_revenue_bound(OS.consistent_iid(spec, grid=512), 4)
         calls = []
 
         def counted(*args, **kwargs):
@@ -610,10 +609,49 @@ class TestSandwich:
             return OS.consistent_iid(*args, **kwargs)
 
         monkeypatch.setattr(R, "consistent_iid", counted)
-        sw = R.robust_sandwich(spec, grid=512, mc_samples=5000, seed=3)
+        sw = R.robust_sandwich(spec, grid=512)
         assert len(calls) == 1
         assert (sw.lower, sw.upper, sw.spa_reserve) == (res.worst_case_revenue, upper, res.reserve)
         assert sw.regular_above_reserve == res.regular_above_reserve
+
+    @pytest.mark.parametrize("grid", [1024, 4096])
+    @pytest.mark.parametrize(
+        "G, n, k",
+        [
+            (lambda grid: D.exponential(1.0, grid=grid), 6, 3),
+            (lambda grid: D.exponential(1.0, grid=grid), 4, 2),
+            (lambda grid: D.exponential(2.0, grid=grid), 8, 4),
+            (lambda grid: D.beta_dist(2, 3, grid=grid), 4, 2),
+            (lambda grid: D.beta_dist(2, 2, grid=grid), 5, 2),
+            (lambda grid: D.normal(1.0, 0.3, grid=grid), 5, 3),
+            (lambda grid: D.uniform(0.0, 1.0), 4, 2),
+            (lambda grid: D.from_table([(0.5, 0.0), (1.5, 0.6)], atoms=[(2.0, 0.4)]), 4, 2),
+        ],
+        ids=["exponential1-n6k3", "exponential1-n4k2", "exponential2-n8k4", "beta23-n4k2", "beta22-n5k2",
+             "normal-n5k3", "uniform-n4k2", "mixed-n4k2"],
+    )
+    def test_continuous_bracket_closes_to_grid(self, G, n, k, grid):
+        # the upper bound is the optimum plus at most n * max(width * rise) / 4
+        # of the tangent apexes, and the optimum is at least the lower bound
+        spec = OS.AmbiguitySpec(n, k, G(grid))
+        sw = R.robust_sandwich(spec, grid=grid)
+        fbar = OS.consistent_iid(spec, grid=grid)
+        excess = n * np.max(fbar.segments.width * fbar.segments.rise) / 4
+        assert 0.0 <= sw.upper - sw.lower <= excess
+
+    @pytest.mark.parametrize(
+        "G, n, k",
+        [(D.exponential(1.0, grid=1024), 6, 3), (D.normal(1.0, 0.3, grid=1024), 5, 3)],
+        ids=["exponential1-n6k3", "normal-n5k3"],
+    )
+    def test_upper_bound_not_below_a_mechanism(self, G, n, k):
+        # no mechanism earns more than the optimum, the Myerson auction built
+        # on the knot hull included
+        spec = OS.AmbiguitySpec(n, k, G)
+        sw = R.robust_sandwich(spec, grid=1024)
+        fbar = OS.consistent_iid(spec, grid=1024)
+        rep = R.mc_expected_revenue(M.MyersonIID(fbar), OS.iid(fbar, n), 200_000, 5)
+        assert sw.upper >= rep.expected_revenue - 4 * rep.mc_stderr
 
 
 class TestSaddlePoint:
