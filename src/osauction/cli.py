@@ -8,14 +8,20 @@ Subcommands:
   reproduce  named worked examples checked against their reference values
   simulate   seeded Monte Carlo revenue for an explicit product distribution
 
-Exit codes: 0 success, 2 config/parse error, 3 robust evaluation unsupported
-for the requested mechanism. Identical configs and seeds produce
-byte-identical output.
+Every config command maps a config to one table; ``main`` alone loads the
+config, applies ``--grid``, ``--seed`` and ``--samples`` as overrides of the
+config fields of the same name, refuses, and writes the CSV.
+
+Exit codes: 0 success, 1 a reproduction check failed (its rows are still
+written), 2 config/parse error, 3 robust evaluation unsupported for the
+requested mechanism. Identical configs and seeds produce byte-identical
+output.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import numbers
@@ -30,12 +36,16 @@ from .orderstat import AmbiguitySpec, ProductDist, consistent_iid, h_poly, iid
 from .oracle import counterexample_certificate
 
 EXIT_OK = 0
+EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_UNSUPPORTED = 3
 
 # size caps, refused before anything is allocated
 MAX_SIZE = 10**6  # bidders n, and a multi-unit auction's units
 MAX_DRAWS = 2**25  # values one simulate request draws: samples x bidders
+
+# flags that override the config field of the same name
+OVERRIDES = ("grid", "seed", "samples")
 
 
 class ConfigError(ValueError):
@@ -50,20 +60,6 @@ def _fmt(x) -> str:
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return f"{float(x):.12g}"
-
-
-def _write_csv(path, header, rows):
-    def emit(fh):
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(x) for x in row])
-
-    if path is None:
-        emit(sys.stdout)
-    else:
-        with open(path, "w", newline="") as fh:
-            emit(fh)
 
 
 def _load_config(path) -> dict:
@@ -96,10 +92,6 @@ def _integer(name: str, value, most: int | None = None) -> int:
     if most is not None and value > most:
         raise ConfigError(f"{name} must be at most {most}, got {value}")
     return int(value)
-
-
-def _grid(args, cfg: dict) -> int:
-    return _integer("grid", args.grid if args.grid is not None else cfg.get("grid", 4096))
 
 
 def _spec_from_config(cfg: dict, grid: int) -> AmbiguitySpec:
@@ -155,9 +147,7 @@ def _family_from_config(obj, grid: int) -> M.Mechanism:
 # -- subcommands ----------------------------------------------------------------
 
 
-def cmd_invert(args) -> int:
-    cfg = _load_config(args.config)
-    grid = _grid(args, cfg)
+def cmd_invert(cfg: dict, grid: int):
     spec = _spec_from_config(cfg, grid)
     fbar = consistent_iid(spec, grid=grid)
     xs, fl, fr = fbar.xs, fbar.f_left, fbar.f_right
@@ -166,13 +156,10 @@ def cmd_invert(args) -> int:
     # both sides of every knot, the right one only where the CDF jumps
     keep = np.column_stack([np.ones(len(xs), dtype=bool), fr != fl]).ravel()
     cols = [np.column_stack(pair).ravel()[keep] for pair in ((xs, xs), (fl, fr), (residual_l, residual_r))]
-    _write_csv(args.out, ("value", "cdf", "roundtrip_residual"), zip(*cols))
-    return EXIT_OK
+    return ("value", "cdf", "roundtrip_residual"), zip(*cols)
 
 
-def cmd_reserve(args) -> int:
-    cfg = _load_config(args.config)
-    grid = _grid(args, cfg)
+def cmd_reserve(cfg: dict, grid: int):
     family_field = _require(cfg, "family")
     family = _family_from_config(family_field, grid)
     n_field = _require(cfg, "n")
@@ -182,13 +169,11 @@ def cmd_reserve(args) -> int:
         if _integer("k", cfg.get("k", 2)) != 2:
             raise ConfigError("the any-number-of-bidders bound observes the second-highest value: k must be 2")
         res = R.optimal_unknown_n_reserve(from_literal(_require(cfg, "G"), grid=grid))
-        _write_csv(
-            args.out,
+        return (
             ("family", "mode", "reserve", "guarantee", "z_star", "certificate"),
             [("spa", "unknown-n", res.reserve, res.guarantee, res.z_star,
               "lower bound uniform over the number of bidders")],
         )
-        return EXIT_OK
     spec = _spec_from_config(cfg, grid)
     res = R.optimal_robust_reserve(spec, family, grid=grid)
     cert = (
@@ -196,8 +181,7 @@ def cmd_reserve(args) -> int:
         if res.optimality_certified
         else "robust guarantee for this family; global optimality not certified"
     )
-    _write_csv(
-        args.out,
+    return (
         ("family", "mode", "reserve", "worst_case_revenue", "regular_above_reserve", "certificate"),
         [(
             family_field if isinstance(family_field, str) else family_field["type"],
@@ -208,19 +192,12 @@ def cmd_reserve(args) -> int:
             cert,
         )],
     )
-    return EXIT_OK
 
 
-def cmd_worstcase(args) -> int:
-    cfg = _load_config(args.config)
-    grid = _grid(args, cfg)
+def cmd_worstcase(cfg: dict, grid: int):
     spec = _spec_from_config(cfg, grid)
     mechanism = _mechanism_from_config(_require(cfg, "mechanism"), grid)
-    try:
-        value = R.worst_case_revenue_topk(mechanism, spec, grid=grid)
-    except R.NotSeparableError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
+    value = R.worst_case_revenue_topk(mechanism, spec, grid=grid)
     report = R.RevenueReport(
         mechanism=mechanism.describe(),
         distribution=f"worst case over k={spec.k}, n={spec.n}, G={spec.G.describe()}",
@@ -228,13 +205,10 @@ def cmd_worstcase(args) -> int:
         method="closed-form",
     )
     row = report.as_row()
-    _write_csv(args.out, tuple(row), [tuple(row.values())])
-    return EXIT_OK
+    return tuple(row), [tuple(row.values())]
 
 
-def cmd_curve(args) -> int:
-    cfg = _load_config(args.config)
-    grid = _grid(args, cfg)
+def cmd_curve(cfg: dict, grid: int):
     cfg.setdefault("k", 2)
     spec = _spec_from_config(cfg, grid)
     fbar = consistent_iid(spec, grid=grid)
@@ -247,16 +221,12 @@ def cmd_curve(args) -> int:
         j = int(np.searchsorted(qs, q_star))
         qs, rs = np.insert(qs, j, q_star), np.insert(rs, j, np.interp(q_star, qs, rs))
     cols = (qs, rs, curve.ironed_value(qs), qs == q_star)
-    _write_csv(args.out, ("quantile", "revenue", "ironed_revenue", "is_reserve_quantile"),
-               zip(*(c.tolist() for c in cols)))
-    return EXIT_OK
+    header = ("quantile", "revenue", "ironed_revenue", "is_reserve_quantile")
+    return header, zip(*(c.tolist() for c in cols))
 
 
-def cmd_simulate(args) -> int:
-    cfg = _load_config(args.config)
-    grid = _grid(args, cfg)
-    seed = args.seed if args.seed is not None else cfg.get("seed")
-    samples = args.samples if args.samples is not None else cfg.get("samples")
+def cmd_simulate(cfg: dict, grid: int):
+    seed, samples = cfg.get("seed"), cfg.get("samples")
     if seed is None:
         raise ConfigError("simulate needs an explicit seed (config 'seed' or --seed)")
     if samples is None:
@@ -272,8 +242,7 @@ def cmd_simulate(args) -> int:
         raise ConfigError("simulate needs an explicit 'base' for the myerson mechanism")
     report = R.mc_expected_revenue(mechanism, pd, samples, seed)
     row = report.as_row()
-    _write_csv(args.out, tuple(row), [tuple(row.values())])
-    return EXIT_OK
+    return tuple(row), [tuple(row.values())]
 
 
 # -- named reproductions ----------------------------------------------------------
@@ -321,24 +290,13 @@ def _reproduce_sandwich() -> list:
     ]
 
 
-REPRODUCTIONS = ("bernoulli-example", "uniform-example", "counterexample", "sandwich")
-
-
-def cmd_reproduce(args) -> int:
-    name = args.name
-    if name == "bernoulli-example":
-        rows = _reproduce_bernoulli()
-    elif name == "uniform-example":
-        rows = _reproduce_uniform()
-    elif name == "counterexample":
-        rows = _reproduce_counterexample(args.q)
-    elif name == "sandwich":
-        rows = _reproduce_sandwich()
-    else:
-        print(f"error: unknown reproduction {name!r}; choose from {REPRODUCTIONS}", file=sys.stderr)
-        return EXIT_CONFIG
-    _write_csv(args.out, ("check", "computed", "reference", "tolerance", "status"), rows)
-    return EXIT_OK if all(row[-1] == "PASS" for row in rows) else 1
+# name -> rows of checks, given the counterexample's atom weight
+REPRODUCTIONS = {
+    "bernoulli-example": lambda q: _reproduce_bernoulli(),
+    "uniform-example": lambda q: _reproduce_uniform(),
+    "counterexample": _reproduce_counterexample,
+    "sandwich": lambda q: _reproduce_sandwich(),
+}
 
 
 # -- entry point -------------------------------------------------------------------
@@ -348,11 +306,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="osauction", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--config", help="path to a JSON scenario config")
-        sp.add_argument("--out", help="write CSV here instead of stdout")
-        sp.add_argument("--grid", type=int, help="discretization grid size override")
-
     for name, fn in (
         ("invert", cmd_invert),
         ("reserve", cmd_reserve),
@@ -361,7 +314,9 @@ def _build_parser() -> argparse.ArgumentParser:
         ("simulate", cmd_simulate),
     ):
         sp = sub.add_parser(name)
-        common(sp)
+        sp.add_argument("--config", help="path to a JSON scenario config")
+        sp.add_argument("--out", help="write CSV here instead of stdout")
+        sp.add_argument("--grid", type=int, help="discretization grid size override")
         sp.set_defaults(fn=fn)
         if name == "simulate":
             sp.add_argument("--seed", type=int, help="seed for randomized evaluation")
@@ -371,19 +326,31 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("name", help=f"one of {', '.join(REPRODUCTIONS)}")
     sp.add_argument("--q", type=float, default=0.8, help="atom weight for the counterexample")
     sp.add_argument("--out", help="write CSV here instead of stdout")
-    sp.set_defaults(fn=cmd_reproduce)
 
     return p
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.fn(args)
-    except ValueError as e:  # ConfigError, and the library refusing bad input
+        if args.command == "reproduce":
+            if args.name not in REPRODUCTIONS:
+                raise ConfigError(f"unknown reproduction {args.name!r}; choose from {tuple(REPRODUCTIONS)}")
+            header = ("check", "computed", "reference", "tolerance", "status")
+            rows = REPRODUCTIONS[args.name](args.q)
+        else:
+            cfg = _load_config(args.config)
+            cfg.update({f: v for f, v in vars(args).items() if f in OVERRIDES and v is not None})
+            header, rows = args.fn(cfg, _integer("grid", cfg.get("grid", 4096)))
+    except ValueError as e:  # ConfigError, NotSeparableError, and the library refusing bad input
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+        return EXIT_UNSUPPORTED if isinstance(e, R.NotSeparableError) else EXIT_CONFIG
+    with contextlib.nullcontext(sys.stdout) if args.out is None else open(args.out, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(map(_fmt, row) for row in rows)
+    failed = args.command == "reproduce" and any(row[-1] != "PASS" for row in rows)
+    return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
 if __name__ == "__main__":
