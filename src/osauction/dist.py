@@ -221,9 +221,9 @@ def two_point(v1: float, p1: float, v2: float) -> Dist:
 def from_table(knots: Sequence[tuple[float, float]], atoms: Sequence[tuple[float, float]] = ()) -> Dist:
     """Mixed distribution from continuous CDF knots plus a list of atoms.
 
-    ``knots`` give the cumulative mass of the continuous part, non-negative
-    and non-decreasing, at distinct values; a jump in the CDF is an atom,
-    whose mass is added at its location.
+    ``knots`` give the cumulative mass of the continuous part, non-decreasing
+    from 0 at the lowest knot, at distinct values; a jump in the CDF is an
+    atom, whose mass is added at its location.
     """
     knots = sorted(knots)
     kx = np.array([float(v) for v, _ in knots])
@@ -232,6 +232,8 @@ def from_table(knots: Sequence[tuple[float, float]], atoms: Sequence[tuple[float
         raise ValueError("table knot values must be distinct; a jump in the CDF belongs under 'atoms'")
     if np.any(kf < 0.0) or np.any(np.diff(kf) < 0.0):
         raise ValueError("table knot CDF values must be non-negative and non-decreasing")
+    if knots and kf[0] > 0.0:
+        raise ValueError("the lowest table knot must have CDF 0; a jump in the CDF belongs under 'atoms'")
     pts = dict.fromkeys(kx.tolist(), 0.0)
     for v, m in atoms:
         if m <= 0:

@@ -348,50 +348,33 @@ class ReserveResult:
     optimality_certified: bool
 
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-# golden-section brackets at which the two reserve searches stop
-_ROBUST_PRICE_TOL = 1e-8
-_UNKNOWN_N_PRICE_TOL = 1e-6
+# the reserve searches scan _SCAN steps per zoom, down to a bracket of _PRICE_TOL
+_PRICE_TOL = 1e-8
+_SCAN = 64
 
 
-def _maximize(objective, candidates: np.ndarray, scan: int, price_tol: float) -> tuple[float, float]:
+def _maximize(objective, candidates: np.ndarray) -> tuple[float, float]:
     """Maximize a function of the reserve given as ``objective(array) ->
-    array``: score every candidate in one pass, scan ``scan`` steps across the
-    two segments around the best one, then golden-section polish within one
-    scan step of the scan's best point down to ``price_tol``."""
+    array``: score every candidate in one pass, then zoom. The first scan
+    takes ``_SCAN`` steps across the two candidate steps around the best
+    candidate, each later one across the two steps of the previous scan
+    around the best point so far. The search stops once the bracket is below
+    ``_PRICE_TOL`` or ``_SCAN`` float spacings of the reserve, whichever is
+    wider, so it ends at any scale."""
     values = objective(candidates)
     best = int(np.argmax(values))
+    r_best, v_best = float(candidates[best]), float(values[best])
     lo = candidates[max(best - 1, 0)]
     hi = candidates[min(best + 1, len(candidates) - 1)]
-    r_best, v_best = float(candidates[best]), float(values[best])
-    if hi <= lo:
-        return r_best, v_best
-
-    def at(r: float) -> float:
-        return float(objective(np.array([r]))[0])
-
-    rs = np.linspace(lo, hi, scan + 1)
-    vs = objective(rs)
-    j = int(np.argmax(vs))
-    if vs[j] > v_best:
-        r_best, v_best = float(rs[j]), float(vs[j])
-    span = (hi - lo) / scan
-    a, b = max(lo, r_best - span), min(hi, r_best + span)
-    c, d = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
-    fc, fd = at(c), at(d)
-    while b - a > price_tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = at(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = at(d)
-    r_mid = 0.5 * (a + b)
-    v_mid = at(r_mid)
-    if v_mid > v_best:
-        r_best, v_best = float(r_mid), v_mid
+    stop = max(_PRICE_TOL, _SCAN * np.spacing(hi))
+    while hi - lo > stop:
+        rs = np.linspace(lo, hi, _SCAN + 1)
+        vs = objective(rs)
+        j = int(np.argmax(vs))
+        if vs[j] > v_best:
+            r_best, v_best = float(rs[j]), float(vs[j])
+        step = (hi - lo) / _SCAN
+        lo, hi = max(lo, r_best - step), min(hi, r_best + step)
     return r_best, v_best
 
 
@@ -400,12 +383,12 @@ def optimal_robust_reserve(spec: AmbiguitySpec, family: M.Mechanism, grid: int =
     reserve (a posted price's price), which replaces ``family``'s own.
 
     Candidates are the knots of the consistent i.i.d. distribution, all
-    scored in one array pass of the separable evaluator, refined by a scan
-    plus golden-section polish on the bracketing segments. Also reports
-    whether the consistent i.i.d. distribution is regular above its monopoly
-    reserve: when it is (and the family spans the optimal auction's
-    implementation, as the second-price family does), the returned reserve is
-    robustly optimal among all mechanisms, not merely within the family.
+    scored in one array pass of the separable evaluator, refined by scans
+    that zoom in on the best point. Also reports whether the consistent
+    i.i.d. distribution is regular above its monopoly reserve: when it is
+    (and the family spans the optimal auction's implementation, as the
+    second-price family does), the returned reserve is robustly optimal among
+    all mechanisms, not merely within the family.
     """
     return _robust_reserve(spec, family, _worst_case_law(family, spec, grid))
 
@@ -415,7 +398,7 @@ def _robust_reserve(spec: AmbiguitySpec, family: M.Mechanism, fbar: Dist) -> Res
     _, a, b = M.separable_form(family)
     revenue = _separable_revenue(a, b, iid(fbar, spec.n))
     candidates = np.unique(np.concatenate([[0.0], fbar.xs]))
-    r_best, v_best = _maximize(revenue, candidates, scan=64, price_tol=_ROBUST_PRICE_TOL)
+    r_best, v_best = _maximize(revenue, candidates)
     report = is_regular_above_reserve(fbar)
     certified = report.regular_above_reserve and isinstance(family, M.SPAReserve)
     return ReserveResult(
@@ -430,7 +413,11 @@ def _robust_reserve(spec: AmbiguitySpec, family: M.Mechanism, fbar: Dist) -> Res
 # -- unknown number of bidders ---------------------------------------------------
 
 
-def z_star(g, tol: float = 1e-14):
+# bracket width at which z_star's bisection stops
+_Z_TOL = 1e-14
+
+
+def z_star(g):
     """Unique root of z * (1 - ln z) = g on (0, 1] for every entry of ``g``;
     the map is increasing there so plain bisection converges
     unconditionally."""
@@ -440,7 +427,7 @@ def z_star(g, tol: float = 1e-14):
     # bracket [lo, lo + w] from [1e-300, 1]; every bracket halves in step, and
     # its end points are dyadic, so lo + w is the exact midpoint
     lo, w = np.full(g.shape, 1e-300), 1.0
-    for _ in range(math.ceil(math.log2(1.0 / tol))):
+    for _ in range(math.ceil(math.log2(1.0 / _Z_TOL))):
         w *= 0.5
         mid = lo + w
         lo = lo + w * (mid * (1.0 - np.log(mid)) < g)
@@ -486,9 +473,7 @@ def optimal_unknown_n_reserve(G: Dist) -> UnknownNReserve:
     """Reserve maximizing the any-number-of-bidders guarantee."""
 
     candidates = np.unique(np.concatenate([[0.0], G.xs]))
-    r_best, v_best = _maximize(
-        lambda rs: unknown_n_bound(rs, G), candidates, scan=128, price_tol=_UNKNOWN_N_PRICE_TOL
-    )
+    r_best, v_best = _maximize(lambda rs: unknown_n_bound(rs, G), candidates)
     return UnknownNReserve(r_best, v_best, z_star(float(G.cdf_left(r_best))))
 
 

@@ -139,6 +139,9 @@ REFUSED = {
     "repeated_table_knot": (
         "reserve", {"n": 3, "k": 2, "family": "spa",
                     "G": {"family": "table", "knots": [[0.2, 0.1], [0.5, 0.1], [0.5, 0.3], [1, 1]]}}),
+    # CDF above 0 at the lowest knot would be an atom there
+    "table_starts_above_zero": (
+        "invert", {"n": 3, "k": 2, "G": {"family": "table", "knots": [[0.2, 0.1], [1, 1]]}, "grid": 64}),
     "fractional_k": ("invert", {"n": 3, "k": 2.7, "G": UNIF_LIT, "grid": 64}),
     "fractional_grid": ("invert", {"n": 3, "k": 2, "G": UNIF_LIT, "grid": 100.9}),
     "boolean_n": ("invert", {"n": True, "k": 1, "G": UNIF_LIT, "grid": 64}),
@@ -440,3 +443,52 @@ class TestSimulate:
         # at least two of 171 bidders hold the top value (short of 1e-15), so
         # every sample pays 2
         assert float(parse_csv(out)[0]["expected_revenue"]) == pytest.approx(2.0, abs=1e-12)
+
+
+# one request of every kind: main writes the same table to --out as to stdout
+REQUESTS = {
+    "invert": ("invert", {"n": 3, "k": 2, "G": UNIF_LIT, "grid": 64}),
+    "reserve-finite-n": ("reserve", {"n": 3, "k": 2, "G": UNIF_LIT, "family": "spa", "grid": 64}),
+    "reserve-unknown-n": ("reserve", {"n": "unknown", "k": 2, "G": UNIF_LIT, "family": "spa", "grid": 64}),
+    "worstcase": ("worstcase", {"n": 4, "k": 3, "G": UNIF_LIT, "grid": 64,
+                                "mechanism": {"type": "multi_unit", "units": 2, "reserve": 0.5}}),
+    "curve": ("curve", {"n": 4, "k": 2, "G": UNIF_LIT, "grid": 64}),
+    "simulate": ("simulate", {"product": [UNIF_LIT, UNIF_LIT], "mechanism": {"type": "spa", "reserve": 0.5},
+                              "samples": 1000, "seed": 3}),
+}
+
+
+@pytest.mark.parametrize("name", [*REQUESTS, *cli.REPRODUCTIONS])
+def test_out_file_holds_the_stdout_bytes(name, tmp_path, capsys):
+    if name in REQUESTS:
+        command, cfg = REQUESTS[name]
+        argv = [command, "--config", write_cfg(tmp_path, "c.json", cfg)]
+    else:
+        argv = ["reproduce", name]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0 and out.count("\n") >= 2
+    path = tmp_path / "out.csv"
+    assert run_cli([*argv, "--out", str(path)], capsys) == (0, "", "")
+    assert path.read_bytes() == out.encode()
+
+
+def test_failed_reproduction_exits_1_with_its_rows(tmp_path, capsys):
+    # at q = 0.5 the construction is outside the counterexample's regime
+    path = tmp_path / "out.csv"
+    assert cli.main(["reproduce", "counterexample", "--q", "0.5", "--out", str(path)]) == 1
+    status = {row["check"]: row["status"] for row in parse_csv(path.read_text())}
+    assert status["strict_gap"] == "FAIL"
+    assert status["iid_optimal_revenue"] == "PASS"
+    code, out, _ = run_cli(["reproduce", "counterexample", "--q", "0.5"], capsys)
+    assert code == 1 and out == path.read_text()
+
+
+@pytest.mark.parametrize("command, cfg, code", [
+    *((*REFUSED[case], 2) for case in ("nan_rate", "simulate_units_not_below_bidders", "table_starts_above_zero")),
+    ("worstcase", {"n": 3, "k": 2, "G": UNIF_LIT, "grid": 64, "mechanism": {"type": "myerson"}}, 3),
+], ids=["nan_rate", "simulate_units_not_below_bidders", "table_starts_above_zero", "myerson_unsupported"])
+def test_refused_request_writes_no_out_file(command, cfg, code, tmp_path, capsys):
+    path = tmp_path / "out.csv"
+    got, out, err = run_cli([command, "--config", write_cfg(tmp_path, "c.json", cfg), "--out", str(path)], capsys)
+    assert (got, out) == (code, "") and err.startswith("error: ")
+    assert not path.exists()

@@ -440,6 +440,17 @@ class TestLiterals:
         with pytest.raises(ValueError, match="atoms"):
             D.from_table(knots)
 
+    @pytest.mark.parametrize(
+        "knots, atoms",
+        [([(0.2, 0.1), (1, 1)], []), ([(1, 0.2), (2, 0.5)], [(0.5, 0.5)])],
+        ids=["mass_below_lowest_knot", "mass_spread_from_an_atom"],
+    )
+    def test_table_cdf_starts_at_zero(self, knots, atoms):
+        # CDF above 0 at the lowest knot puts mass the table does not place:
+        # an atom there, or a ramp from a lower atom
+        with pytest.raises(ValueError, match="atoms"):
+            D.from_table(knots, atoms)
+
     def test_beta_cdf_matches_closed_form(self):
         d = D.beta_dist(2, 2, grid=4096)
         for v in (0.2, 0.5, 0.8):

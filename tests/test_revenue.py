@@ -1,7 +1,11 @@
 import dataclasses
 import itertools
+import json
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -472,6 +476,36 @@ class TestOptimalReserve:
             R.optimal_robust_reserve(OS.AmbiguitySpec(3, 1, UNIF), M.SPAReserve(0.0))
         with pytest.raises(ValueError):
             R.optimal_robust_reserve(OS.AmbiguitySpec(4, 2, UNIF), M.MultiUnit(2))
+
+
+# Both reserve searches on uniform and exponential G at scale 1 and at 1e12,
+# printed as JSON. A search whose stopping rule the float spacing cannot meet
+# never returns, so it runs in a subprocess under a timeout.
+SCALED_SEARCHES = """
+import json
+from osauction import dist as D, mech as M, orderstat as OS, revenue as R
+out = {}
+for family in ("uniform", "exponential"):
+    for scale in (1.0, 1e12):
+        G = D.uniform(0.0, scale) if family == "uniform" else D.exponential(1.0 / scale, grid=256)
+        fin = R.optimal_robust_reserve(OS.AmbiguitySpec(3, 2, G), M.SPAReserve(0.0), grid=256)
+        unk = R.optimal_unknown_n_reserve(G)
+        out[f"{family} {scale:g}"] = [fin.reserve, fin.worst_case_revenue, unk.reserve, unk.guarantee]
+print(json.dumps(out))
+"""
+
+
+def test_reserve_searches_are_scale_equivariant():
+    env = dict(os.environ, PYTHONPATH=str(Path(R.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", SCALED_SEARCHES], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    got = json.loads(done.stdout)
+    for family in ("uniform", "exponential"):
+        base, big = got[f"{family} 1"], got[f"{family} 1e+12"]
+        for i in (0, 2):  # finite-n and unknown-n reserves
+            assert big[i] / 1e12 == pytest.approx(base[i], rel=1e-6)
+        for i in (1, 3):  # worst-case revenue and guarantee
+            assert big[i] / 1e12 == pytest.approx(base[i], rel=1e-12)
 
 
 class TestUnknownN:
