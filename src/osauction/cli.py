@@ -13,9 +13,9 @@ config, applies ``--grid``, ``--seed`` and ``--samples`` as overrides of the
 config fields of the same name, refuses, and writes the CSV.
 
 Exit codes: 0 success, 1 a reproduction check failed (its rows are still
-written), 2 config/parse error, 3 robust evaluation unsupported for the
-requested mechanism. Identical configs and seeds produce byte-identical
-output.
+written), 2 config/parse error or an --out that cannot be written, 3 robust
+evaluation unsupported for the requested mechanism. Identical configs and
+seeds produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -345,7 +345,12 @@ def main(argv=None) -> int:
     except ValueError as e:  # ConfigError, NotSeparableError, and the library refusing bad input
         print(f"error: {e}", file=sys.stderr)
         return EXIT_UNSUPPORTED if isinstance(e, R.NotSeparableError) else EXIT_CONFIG
-    with contextlib.nullcontext(sys.stdout) if args.out is None else open(args.out, "w", newline="") as fh:
+    try:
+        out = contextlib.nullcontext(sys.stdout) if args.out is None else open(args.out, "w", newline="")
+    except OSError as e:
+        print(f"error: cannot write {args.out}: {e.strerror}", file=sys.stderr)
+        return EXIT_CONFIG
+    with out as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
         w.writerows(map(_fmt, row) for row in rows)

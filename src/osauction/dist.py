@@ -13,7 +13,7 @@ values all come from it, and every atom and ironed segment on one hull edge
 takes that edge's slope. Between its knots a continuous segment's revenue
 curve is a concave arc above its chord; the envelope of those arcs, which
 can iron an atom with the segment above it where the knot hull does not, is
-not computed.
+not computed; ``optimal_revenue_bound`` bounds it by hulling in each arc's apex.
 """
 
 from __future__ import annotations
@@ -411,16 +411,15 @@ class RevenueCurve:
         return np.interp(q, self.ironed_qs, self.ironed_rs)
 
 
-def iron(curve: RevenueCurve) -> RevenueCurve:
-    """Replace the revenue curve by its upper concave envelope.
-
-    The envelope is the upper convex hull of the curve's points: a quantile
-    that appears twice (the two sides of a jump) keeps its higher point, and
-    collinear points are dropped. A run of points more than 1e-12 of the
-    curve's scale below the envelope gives an ironing interval reaching to
-    the points on either side of it; touching intervals merge.
+def iron(qs, rs) -> RevenueCurve:
+    """The revenue curve through the points ``(qs, rs)`` and its upper concave
+    envelope: the upper convex hull of the points in any order, where a
+    quantile that appears twice (the two sides of a jump) keeps its higher
+    point and collinear points are dropped. Read in the order given, a run of
+    points more than 1e-12 of the curve's scale below the envelope gives an
+    ironing interval reaching to the points on either side of it; touching
+    intervals merge.
     """
-    qs, rs = curve.qs, curve.rs
     order = np.lexsort((rs, qs))
     sq, sr = qs[order], rs[order]
     highest = np.append(sq[1:] != sq[:-1], True)
@@ -468,10 +467,26 @@ def revenue_curve(d: Dist) -> RevenueCurve:
         emitted = np.column_stack([atom, atom | rising, rising])[::-1]
         qs, rs = np.append(0.0, qs[emitted]), np.append(0.0, rs[emitted])
         fresh = np.append(True, (qs[1:] != qs[:-1]) | (rs[1:] != rs[:-1]))
-        qs, rs = qs[fresh], rs[fresh]
-        curve = iron(RevenueCurve(qs, rs, qs, rs, ()))
+        curve = iron(qs[fresh], rs[fresh])
         object.__setattr__(d, "_curve_memo", curve)
     return curve
+
+
+def optimal_revenue_bound(d: Dist, n: int) -> float:
+    """Upper bound on the optimal revenue of n i.i.d. bidders from ``d``: the
+    integral of max(R', 0) d[1 - (1 - q)^n] over the concave hull of the knot
+    hull and, per rising segment, the point where the tangents at the two ends
+    of its revenue arc meet. That hull lies at most width * rise / 4 above the
+    arc, so the bound exceeds the optimum by at most n * max(width * rise) / 4,
+    and it is exact on a purely atomic ``d``."""
+    _, width, _, rise = d.segments
+    up = rise > 0
+    q0 = 1.0 - d.f_left[up]
+    qa = q0 + 0.5 * rise[up]  # the apex sits midway along the arc
+    curve = revenue_curve(d)
+    hull = iron(np.append(curve.ironed_qs, qa), np.append(curve.ironed_rs, d.xs[up] * qa - 0.5 * q0 * width[up]))
+    F, slope = 1.0 - hull.ironed_qs, np.diff(hull.ironed_rs) / np.diff(hull.ironed_qs)
+    return float(np.maximum(slope, 0.0) @ (F[:-1] ** n - F[1:] ** n))
 
 
 # -- monopoly price, regularity, virtual values -------------------------------
@@ -491,10 +506,7 @@ def monopoly_price(d: Dist) -> tuple[float, float]:
     candidates = np.sort(np.concatenate([d.xs, interior]))
     revenue = candidates * d.survival_left(candidates)
     best = int(np.argmax(revenue))  # the first maximum: the smaller price
-    if revenue[best] > 0.0:
-        return float(candidates[best]), float(revenue[best])
-    best_p = float(d.xs[0])
-    return best_p, best_p * float(d.survival_left(best_p))
+    return float(candidates[best]), float(revenue[best])
 
 
 @dataclass(frozen=True)

@@ -220,17 +220,12 @@ class CounterexampleReport:
     regime_threshold: float
 
 
-def pooled_regime_threshold(tol: float = 1e-12) -> float:
-    """Root of 3q^2 - 2q^3 = 3/4: above it the two-active-bidder construction
-    keeps every ironed virtual value non-negative."""
-    lo, hi = 0.5, 1.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if 3 * mid**2 - 2 * mid**3 < 0.75:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def pooled_regime_threshold() -> float:
+    """Root in (1/2, 1) of 3q^2 - 2q^3 = 3/4: above it the two-active-bidder
+    construction keeps every ironed virtual value non-negative. With
+    q = y + 1/2 the cubic is y^3 - 3y/4 + 1/8 = 0, and 4 cos^3 t - 3 cos t =
+    cos 3t gives its root in (0, 1/2) as y = cos(4 pi / 9)."""
+    return 0.5 + math.cos(4 * math.pi / 9)
 
 
 def counterexample_certificate(q: float) -> CounterexampleReport:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mech as M
-from .dist import Dist, RevenueCurve, iron, is_regular_above_reserve, revenue_curve, virtual_values
+from .dist import Dist, is_regular_above_reserve, optimal_revenue_bound, virtual_values
 from .orderstat import (
     AmbiguitySpec,
     OrderStatTail,
@@ -113,7 +113,7 @@ def _separable_form(mechanism: M.Mechanism, n: int):
             "top order statistics"
         )
     if form[0] < 0:
-        raise ValueError("reserve must be non-negative")
+        raise ValueError(f"{'price' if isinstance(mechanism, M.PostedPrice) else 'reserve'} must be non-negative")
     if isinstance(mechanism, M.MultiUnit) and mechanism.units >= n:
         raise ValueError("need more bidders than units")
     return form
@@ -125,31 +125,13 @@ def closed_form_revenue(mechanism: M.Mechanism, pd: ProductDist) -> float:
     return float(_separable_revenue(a, b, pd)(np.array([float(r)]))[0])
 
 
-def _optimal_revenue_bound(d: Dist, n: int) -> float:
-    """Upper bound on the optimal revenue of n i.i.d. bidders from ``d``: the
-    integral of max(R', 0) d[1 - (1 - q)^n] over the concave hull of the knot
-    hull and, per rising segment, the point where the tangents at the two ends
-    of its revenue arc meet. That hull lies at most width * rise / 4 above the
-    arc, so the bound exceeds the optimum by at most n * max(width * rise) / 4,
-    and it is exact on a purely atomic ``d``."""
-    _, width, _, rise = d.segments
-    up = rise > 0
-    q0 = 1.0 - d.f_left[up]
-    qa = q0 + 0.5 * rise[up]  # the apex sits midway along the arc
-    curve = revenue_curve(d)
-    qs, rs = np.append(curve.ironed_qs, qa), np.append(curve.ironed_rs, d.xs[up] * qa - 0.5 * q0 * width[up])
-    hull = iron(RevenueCurve(qs, rs, qs, rs, ()))
-    F, slope = 1.0 - hull.ironed_qs, np.diff(hull.ironed_rs) / np.diff(hull.ironed_qs)
-    return float(np.maximum(slope, 0.0) @ (F[:-1] ** n - F[1:] ** n))
-
-
 def myerson_iid_revenue(base: Dist, n: int) -> float:
     """Expected revenue of the symmetric ironed-virtual-value auction on its
     own design distribution, E[(max ironed virtual value)+]: the hull integral
-    ``_optimal_revenue_bound``, exact only on a purely atomic base."""
+    ``dist.optimal_revenue_bound``, exact only on a purely atomic base."""
     if not base.is_discrete:
         raise ValueError("exact evaluation needs a purely atomic base")
-    return _optimal_revenue_bound(base, n)
+    return optimal_revenue_bound(base, n)
 
 
 # -- Monte Carlo ---------------------------------------------------------------
@@ -327,7 +309,7 @@ def _worst_case_law(mechanism: M.Mechanism, spec: AmbiguitySpec, grid: int) -> D
     if kc > spec.k:
         raise ValueError(
             f"mechanism needs the top {kc} order statistics but only the "
-            f"{spec.k}-th is observed"
+            f"k={spec.k} order statistic is observed"
         )
     return consistent_iid(spec, grid=grid)
 
@@ -494,7 +476,7 @@ class SandwichResult:
 
 def robust_sandwich(spec: AmbiguitySpec, grid: int = 4096) -> SandwichResult:
     """Bracket the robust optimum in closed form: the optimal-reserve
-    second-price worst case from below, ``_optimal_revenue_bound`` at the
+    second-price worst case from below, ``dist.optimal_revenue_bound`` at the
     consistent i.i.d. distribution from above, exact on atoms and otherwise at
     most n * max(width * rise) / 4 of its segments above the optimum. On an
     atomic distribution the two meet exactly when it is regular above its
@@ -506,7 +488,7 @@ def robust_sandwich(spec: AmbiguitySpec, grid: int = 4096) -> SandwichResult:
     res = _robust_reserve(spec, spa, fbar)
     return SandwichResult(
         lower=res.worst_case_revenue,
-        upper=_optimal_revenue_bound(fbar, spec.n),
+        upper=optimal_revenue_bound(fbar, spec.n),
         spa_reserve=res.reserve,
         regular_above_reserve=res.regular_above_reserve,
     )

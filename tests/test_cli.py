@@ -194,6 +194,17 @@ REFUSED = {
         "worstcase", {"n": 4, "k": 3, "G": UNIF_LIT, "mechanism": {"type": "multi_unit", "units": 1e30}, "grid": 64}),
     "draws_past_cap": (
         "simulate", {"product": [UNIF_LIT, UNIF_LIT], "mechanism": {"type": "spa"}, "samples": 10**12, "seed": 1}),
+    # a refusal names what is wrong
+    "negative_price": (
+        "worstcase", {"n": 3, "k": 2, "G": UNIF_LIT, "grid": 64, "mechanism": {"type": "posted_price", "price": -0.5}}),
+    "laddered_deeper_than_observation": (
+        "worstcase", {"n": 8, "k": 3, "G": UNIF_LIT, "grid": 64,
+                      "mechanism": {"type": "laddered", "click_rates": [1, 0.8, 0.6, 0.4, 0.2], "reserve": 0.1}}),
+}
+# what the refusal of a case says, where a test pins it
+REFUSED_SAYS = {
+    "negative_price": "error: price must be non-negative",
+    "laddered_deeper_than_observation": "needs the top 6 order statistics but only the k=3 order statistic is observed",
 }
 
 
@@ -204,6 +215,7 @@ def test_bad_family_mechanism_or_literal_exits_2(case, tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+    assert REFUSED_SAYS.get(case, "") in err
 
 
 def test_integral_float_is_an_integer(tmp_path, capsys):
@@ -483,12 +495,24 @@ def test_failed_reproduction_exits_1_with_its_rows(tmp_path, capsys):
     assert code == 1 and out == path.read_text()
 
 
-@pytest.mark.parametrize("command, cfg, code", [
-    *((*REFUSED[case], 2) for case in ("nan_rate", "simulate_units_not_below_bidders", "table_starts_above_zero")),
-    ("worstcase", {"n": 3, "k": 2, "G": UNIF_LIT, "grid": 64, "mechanism": {"type": "myerson"}}, 3),
-], ids=["nan_rate", "simulate_units_not_below_bidders", "table_starts_above_zero", "myerson_unsupported"])
-def test_refused_request_writes_no_out_file(command, cfg, code, tmp_path, capsys):
-    path = tmp_path / "out.csv"
-    got, out, err = run_cli([command, "--config", write_cfg(tmp_path, "c.json", cfg), "--out", str(path)], capsys)
-    assert (got, out) == (code, "") and err.startswith("error: ")
-    assert not path.exists()
+# an --out that cannot be opened: an existing directory, or a file under a missing one
+UNWRITABLE_OUT = {"out_directory": "dir", "out_missing_directory": "missing/out.csv"}
+
+
+@pytest.mark.parametrize("command, cfg, code, out_name", [
+    *((*REFUSED[case], 2, "out.csv")
+      for case in ("nan_rate", "simulate_units_not_below_bidders", "table_starts_above_zero")),
+    ("worstcase", {"n": 3, "k": 2, "G": UNIF_LIT, "grid": 64, "mechanism": {"type": "myerson"}}, 3, "out.csv"),
+    *(("reproduce", "sandwich", 2, out) for out in UNWRITABLE_OUT.values()),
+    *((*REQUESTS["worstcase"], 2, out) for out in UNWRITABLE_OUT.values()),
+], ids=["nan_rate", "simulate_units_not_below_bidders", "table_starts_above_zero", "myerson_unsupported",
+        *(f"{name}_{case}" for name in ("sandwich", "worstcase") for case in UNWRITABLE_OUT)])
+def test_refused_request_writes_no_out_file(command, cfg, code, out_name, tmp_path, capsys):
+    path = tmp_path / out_name
+    if out_name == "dir":
+        path.mkdir()
+    argv = ["reproduce", cfg] if command == "reproduce" else [command, "--config", write_cfg(tmp_path, "c.json", cfg)]
+    got, out, err = run_cli([*argv, "--out", str(path)], capsys)
+    assert (got, out) == (code, "") and err.startswith("error: ") and "Traceback" not in err
+    assert ("cannot write" in err) == (out_name in UNWRITABLE_OUT.values())
+    assert not list(path.iterdir()) if out_name == "dir" else not path.exists()

@@ -168,9 +168,19 @@ def _envelope_oracle(qs, rs, q):
 class TestIron:
     def test_concave_input_identity(self):
         curve = D.revenue_curve(D.uniform(0, 1))
-        ironed = D.iron(curve)
+        ironed = D.iron(curve.qs, curve.rs)
         assert ironed.ironed_intervals == ()
         assert np.allclose(ironed.ironed_value(curve.qs), curve.rs, atol=1e-12)
+
+    def test_envelope_ignores_point_order(self):
+        # F_DISC's curve repeats quantile 0.2, priced at 2 and at 1; the
+        # higher point is kept whatever order the points come in
+        curve = D.revenue_curve(F_DISC)
+        assert len(np.unique(curve.qs)) < len(curve.qs)
+        shuffled = np.random.default_rng(3).permutation(len(curve.qs))
+        hull = D.iron(curve.qs[shuffled], curve.rs[shuffled])
+        assert hull.ironed_qs.tobytes() == curve.ironed_qs.tobytes()
+        assert hull.ironed_rs.tobytes() == curve.ironed_rs.tobytes()
 
     def test_f_disc_envelope(self):
         curve = D.revenue_curve(F_DISC)
@@ -293,6 +303,8 @@ class TestMonopolyPrice:
 
     def test_point_mass(self):
         assert D.monopoly_price(D.point_mass(3.0)) == (3.0, 3.0)
+        # at 0 every price earns 0, and the first maximum is the lowest knot
+        assert D.monopoly_price(D.point_mass(0.0)) == (0.0, 0.0)
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=40, deadline=None)
@@ -319,6 +331,13 @@ class TestRegularity:
         assert not rep.regular_above_reserve
         assert rep.monopoly_price == 1.0
         assert rep.violating_intervals == ((pytest.approx(0.2), pytest.approx(1.0)),)
+
+    def test_point_mass_at_zero(self):
+        rep = D.is_regular_above_reserve(D.point_mass(0.0))
+        assert rep == D.RegularityReport(
+            regular_above_reserve=True, regular=True, monopoly_price=0.0,
+            reserve_quantile=1.0, violating_intervals=(),
+        )
 
     def test_bernoulli_regular_above_reserve_only(self):
         b = D.two_point(0.0, 0.4, 1.0)

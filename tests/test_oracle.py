@@ -174,6 +174,10 @@ class TestCounterexample:
         t = O.pooled_regime_threshold()
         assert 3 * t**2 - 2 * t**3 == pytest.approx(0.75, abs=1e-9)
         assert t == pytest.approx(0.673, abs=1e-3)
+        # the closed form is a root to rounding, and agrees to 1e-12 with the
+        # 1e-12 bisection it replaced (0.6736481776665642)
+        assert abs(3 * t**2 - 2 * t**3 - 0.75) <= 2e-16
+        assert abs(t - 0.6736481776665642) <= 1e-12
 
     def test_domain(self):
         with pytest.raises(ValueError):

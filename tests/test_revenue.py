@@ -635,7 +635,7 @@ class TestSandwich:
     def test_inverts_the_observation_once(self, monkeypatch, G):
         spec = OS.AmbiguitySpec(4, 2, G)
         res = R.optimal_robust_reserve(spec, M.SPAReserve(0.0), grid=512)
-        upper = R._optimal_revenue_bound(OS.consistent_iid(spec, grid=512), 4)
+        upper = D.optimal_revenue_bound(OS.consistent_iid(spec, grid=512), 4)
         calls = []
 
         def counted(*args, **kwargs):
