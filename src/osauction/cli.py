@@ -31,7 +31,7 @@ import numpy as np
 
 from . import mech as M
 from . import revenue as R
-from .dist import _finite, from_literal, is_regular_above_reserve, revenue_curve, two_point, uniform
+from .dist import DEFAULT_GRID, _finite, from_literal, is_regular_above_reserve, revenue_curve, two_point, uniform
 from .orderstat import AmbiguitySpec, ProductDist, consistent_iid, h_poly, iid
 from .oracle import counterexample_certificate
 
@@ -269,7 +269,7 @@ def _reproduce_uniform() -> list:
     ]
 
 
-def _reproduce_counterexample(q: float) -> list:
+def _reproduce_counterexample(q: float = 0.8) -> list:
     rep = counterexample_certificate(q)
     return [
         _check("iid_optimal_revenue", rep.opt_iid, rep.opt_iid_formula, 1e-9),
@@ -290,12 +290,12 @@ def _reproduce_sandwich() -> list:
     ]
 
 
-# name -> rows of checks, given the counterexample's atom weight
+# name -> rows of checks; only the counterexample takes an argument, --q
 REPRODUCTIONS = {
-    "bernoulli-example": lambda q: _reproduce_bernoulli(),
-    "uniform-example": lambda q: _reproduce_uniform(),
+    "bernoulli-example": _reproduce_bernoulli,
+    "uniform-example": _reproduce_uniform,
     "counterexample": _reproduce_counterexample,
-    "sandwich": lambda q: _reproduce_sandwich(),
+    "sandwich": _reproduce_sandwich,
 }
 
 
@@ -324,7 +324,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("reproduce")
     sp.add_argument("name", help=f"one of {', '.join(REPRODUCTIONS)}")
-    sp.add_argument("--q", type=float, default=0.8, help="atom weight for the counterexample")
+    sp.add_argument("--q", type=float, help="atom weight for the counterexample (default 0.8)")
     sp.add_argument("--out", help="write CSV here instead of stdout")
 
     return p
@@ -336,12 +336,14 @@ def main(argv=None) -> int:
         if args.command == "reproduce":
             if args.name not in REPRODUCTIONS:
                 raise ConfigError(f"unknown reproduction {args.name!r}; choose from {tuple(REPRODUCTIONS)}")
+            if args.q is not None and args.name != "counterexample":
+                raise ConfigError(f"--q is the counterexample's atom weight; {args.name} takes none")
             header = ("check", "computed", "reference", "tolerance", "status")
-            rows = REPRODUCTIONS[args.name](args.q)
+            rows = REPRODUCTIONS[args.name]() if args.q is None else _reproduce_counterexample(args.q)
         else:
             cfg = _load_config(args.config)
             cfg.update({f: v for f, v in vars(args).items() if f in OVERRIDES and v is not None})
-            header, rows = args.fn(cfg, _integer("grid", cfg.get("grid", 4096)))
+            header, rows = args.fn(cfg, _integer("grid", cfg.get("grid", DEFAULT_GRID)))
     except ValueError as e:  # ConfigError, NotSeparableError, and the library refusing bad input
         print(f"error: {e}", file=sys.stderr)
         return EXIT_UNSUPPORTED if isinstance(e, R.NotSeparableError) else EXIT_CONFIG

@@ -29,6 +29,18 @@ import numpy as np
 
 MASS_TOL = 1e-12
 
+# knots a continuous family is discretized onto, and G's CDF mass is
+# subdivided into when it is inverted
+DEFAULT_GRID = 4096
+_MIN_GRID, _MAX_GRID = 16, 2**20
+
+
+def check_grid(grid: int) -> None:
+    """Refuse a grid outside [16, 2**20], which would collapse a
+    discretization to a few knots or exhaust memory."""
+    if not _MIN_GRID <= grid <= _MAX_GRID:
+        raise ValueError(f"grid must lie between {_MIN_GRID} and {_MAX_GRID}, got {grid}")
+
 
 def _as_readonly(a) -> np.ndarray:
     arr = np.ascontiguousarray(a, dtype=np.float64)
@@ -263,7 +275,8 @@ def _from_family(cdf, ppf, grid: int, label: str, floor: float | None = None, ta
     is) and a value-spaced grid (so no segment spans a wide value range,
     which would bloat the revenue curve near the top of the support); every
     knot carries the exact family CDF, renormalized over the kept window."""
-    half = max(grid // 2, 1)
+    check_grid(grid)
+    half = grid // 2
     qs = np.linspace(tail, 1.0 - tail, half + 1)
     xs_q = np.asarray(ppf(qs), dtype=np.float64)
     lo, hi = float(xs_q[0]), float(xs_q[-1])
@@ -280,7 +293,7 @@ def _from_family(cdf, ppf, grid: int, label: str, floor: float | None = None, ta
     return dist_from_arrays(xs, f, f, label=label)
 
 
-def exponential(rate: float, grid: int = 4096, tail: float = _FAMILY_TAIL) -> Dist:
+def exponential(rate: float, grid: int = DEFAULT_GRID, tail: float = _FAMILY_TAIL) -> Dist:
     if rate <= 0:
         raise ValueError("rate must be positive")
     return _from_family(
@@ -292,7 +305,7 @@ def exponential(rate: float, grid: int = 4096, tail: float = _FAMILY_TAIL) -> Di
     )
 
 
-def beta_dist(a: float, b: float, grid: int = 4096, tail: float = _FAMILY_TAIL) -> Dist:
+def beta_dist(a: float, b: float, grid: int = DEFAULT_GRID, tail: float = _FAMILY_TAIL) -> Dist:
     if a <= 0 or b <= 0:
         raise ValueError("beta shape parameters must be positive")
     from scipy.special import betainc, betaincinv
@@ -306,7 +319,7 @@ def beta_dist(a: float, b: float, grid: int = 4096, tail: float = _FAMILY_TAIL) 
     )
 
 
-def normal(mean: float, sd: float, grid: int = 4096, tail: float = _FAMILY_TAIL) -> Dist:
+def normal(mean: float, sd: float, grid: int = DEFAULT_GRID, tail: float = _FAMILY_TAIL) -> Dist:
     """Normal with tails truncated at mass ``tail``, floored at 0 for auction use."""
     if sd <= 0:
         raise ValueError("sd must be positive")
@@ -322,10 +335,7 @@ def normal(mean: float, sd: float, grid: int = 4096, tail: float = _FAMILY_TAIL)
     )
 
 
-_MIN_GRID, _MAX_GRID = 16, 2**20
-
-
-def from_literal(spec, grid: int = 4096) -> Dist:
+def from_literal(spec, grid: int = DEFAULT_GRID) -> Dist:
     """Parse the distribution literal format used in config files.
 
     Parameters must be finite numbers (not bools or strings), a table's
@@ -337,8 +347,7 @@ def from_literal(spec, grid: int = 4096) -> Dist:
         return spec
     if not isinstance(spec, dict) or "family" not in spec:
         raise ValueError(f"distribution literal must be a dict with a 'family' key, got {spec!r}")
-    if not _MIN_GRID <= grid <= _MAX_GRID:
-        raise ValueError(f"grid must lie between {_MIN_GRID} and {_MAX_GRID}, got {grid}")
+    check_grid(grid)
     fam = spec["family"]
 
     def num(name: str) -> float:

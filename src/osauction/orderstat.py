@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .dist import Dist, dist_from_arrays, point_mass
+from .dist import DEFAULT_GRID, Dist, check_grid, dist_from_arrays, point_mass
 
 
 @dataclass(frozen=True)
@@ -36,14 +37,16 @@ class ProductDist:
     def n(self) -> int:
         return len(self.components)
 
-    @property
+    @cached_property
     def common(self) -> Dist | None:
         """The marginal all bidders share when every component is one ``Dist``
-        object (as ``iid`` builds them), else None."""
+        object (as ``iid`` builds them), else None; found once per product."""
         first = self.components[0]
         return first if all(c is first for c in self.components) else None
 
     def merged_knots(self) -> np.ndarray:
+        if self.common is not None:
+            return self.common.xs
         distinct = {id(c): c for c in self.components}.values()
         return np.unique(np.concatenate([c.xs for c in distinct]))
 
@@ -181,7 +184,7 @@ def _polish_deep_root(a: int, k: int, g: np.ndarray, x: np.ndarray) -> np.ndarra
 _REFINE_MASS = 1.0 / 64.0
 
 
-def consistent_iid(spec: AmbiguitySpec, grid: int = 4096) -> Dist:
+def consistent_iid(spec: AmbiguitySpec, grid: int = DEFAULT_GRID) -> Dist:
     """The unique distribution F with Phi_k(F^n) = G.
 
     Maps G's CDF through the inverse bijection at every knot of G. Coarse
@@ -190,6 +193,7 @@ def consistent_iid(spec: AmbiguitySpec, grid: int = 4096) -> Dist:
     than 1/64 of the mass are left alone, keeping every knot an exact
     inversion of an exact knot of G.
     """
+    check_grid(grid)
     G = spec.G
     rise = G.segments.rise[1:]
     n_sub = np.where(rise > _REFINE_MASS, np.ceil(rise * grid), 1).astype(np.int64)
@@ -270,11 +274,13 @@ def _mean_betainc(p: int, q: int, x0: np.ndarray, x1: np.ndarray) -> np.ndarray:
 
     out = np.empty(x0.shape)
     flat = np.abs(x1 - x0) <= _FLAT_SEGMENT * np.maximum(x0, x1)
-    mid, half = 0.5 * (x0[flat] + x1[flat]), 0.5 * (x1[flat] - x0[flat])
-    gx, gw = _GAUSS3
-    out[flat] = 0.5 * betainc(p, q, mid[:, None] + half[:, None] * gx) @ gw
-    x0, x1 = x0[~flat], x1[~flat]
-    out[~flat] = (K(x1) - K(x0)) / (x1 - x0)
+    if flat.any():
+        mid, half = 0.5 * (x0[flat] + x1[flat]), 0.5 * (x1[flat] - x0[flat])
+        gx, gw = _GAUSS3
+        out[flat] = 0.5 * betainc(p, q, mid[:, None] + half[:, None] * gx) @ gw
+    if not flat.all():
+        x0, x1 = x0[~flat], x1[~flat]
+        out[~flat] = (K(x1) - K(x0)) / (x1 - x0)
     return out
 
 
@@ -337,7 +343,7 @@ def fosd_check(d1: Dist, d2: Dist, tol: float = 1e-12) -> bool:
     return bool(ok_right and ok_left)
 
 
-def minimal_orderstat_cdf(spec: AmbiguitySpec, i: int, grid: int = 4096) -> Dist:
+def minimal_orderstat_cdf(spec: AmbiguitySpec, i: int, grid: int = DEFAULT_GRID) -> Dist:
     """Stochastically minimal i-th order-statistic marginal over the
     ambiguity set: the consistent i.i.d. marginal for i <= k, and a point
     mass at zero for i > k (dummy bidders can absorb every lower slot)."""

@@ -2,24 +2,23 @@
 seeded Monte Carlo, worst cases over the ambiguity set, reserve optimization,
 and the bounds that hold uniformly over the number of bidders.
 
-Every separable mechanism goes through one evaluator built from its payment
-weights (``mech.separable_form``) and scored at whole arrays of reserves;
-Monte Carlo payments come from the same weights, and only Myerson has its
-own kernel: one array pass for both tie-breaking rules, which averages
-uniform ties exactly over the priority orders instead of drawing one, so it
-needs no random draw and works for any number of bidders. Monte Carlo
-values are bidder-major, one row per bidder and one column per sample, so
-the kernels reduce over contiguous rows; each row is drawn through
-``Dist.quantile`` and scored through ``VirtualValueFn.eval``, which read
-per-segment tables built once per instance. Samples run in fixed blocks,
-each drawing its own slice of one counter-based stream, on every available
-CPU, and the payments are reduced in sample order, so an estimate does not
-depend on the number of CPUs. The evaluator's order-statistic terms come
-from ``orderstat``: Pr(v_(i) >= r) for the top rows at once, and one
-``OrderStatTail`` per mechanism for the weighted sum of the exact tail
-integrals of Pr(v_(j) > t). The unknown-n guarantee and its root z* take
-arrays of reserves, so its reserve search scores every candidate in one
-pass too.
+Every evaluator is built once per request, then scores whole arrays:
+``_separable_revenue`` a separable mechanism's exact revenue at reserves,
+``_unknown_n_revenue`` the any-number-of-bidders guarantee at prices, and
+``_payment_kernel`` the Monte Carlo payments of a block of samples, from the
+weights of ``mech.separable_form`` or, for Myerson, from its ironed virtual
+values in one array pass for both tie-breaking rules, which averages uniform
+ties exactly over the priority orders instead of drawing one, so it needs no
+random draw and works for any number of bidders. Monte Carlo values are
+bidder-major, one row per bidder and one column per sample, so the kernels
+reduce over contiguous rows; each row is drawn through ``Dist.quantile`` and
+scored through ``VirtualValueFn.eval``, which read per-segment tables built
+once per instance. Samples run in fixed blocks, each drawing its own slice
+of one counter-based stream, on every available CPU, and the payments are
+reduced in sample order, so an estimate does not depend on the number of
+CPUs. The exact order-statistic terms come from ``orderstat``:
+Pr(v_(i) >= r) for the top rows at once, and one ``OrderStatTail`` per
+evaluator for the weighted sum of the exact tail integrals of Pr(v_(j) > t).
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mech as M
-from .dist import Dist, is_regular_above_reserve, optimal_revenue_bound, virtual_values
+from .dist import DEFAULT_GRID, Dist, VirtualValueFn, is_regular_above_reserve, optimal_revenue_bound, virtual_values
 from .orderstat import (
     AmbiguitySpec,
     OrderStatTail,
@@ -156,9 +155,10 @@ def _uniform_matrix(seed: int, samples: int, width: int, start: int = 0) -> np.n
     return np.random.Generator(bits).random((samples, width))
 
 
-def _myerson_payments(base: Dist, tiebreak: str, values: np.ndarray) -> np.ndarray:
-    """Vectorized total payments of the symmetric Myerson auction on
-    bidder-major values (one row per bidder, one column per sample).
+def _myerson_payments(phi_fn: VirtualValueFn, tiebreak: str, values: np.ndarray) -> np.ndarray:
+    """Vectorized total payments of the symmetric Myerson auction with ironed
+    virtual values ``phi_fn`` on bidder-major values (one row per bidder, one
+    column per sample).
 
     The winner's critical bid depends only on the top ironed level, whether
     it is tied, the highest rival level t* below it and whether a rival at
@@ -169,7 +169,6 @@ def _myerson_payments(base: Dist, tiebreak: str, values: np.ndarray) -> np.ndarr
     with probability c/(c+1) for c rivals at t*, and that average is taken
     exactly instead of drawn.
     """
-    phi_fn = virtual_values(base)
     phi = phi_fn.eval(values)
     wmax = phi.max(axis=0)
     at_top = phi == wmax
@@ -193,22 +192,28 @@ def _myerson_payments(base: Dist, tiebreak: str, values: np.ndarray) -> np.ndarr
     return np.where(wmax >= 0.0, pay, 0.0)
 
 
-def _mechanism_payments(mechanism: M.Mechanism, values: np.ndarray) -> np.ndarray:
-    """Total payment of every sample of bidder-major ``values``."""
+def _payment_kernel(mechanism: M.Mechanism, n: int):
+    """Total payment of every sample of bidder-major values of ``n`` bidders,
+    as a function of the values. Refuses first, and reads the mechanism's
+    payment weights or ironed virtual values once, here."""
     if isinstance(mechanism, M.MyersonIID):
-        return _myerson_payments(mechanism.base, mechanism.tiebreak, values)
-    n = values.shape[0]
+        phi_fn, tiebreak = virtual_values(mechanism.base), mechanism.tiebreak
+        return lambda values: _myerson_payments(phi_fn, tiebreak, values)
     r, a, b = _separable_form(mechanism, n)
     # r * sum_i a_i 1[v_(i) >= r] is r times the sum of the first c weights,
     # c the number of bidders at or above the reserve
-    clearing = np.minimum(np.count_nonzero(values >= r, axis=0), len(a))
-    total = r * np.concatenate([[0.0], np.cumsum(a)])[clearing]
-    if any(b):
-        ascending = np.sort(values, axis=0)  # v_(j) is row n - j
-        for j, bj in enumerate(b[: n - 1], start=2):
-            if bj:
+    cleared = r * np.concatenate([[0.0], np.cumsum(a)])
+    tails = [(j, bj) for j, bj in enumerate(b[: n - 1], start=2) if bj]
+
+    def payments(values: np.ndarray) -> np.ndarray:
+        total = cleared[np.minimum(np.count_nonzero(values >= r, axis=0), len(a))]
+        if tails:
+            ascending = np.sort(values, axis=0)  # v_(j) is row n - j
+            for j, bj in tails:
                 total += bj * np.clip(ascending[n - j] - r, 0.0, None)
-    return total
+        return total
+
+    return payments
 
 
 def _available_cpus() -> int:
@@ -233,14 +238,7 @@ def mc_expected_revenue(
     if samples < 1:
         raise ValueError("need at least one sample")
     n = pd.n
-    # refuse, and build the memos the blocks share, before any block runs, so
-    # that no two threads build one
-    if isinstance(mechanism, M.MyersonIID):
-        virtual_values(mechanism.base)
-    else:
-        _separable_form(mechanism, n)
-    for component in pd.components:
-        component.segments
+    pay = _payment_kernel(mechanism, n)  # on this thread, before any draw
     payments = np.empty(samples)
 
     def block(start: int) -> None:
@@ -253,7 +251,7 @@ def mc_expected_revenue(
         del unif
         for row, component in zip(values, pd.components):
             row[:] = component.quantile(row)
-        out[:] = _mechanism_payments(mechanism, values)
+        out[:] = pay(values)
 
     starts = range(0, samples, _MC_BLOCK)
     workers = min(len(starts), _available_cpus())
@@ -314,7 +312,7 @@ def _worst_case_law(mechanism: M.Mechanism, spec: AmbiguitySpec, grid: int) -> D
     return consistent_iid(spec, grid=grid)
 
 
-def worst_case_revenue_topk(mechanism: M.Mechanism, spec: AmbiguitySpec, grid: int = 4096) -> float:
+def worst_case_revenue_topk(mechanism: M.Mechanism, spec: AmbiguitySpec, grid: int = DEFAULT_GRID) -> float:
     """Worst-case expected revenue over all product distributions consistent
     with the observed k-th order statistic: an exact closed-form evaluation
     at ``_worst_case_law``."""
@@ -360,7 +358,7 @@ def _maximize(objective, candidates: np.ndarray) -> tuple[float, float]:
     return r_best, v_best
 
 
-def optimal_robust_reserve(spec: AmbiguitySpec, family: M.Mechanism, grid: int = 4096) -> ReserveResult:
+def optimal_robust_reserve(spec: AmbiguitySpec, family: M.Mechanism, grid: int = DEFAULT_GRID) -> ReserveResult:
     """Maximize the worst-case revenue of a separable mechanism over its
     reserve (a posted price's price), which replaces ``family``'s own.
 
@@ -407,24 +405,27 @@ def z_star(g):
     if not np.all((g >= 0.0) & (g <= 1.0)):
         raise ValueError("probability must lie in [0, 1]")
     # bracket [lo, lo + w] from [1e-300, 1]; every bracket halves in step, and
-    # its end points are dyadic, so lo + w is the exact midpoint
-    lo, w = np.full(g.shape, 1e-300), 1.0
+    # its end points are dyadic, so lo + w is the exact midpoint; a 0-d g
+    # steps as numpy scalars, which cost a fraction of 0-d arrays
+    level, lo, w = g[()], np.full(g.shape, 1e-300)[()], 1.0
     for _ in range(math.ceil(math.log2(1.0 / _Z_TOL))):
         w *= 0.5
         mid = lo + w
-        lo = lo + w * (mid * (1.0 - np.log(mid)) < g)
+        lo = lo + w * (mid * (1.0 - np.log(mid)) < level)
     z = np.where(g == 0.0, 0.0, np.where(g == 1.0, 1.0, lo + 0.5 * w))
     return float(z) if z.ndim == 0 else z
 
 
-def _survival_tail(G: Dist) -> OrderStatTail:
-    # integrals of 1 - G over [price, inf), memoized on the (immutable)
-    # distribution instance
-    tail = getattr(G, "_tail_memo", None)
-    if tail is None:
-        tail = OrderStatTail(iid(G, 1), (1.0,))
-        object.__setattr__(G, "_tail_memo", tail)
-    return tail
+def _unknown_n_revenue(G: Dist):
+    """``unknown_n_bound`` on G as a function of a non-negative price array
+    of any shape; every integral of 1 - G reads one ``OrderStatTail``."""
+    tail = OrderStatTail(iid(G, 1), (1.0,))
+
+    def bound(price: np.ndarray) -> np.ndarray:
+        above = tail.integral_from(np.atleast_1d(price)).reshape(price.shape)
+        return price * (1.0 - z_star(G.cdf_left(price))) + above
+
+    return bound
 
 
 def unknown_n_bound(price, G: Dist):
@@ -439,9 +440,8 @@ def unknown_n_bound(price, G: Dist):
     price = np.asarray(price, dtype=np.float64)
     if np.any(price < 0):
         raise ValueError("price must be non-negative")
-    tail = _survival_tail(G).integral_from(np.atleast_1d(price)).reshape(price.shape)
-    bound = price * (1.0 - z_star(G.cdf_left(price))) + tail
-    return float(bound) if bound.ndim == 0 else bound
+    bound = _unknown_n_revenue(G)(price)
+    return float(bound) if np.ndim(bound) == 0 else bound
 
 
 @dataclass(frozen=True)
@@ -453,9 +453,8 @@ class UnknownNReserve:
 
 def optimal_unknown_n_reserve(G: Dist) -> UnknownNReserve:
     """Reserve maximizing the any-number-of-bidders guarantee."""
-
     candidates = np.unique(np.concatenate([[0.0], G.xs]))
-    r_best, v_best = _maximize(lambda rs: unknown_n_bound(rs, G), candidates)
+    r_best, v_best = _maximize(_unknown_n_revenue(G), candidates)
     return UnknownNReserve(r_best, v_best, z_star(float(G.cdf_left(r_best))))
 
 
@@ -474,7 +473,7 @@ class SandwichResult:
         return self.lower / self.upper if self.upper > 0 else 1.0
 
 
-def robust_sandwich(spec: AmbiguitySpec, grid: int = 4096) -> SandwichResult:
+def robust_sandwich(spec: AmbiguitySpec, grid: int = DEFAULT_GRID) -> SandwichResult:
     """Bracket the robust optimum in closed form: the optimal-reserve
     second-price worst case from below, ``dist.optimal_revenue_bound`` at the
     consistent i.i.d. distribution from above, exact on atoms and otherwise at

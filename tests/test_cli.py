@@ -200,11 +200,19 @@ REFUSED = {
     "laddered_deeper_than_observation": (
         "worstcase", {"n": 8, "k": 3, "G": UNIF_LIT, "grid": 64,
                       "mechanism": {"type": "laddered", "click_rates": [1, 0.8, 0.6, 0.4, 0.2], "reserve": 0.1}}),
+    "config_not_an_object": ("invert", [3, 2, UNIF_LIT]),
+    "unknown_mechanism_type": (
+        "worstcase", {"n": 3, "k": 2, "G": UNIF_LIT, "grid": 64, "mechanism": {"type": "vickrey"}}),
+    "simulate_myerson_without_base": (
+        "simulate", {"product": [UNIF_LIT, UNIF_LIT], "mechanism": {"type": "myerson"}, "samples": 10, "seed": 1}),
 }
 # what the refusal of a case says, where a test pins it
 REFUSED_SAYS = {
     "negative_price": "error: price must be non-negative",
     "laddered_deeper_than_observation": "needs the top 6 order statistics but only the k=3 order statistic is observed",
+    "config_not_an_object": "error: config must be a JSON object",
+    "unknown_mechanism_type": "error: unknown mechanism type 'vickrey'",
+    "simulate_myerson_without_base": "error: simulate needs an explicit 'base' for the myerson mechanism",
 }
 
 
@@ -216,6 +224,29 @@ def test_bad_family_mechanism_or_literal_exits_2(case, tmp_path, capsys):
     assert out == ""
     assert err.startswith("error: ")
     assert REFUSED_SAYS.get(case, "") in err
+
+
+@pytest.mark.parametrize("text", [None, "{\"n\": 3,", ""], ids=["missing_file", "truncated_json", "empty_file"])
+def test_unreadable_config_exits_2(text, tmp_path, capsys):
+    path = tmp_path / "c.json"
+    if text is not None:
+        path.write_text(text)
+    code, out, err = run_cli(["invert", "--config", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read config {path}: ")
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("reserve", {"n": cli.MAX_SIZE, "k": 2, "G": UNIF_LIT, "family": "spa", "grid": 64}),
+    ("worstcase", {"n": cli.MAX_SIZE, "k": 2, "G": UNIF_LIT, "grid": 64, "mechanism": {"type": "spa", "reserve": 0.5}}),
+], ids=["reserve", "worstcase"])
+def test_request_at_the_size_cap(command, cfg, tmp_path, capsys):
+    code, out, err = run_cli([command, "--config", write_cfg(tmp_path, "c.json", cfg)], capsys)
+    assert (code, err) == (0, "")
+    (row,) = parse_csv(out)
+    assert f"n={cli.MAX_SIZE}" in (row.get("mode") or row["distribution"])
+    revenue = float(row.get("worst_case_revenue") or row["expected_revenue"])
+    assert 0.0 < revenue < 1.0
 
 
 def test_integral_float_is_an_integer(tmp_path, capsys):
@@ -505,13 +536,16 @@ UNWRITABLE_OUT = {"out_directory": "dir", "out_missing_directory": "missing/out.
     ("worstcase", {"n": 3, "k": 2, "G": UNIF_LIT, "grid": 64, "mechanism": {"type": "myerson"}}, 3, "out.csv"),
     *(("reproduce", "sandwich", 2, out) for out in UNWRITABLE_OUT.values()),
     *((*REQUESTS["worstcase"], 2, out) for out in UNWRITABLE_OUT.values()),
+    # --q is the counterexample's atom weight alone
+    *(("reproduce", f"{name} --q 5", 2, "out.csv") for name in ("sandwich", "bernoulli-example", "uniform-example")),
 ], ids=["nan_rate", "simulate_units_not_below_bidders", "table_starts_above_zero", "myerson_unsupported",
-        *(f"{name}_{case}" for name in ("sandwich", "worstcase") for case in UNWRITABLE_OUT)])
+        *(f"{name}_{case}" for name in ("sandwich", "worstcase") for case in UNWRITABLE_OUT),
+        *(f"{name}_with_q" for name in ("sandwich", "bernoulli-example", "uniform-example"))])
 def test_refused_request_writes_no_out_file(command, cfg, code, out_name, tmp_path, capsys):
     path = tmp_path / out_name
     if out_name == "dir":
         path.mkdir()
-    argv = ["reproduce", cfg] if command == "reproduce" else [command, "--config", write_cfg(tmp_path, "c.json", cfg)]
+    argv = ["reproduce", *cfg.split()] if command == "reproduce" else [command, "--config", write_cfg(tmp_path, "c.json", cfg)]
     got, out, err = run_cli([*argv, "--out", str(path)], capsys)
     assert (got, out) == (code, "") and err.startswith("error: ") and "Traceback" not in err
     assert ("cannot write" in err) == (out_name in UNWRITABLE_OUT.values())

@@ -37,6 +37,28 @@ class TestCdfQuantile:
         e = D.exponential(1.0, grid=131072, tail=1e-12)
         assert e.quantile(1.0 - math.exp(-1.0)) == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("xs, f_left, f_right, says", [
+        ([], [], [], "non-empty and equally long"),
+        ([0.0, 1.0], [0.0, 1.0], [1.0], "non-empty and equally long"),
+        ([1.0, 0.0], [0.0, 0.5], [0.5, 1.0], "strictly increasing"),
+        ([0.0, 1.0], [0.5, 1.0], [0.5, 1.0], "start at 0 and end at 1"),
+        ([0.0, 1.0, 2.0], [0.0, 0.6, 0.6], [0.5, 0.4, 1.0], "atom masses must be non-negative"),
+        ([0.0, 1.0, 2.0], [0.0, 0.6, 0.5], [0.7, 0.6, 1.0], "non-decreasing between knots"),
+    ], ids=["empty", "unequal_lengths", "decreasing_knots", "cdf_not_from_0", "negative_atom", "falling_segment"])
+    def test_constructor_refusal_names_its_cause(self, xs, f_left, f_right, says):
+        with pytest.raises(ValueError, match=says):
+            D.Dist(np.array(xs), np.array(f_left), np.array(f_right))
+
+    def test_leading_knots_without_mass_trimmed(self):
+        d = D.dist_from_arrays([0.0, 1.0, 2.0, 3.0], [0.0, 0.0, 0.5, 1.0], [0.0, 0.0, 0.5, 1.0])
+        np.testing.assert_array_equal(d.xs, [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(d.cdf([0.5, 1.0, 1.5, 2.5]), [0.0, 0.0, 0.25, 0.75])
+
+    @pytest.mark.parametrize("grid", [0, 15, 2**20 + 1])
+    def test_family_grid_outside_its_bounds_refused(self, grid):
+        with pytest.raises(ValueError, match="grid must lie between"):
+            D.exponential(1.0, grid=grid)
+
     def test_negative_support_rejected(self):
         with pytest.raises(ValueError):
             D.uniform(-1.0, 1.0)
@@ -440,8 +462,15 @@ class TestLiterals:
             # the kept window of these holds a single value
             ({"family": "beta", "a": 1e30, "b": 3}, r"beta\(1e\+30,3\)"),
             ({"family": "normal", "mean": 1e17, "sd": 1}, r"normal\(1e\+17,1\)"),
+            ({"family": "uniform", "lo": 0}, "missing parameter 'hi'"),
+            ({"family": "uniform", "lo": 0, "hi": 10**400}, "uniform parameter 'hi' must be finite"),
+            ({"family": "table", "knots": [[0, 0], [1, 1]], "atoms": [[0.5, 0]]}, "atom masses must be positive"),
+            ({"family": "uniform", "lo": 1, "hi": 0}, "uniform needs lo < hi"),
+            ({"family": "twopoint", "v1": 1, "p1": 0.5, "v2": 0.5}, "two_point needs v1 < v2"),
         ],
-        ids=["knots_not_a_list", "knot_triple", "atom_not_a_pair", "atoms_a_dict", "beta_point", "normal_point"],
+        ids=["knots_not_a_list", "knot_triple", "atom_not_a_pair", "atoms_a_dict", "beta_point", "normal_point",
+             "missing_parameter", "integer_past_float_range", "atom_without_mass", "uniform_reversed",
+             "twopoint_reversed"],
     )
     def test_malformed_literal_names_its_field(self, lit, field):
         with warnings.catch_warnings():

@@ -285,3 +285,22 @@ class TestMyersonMonotonicity:
                         ).total_payment
                     return tot / len(orders)
                 assert avg_pay(v) <= avg_pay(w) + 1e-12
+
+
+@pytest.mark.parametrize("call, exc, says", [
+    (lambda: M.MultiUnit(0), ValueError, "at least one unit"),
+    (lambda: M.Laddered((1.0, 0.0)), ValueError, "click rates must be positive"),
+    (lambda: M.Laddered((1.0, -0.5)), ValueError, "click rates must be positive"),
+    (lambda: M.MyersonIID(F_DISC, "random"), ValueError, "tiebreak must be"),
+    (lambda: M.myerson_outcome(F_DISC, "random", P((1.0, 2.0))), ValueError, "unknown tiebreak 'random'"),
+    (lambda: P((1.0, 2.0)).order_stat(0), ValueError, "1-indexed"),
+    (lambda: M.pp_outcome(-0.5, P((1.0,))), ValueError, "price must be non-negative"),
+    (lambda: M.spa_outcome(-0.5, P((1.0, 2.0))), ValueError, "reserve must be non-negative"),
+    (lambda: M.outcome("vickrey", P((1.0, 2.0))), TypeError, "unknown mechanism 'vickrey'"),
+    (lambda: M.separable_form("vickrey"), TypeError, "unknown mechanism 'vickrey'"),
+], ids=["no_units", "zero_click_rate", "negative_click_rate", "unknown_tiebreak", "outcome_unknown_tiebreak",
+        "order_stat_zero", "negative_price", "negative_reserve", "outcome_unknown_mechanism",
+        "form_unknown_mechanism"])
+def test_refusal_names_its_cause(call, exc, says):
+    with pytest.raises(exc, match=says):
+        call()

@@ -226,3 +226,16 @@ class TestAveragingConvergence:
     def test_mixed_supports(self):
         comps = (D.uniform(0, 1), D.uniform(0.5, 2.0), D.two_point(0.2, 0.5, 1.5))
         assert O.averaging_convergence_check(OS.ProductDist(comps), sweeps=200) <= 1e-6
+
+
+@pytest.mark.parametrize("call, says", [
+    (lambda: O.DiscreteInstance((), ()), "matching non-empty supports and probs"),
+    (lambda: O.DiscreteInstance(((1.0,),), ((0.5,), (0.5,))), "matching non-empty supports and probs"),
+    (lambda: O.DiscreteInstance(((1.0,),) * 9, ((1.0,),) * 9), "capped at 8 bidders"),
+    (lambda: O.DiscreteInstance(((1.0, 2.0),), ((0.5, 0.4),)), "probabilities must sum to 1"),
+    (lambda: O.DiscreteInstance.from_dists([D.uniform(0, 1)]), "purely atomic bidders"),
+    (lambda: O.feasible_sampler_pi_k(OS.AmbiguitySpec(3, 2, D.uniform(0, 1)), 10, 1), "two-point observation"),
+], ids=["empty", "unmatched", "nine_bidders", "mass_short_of_one", "continuous_bidder", "continuous_observation"])
+def test_refusal_names_its_cause(call, says):
+    with pytest.raises(ValueError, match=says):
+        call()

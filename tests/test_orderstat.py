@@ -280,3 +280,23 @@ class TestAmbiguitySpec:
             OS.AmbiguitySpec(2, 3, BERN_HALF)
         with pytest.raises(ValueError):
             OS.AmbiguitySpec(0, 0, BERN_HALF)
+
+
+@pytest.mark.parametrize("call, says", [
+    (lambda: OS.h_inverse(3, 2, 1.5), r"lie in \[0, 1\]"),
+    (lambda: OS.h_inverse(3, 2, np.array([0.5, -1e-12])), r"lie in \[0, 1\]"),
+    (lambda: OS.poisson_binomial_pmf([0.5, 1.5]), r"lie in \[0, 1\]"),
+    (lambda: OS.poisson_binomial_pmf(np.array([[0.5], [-0.1]])), r"lie in \[0, 1\]"),
+    (lambda: OS.ProductDist(()), "need at least one bidder"),
+], ids=["h_inverse_above_one", "h_inverse_below_zero", "pmf_above_one", "pmf_below_zero", "no_bidders"])
+def test_refusal_names_its_cause(call, says):
+    with pytest.raises(ValueError, match=says):
+        call()
+
+
+def test_iid_product_reads_its_marginal():
+    pd = OS.iid(BERN_HALF, 4)
+    assert pd.common is BERN_HALF and pd.merged_knots() is BERN_HALF.xs
+    mixed = OS.ProductDist((BERN_HALF, D.uniform(0, 2)))
+    assert mixed.common is None
+    np.testing.assert_array_equal(mixed.merged_knots(), [0.0, 1.0, 2.0])

@@ -137,7 +137,7 @@ class TestSeparableForm:
         # reserve and ties between bidders are frequent
         lattice = rng.choice([0.0, 0.25, 0.5, 0.75, 1.0, 1.5], size=(500, 4))
         values = np.vstack([lattice, rng.uniform(0.0, 2.0, size=(500, 4))])
-        got = R._mechanism_payments(mech, values.T)  # one row per bidder
+        got = R._payment_kernel(mech, 4)(values.T)  # one row per bidder
         want = [M.outcome(mech, M.Profile(tuple(row))).total_payment for row in values]
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
@@ -276,7 +276,7 @@ class TestMonteCarlo:
         bidders = [D.from_table([], atoms=list(zip(lattice, rng.dirichlet(np.ones(7))))) for _ in range(5)]
         u = rng.random((60, 5))
         values = np.column_stack([d.quantile(u[:, j]) for j, d in enumerate(bidders)])
-        got = R._mechanism_payments(M.MyersonIID(POOLED, tiebreak), values.T)  # one row per bidder
+        got = R._payment_kernel(M.MyersonIID(POOLED, tiebreak), 5)(values.T)  # one row per bidder
         orders = list(itertools.permutations(range(5))) if tiebreak == "uniform" else [tuple(range(5))]
         want = [
             np.mean([M.myerson_outcome(POOLED, tiebreak, M.Profile(tuple(row)), priority=p).total_payment
@@ -317,7 +317,7 @@ def _single_matrix_mc(mechanism, pd, samples, seed):
     values = unif[:, :n].T.copy()
     for row, component in zip(values, pd.components):
         row[:] = component.quantile(row)
-    payments = R._mechanism_payments(mechanism, values)
+    payments = R._payment_kernel(mechanism, n)(values)
     stderr = float(payments.std(ddof=1) / math.sqrt(samples)) if samples > 1 else float("inf")
     return float(payments.mean()), stderr
 
@@ -376,15 +376,20 @@ class TestMonteCarloBlocks:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_error_in_a_block_reaches_the_caller(self, monkeypatch, workers):
-        pay = R._mechanism_payments
+        kernel = R._payment_kernel
 
-        def fail_on_short_block(mechanism, values):
-            if values.shape[1] < self.BLOCK:
-                raise RuntimeError("block failed")
-            return pay(mechanism, values)
+        def fail_on_short_block(mechanism, n):
+            pay = kernel(mechanism, n)
+
+            def payments(values):
+                if values.shape[1] < self.BLOCK:
+                    raise RuntimeError("block failed")
+                return pay(values)
+
+            return payments
 
         monkeypatch.setattr(R, "_available_cpus", lambda: workers)
-        monkeypatch.setattr(R, "_mechanism_payments", fail_on_short_block)
+        monkeypatch.setattr(R, "_payment_kernel", fail_on_short_block)
         with pytest.raises(RuntimeError, match="block failed"):
             R.mc_expected_revenue(M.SPAReserve(0.5), OS.iid(UNIF, 3), 2 * self.BLOCK + 5, 1)
 
@@ -392,6 +397,36 @@ class TestMonteCarloBlocks:
         monkeypatch.setattr(R, "_uniform_matrix", None)  # a draw would fail with TypeError
         with pytest.raises(ValueError, match="more bidders than units"):
             R.mc_expected_revenue(M.MultiUnit(3, 0.0), OS.iid(UNIF, 3), 100, 1)
+
+
+GRID_ENTRY_POINTS = {
+    "consistent_iid": lambda spec, grid: OS.consistent_iid(spec, grid=grid),
+    "worst_case_revenue_topk": lambda spec, grid: R.worst_case_revenue_topk(M.SPAReserve(0.3), spec, grid=grid),
+    "optimal_robust_reserve": lambda spec, grid: R.optimal_robust_reserve(spec, M.SPAReserve(0.0), grid=grid),
+    "robust_sandwich": lambda spec, grid: R.robust_sandwich(spec, grid=grid),
+}
+
+
+@pytest.mark.parametrize("grid", [0, 15, 2**20 + 1])
+@pytest.mark.parametrize("entry", list(GRID_ENTRY_POINTS))
+def test_grid_outside_its_bounds_refused(entry, grid):
+    # grid 0 once collapsed the consistent i.i.d. law to one knot, and the
+    # worst case of spa(r=0.3) on uniform G at (3, 2) read 1.0
+    with pytest.raises(ValueError, match="grid must lie between 16 and 1048576"):
+        GRID_ENTRY_POINTS[entry](OS.AmbiguitySpec(3, 2, UNIF), grid)
+
+
+@pytest.mark.parametrize("call, says", [
+    (lambda: R.closed_form_revenue(M.MyersonIID(F_DISC), OS.iid(F_DISC, 2)), "no closed form"),
+    (lambda: R.mc_expected_revenue(M.SPAReserve(0.5), OS.iid(UNIF, 2), 0, 1), "at least one sample"),
+    (lambda: R.unknown_n_bound(-0.5, UNIF), "price must be non-negative"),
+    (lambda: R.unknown_n_bound(np.array([0.5, -1e-9]), UNIF), "price must be non-negative"),
+    (lambda: R.RevenueReport("m", "d", 1.0, "bootstrap"), "unknown method 'bootstrap'"),
+], ids=["closed_form_myerson", "mc_no_samples", "unknown_n_negative_price", "unknown_n_negative_in_array",
+        "report_unknown_method"])
+def test_refusal_names_its_cause(call, says):
+    with pytest.raises(ValueError, match=says):
+        call()
 
 
 class TestWorstCase:
