@@ -236,7 +236,13 @@ def cmd_simulate(cfg: dict, grid: int):
     samples, seed = _integer("samples", samples), _integer("seed", seed)
     if samples * len(cfg["product"]) > MAX_DRAWS:
         raise ConfigError(f"simulate draws samples x bidders values, at most {MAX_DRAWS}")
-    pd = ProductDist(tuple(from_literal(lit, grid=grid) for lit in cfg["product"]))
+    # one Dist per distinct literal, shared by every bidder that names it
+    keys = [json.dumps(lit, sort_keys=True) for lit in cfg["product"]]
+    dists = {}
+    for key, lit in zip(keys, cfg["product"]):
+        if key not in dists:
+            dists[key] = from_literal(lit, grid=grid)
+    pd = ProductDist(tuple(dists[key] for key in keys))
     mechanism = _mechanism_from_config(_require(cfg, "mechanism"), grid)
     if isinstance(mechanism, M.MyersonIID) and mechanism.base is None:
         raise ConfigError("simulate needs an explicit 'base' for the myerson mechanism")

@@ -36,8 +36,11 @@ _MIN_GRID, _MAX_GRID = 16, 2**20
 
 
 def check_grid(grid: int) -> None:
-    """Refuse a grid outside [16, 2**20], which would collapse a
-    discretization to a few knots or exhaust memory."""
+    """Refuse a grid that is not an integer (a bool is not one), or lies
+    outside [16, 2**20], which would collapse a discretization to a few knots
+    or exhaust memory."""
+    if isinstance(grid, bool) or not isinstance(grid, numbers.Integral):
+        raise ValueError(f"grid must be an integer, got {grid!r}")
     if not _MIN_GRID <= grid <= _MAX_GRID:
         raise ValueError(f"grid must lie between {_MIN_GRID} and {_MAX_GRID}, got {grid}")
 
@@ -46,6 +49,83 @@ def _as_readonly(a) -> np.ndarray:
     arr = np.ascontiguousarray(a, dtype=np.float64)
     arr.setflags(write=False)
     return arr
+
+
+# below this many queries a binary search each costs less than building and
+# reading a guide table
+_GUIDED_MIN = 2048
+# keys a guided search steps past in a query's bucket before it confirms
+_STEPS = 2
+
+
+class _Search:
+    """``search(x, side)`` is ``np.searchsorted(keys, x, side)``, index for
+    index on every float input, for sorted ``keys`` without NaN.
+
+    A query of fewer than ``_GUIDED_MIN`` entries is searched as it is.
+    Against at most 4 keys a larger one counts, per entry, the keys at or
+    above it ("left") or above it ("right"); against more keys it reads a
+    guide table (Chen & Asau, 1974). Its M buckets, M the power of two in
+    (len(keys), 2 len(keys)], split the span of the finite keys, and each
+    holds the number of keys in the buckets below it: since the bucket map is
+    monotone, that never exceeds the answer of a query in the bucket. The
+    guess steps past up to ``_STEPS`` keys of the bucket, and two comparisons
+    against ``[-inf, keys, inf, ...]`` confirm that it is the answer; only
+    entries left unconfirmed (a crowded bucket, NaN, an infinity) are
+    searched. So exactness rests on the confirmation alone. Both are built
+    on the first query that reads them: the int32 guide takes no more bytes
+    than the keys, and the padded copy as many, so a built table holds about
+    twice its keys' bytes.
+    """
+
+    def __init__(self, keys: np.ndarray):
+        self.keys = keys
+
+    @cached_property
+    def _table(self):
+        keys, n = self.keys, len(self.keys)
+        finite = keys[np.isfinite(keys)]
+        m = 1 << n.bit_length()
+        lo, span = (finite[0], finite[-1] - finite[0]) if len(finite) else (0.0, 0.0)
+        with np.errstate(divide="ignore", over="ignore"):
+            scale = m / span if span > 0 else 0.0
+        scale = scale if math.isfinite(scale) else 0.0
+        padded = np.concatenate([[-np.inf], keys, np.full(_STEPS + 1, np.inf)])
+        bucket = (lo, scale, m)
+        counts = np.bincount(_bucket(finite, *bucket), minlength=m)
+        guide = np.count_nonzero(keys == -np.inf) + np.cumsum(counts) - counts
+        return bucket, guide.astype(np.int32), padded[:-1], padded[1:]
+
+    def __call__(self, x: np.ndarray, side: str):
+        n = len(self.keys)
+        if x.size < _GUIDED_MIN:
+            return np.searchsorted(self.keys, x, side)
+        if n <= 4:
+            j = np.full(x.shape, n, dtype=np.intp)
+            for k in self.keys.tolist():
+                j -= (x <= k) if side == "left" else (x < k)
+            return j
+        bucket, guide, below, above = self._table
+        j = guide[_bucket(x, *bucket)].astype(np.intp)
+        for _ in range(_STEPS):
+            j += (above[j] < x) if side == "left" else (above[j] <= x)
+        if side == "left":
+            bad = ~((below[j] < x) & (x <= above[j]))
+        else:
+            bad = ~((below[j] <= x) & (x < above[j]))
+        if bad.any():
+            j[bad] = np.searchsorted(self.keys, x[bad], side)
+        return j
+
+
+def _bucket(x: np.ndarray, lo: float, scale: float, m: int) -> np.ndarray:
+    """Guide bucket of every entry of ``x``; NaN and values far outside the
+    span land in an arbitrary bucket, whose guess the search then rejects."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        t = x - lo
+        t *= scale
+        b = t.astype(np.intp)
+    return np.clip(b, 0, m - 1, out=b)
 
 
 # on the segment entering a knot the CDF is lower + (v - left) / width * rise
@@ -119,6 +199,11 @@ class Dist:
         width[0] = 1.0
         return Segments(*map(_as_readonly, (left, width, lower, rise)))
 
+    @cached_property
+    def _quantile_search(self) -> _Search:
+        """The first knot whose right CDF reaches q; the last one takes every q above."""
+        return _Search(self.f_right[:-1])
+
     # -- CDF / survival / quantile ----------------------------------------
 
     def _cdf(self, v, side: str):
@@ -159,8 +244,7 @@ class Dist:
             raise ValueError("quantile argument must lie in [0, 1]")
         flat = q_arr.reshape(-1)
         left, width, lower, rise = self.segments
-        # first knot whose right CDF reaches q; the last one takes every q above
-        j = np.searchsorted(self.f_right[:-1], flat, side="left")
+        j = self._quantile_search(flat, "left")
         out = self.xs[j]
         if np.any(rise > 0):
             # the segment entering knot j attains q earlier where f_left >= q > lower: it rises
@@ -493,7 +577,9 @@ def optimal_revenue_bound(d: Dist, n: int) -> float:
     q0 = 1.0 - d.f_left[up]
     qa = q0 + 0.5 * rise[up]  # the apex sits midway along the arc
     curve = revenue_curve(d)
-    hull = iron(np.append(curve.ironed_qs, qa), np.append(curve.ironed_rs, d.xs[up] * qa - 0.5 * q0 * width[up]))
+    qs, rs = np.append(curve.ironed_qs, qa), np.append(curve.ironed_rs, d.xs[up] * qa - 0.5 * q0 * width[up])
+    order = np.argsort(qs, kind="stable")  # iron reads its intervals in the order given
+    hull = iron(qs[order], rs[order])
     F, slope = 1.0 - hull.ironed_qs, np.diff(hull.ironed_rs) / np.diff(hull.ironed_qs)
     return float(np.maximum(slope, 0.0) @ (F[:-1] ** n - F[1:] ** n))
 
@@ -579,14 +665,16 @@ class VirtualValueFn:
         with np.errstate(invalid="ignore"):  # a piece at -inf has no rise
             rise = (self.phi_hi - self.phi_lo) * (width > 0)
         object.__setattr__(self, "_pieces", (np.where(width > 0, width, 1.0), rise, np.where(rise > 0, rise, np.inf)))
+        # the piece holding v counts the inner breakpoints at or below v
+        object.__setattr__(self, "_piece_search", _Search(self.bp[1:-1]))
+        object.__setattr__(self, "_level_search", _Search(self.phi_hi))
 
     def eval(self, v):
         """Ironed virtual value at v (vectorized)."""
         v = np.asarray(v, dtype=np.float64)
         if len(self.bp) > 1:
             width, rise, _ = self._pieces
-            # the piece holding v counts the inner breakpoints at or below v
-            j = np.searchsorted(self.bp[1:-1], v, side="right")
+            j = self._piece_search(v, "right")
             t = np.clip((v - self.bp[j]) / width[j], 0, 1)
             inside = (v >= self.support_lo) & (v < self.support_hi)
             out = np.where(inside, self.phi_lo[j] + t * rise[j], -np.inf)
@@ -602,7 +690,7 @@ class VirtualValueFn:
         past = np.ones(t.shape, dtype=bool)
         if len(self.phi_hi):
             width, _, divisor = self._pieces
-            j = np.searchsorted(self.phi_hi, t, side="right" if strict else "left")
+            j = self._level_search(t, "right" if strict else "left")
             past = j >= len(self.phi_hi)
             j = np.minimum(j, len(self.phi_hi) - 1)
             lo = self.phi_lo[j]

@@ -11,12 +11,14 @@ values in one array pass for both tie-breaking rules, which averages uniform
 ties exactly over the priority orders instead of drawing one, so it needs no
 random draw and works for any number of bidders. Monte Carlo values are
 bidder-major, one row per bidder and one column per sample, so the kernels
-reduce over contiguous rows; each row is drawn through ``Dist.quantile`` and
-scored through ``VirtualValueFn.eval``, which read per-segment tables built
-once per instance. Samples run in fixed blocks, each drawing its own slice
-of one counter-based stream, on every available CPU, and the payments are
-reduced in sample order, so an estimate does not depend on the number of
-CPUs. The exact order-statistic terms come from ``orderstat``:
+reduce over contiguous rows; the rows of each distinct component are drawn
+through one ``Dist.quantile`` call per slab and scored through
+``VirtualValueFn.eval``, which read per-segment tables and guided searches
+built once per instance, and the separable kernel keeps only the top rows it
+reads instead of sorting them all. Samples run in fixed blocks, each drawing
+its own slice of one counter-based stream, on every available CPU, and the
+payments are reduced in sample order, so an estimate does not depend on the
+number of CPUs. The exact order-statistic terms come from ``orderstat``:
 Pr(v_(i) >= r) for the top rows at once, and one ``OrderStatTail`` per
 evaluator for the weighted sum of the exact tail integrals of Pr(v_(j) > t).
 """
@@ -139,6 +141,8 @@ def myerson_iid_revenue(base: Dist, n: int) -> float:
 # samples per Monte Carlo block; a multiple of 4, so every block's first draw
 # starts a Philox counter
 _MC_BLOCK = 16384
+# values one quantile call draws at most: its temporaries are a few times that
+_MC_SLAB = 4 * _MC_BLOCK
 
 
 def _uniform_matrix(seed: int, samples: int, width: int, start: int = 0) -> np.ndarray:
@@ -192,6 +196,30 @@ def _myerson_payments(phi_fn: VirtualValueFn, tiebreak: str, values: np.ndarray)
     return np.where(wmax >= 0.0, pay, 0.0)
 
 
+# deepest order statistic the separable kernel keeps by insertion: each row
+# costs up to 2 depth - 1 array passes, which up to this depth beat sorting
+# every column at every n measured (5 to 500); deeper tails sort
+_INSERT_DEPTH = 4
+
+
+def _top_rows(values: np.ndarray, depth: int) -> list[np.ndarray] | np.ndarray:
+    """The ``depth`` largest rows of every column, largest first. Up to
+    ``_INSERT_DEPTH`` each row is inserted into the rows kept so far: maximum
+    and minimum only pick one of their inputs, so these are the floats a sort
+    would put there. Deeper, every column is sorted."""
+    if depth > _INSERT_DEPTH:
+        return np.sort(values, axis=0)[::-1]
+    top: list[np.ndarray] = []
+    for v in values:
+        for i, kept in enumerate(top):
+            top[i] = np.maximum(kept, v)
+            if i + 1 < depth:  # what falls below the last kept row is dropped
+                v = np.minimum(kept, v)
+        if len(top) < depth:
+            top.append(v)
+    return top
+
+
 def _payment_kernel(mechanism: M.Mechanism, n: int):
     """Total payment of every sample of bidder-major values of ``n`` bidders,
     as a function of the values. Refuses first, and reads the mechanism's
@@ -204,13 +232,14 @@ def _payment_kernel(mechanism: M.Mechanism, n: int):
     # c the number of bidders at or above the reserve
     cleared = r * np.concatenate([[0.0], np.cumsum(a)])
     tails = [(j, bj) for j, bj in enumerate(b[: n - 1], start=2) if bj]
+    depth = max((j for j, _ in tails), default=0)
 
     def payments(values: np.ndarray) -> np.ndarray:
         total = cleared[np.minimum(np.count_nonzero(values >= r, axis=0), len(a))]
         if tails:
-            ascending = np.sort(values, axis=0)  # v_(j) is row n - j
+            top = _top_rows(values, depth)  # v_(j) is row j - 1
             for j, bj in tails:
-                total += bj * np.clip(ascending[n - j] - r, 0.0, None)
+                total += bj * np.clip(top[j - 1] - r, 0.0, None)
         return total
 
     return payments
@@ -221,6 +250,16 @@ def _available_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
+
+
+def _component_rows(pd: ProductDist, most: int) -> list[tuple[Dist, np.ndarray]]:
+    """Each distinct component of ``pd`` (by identity) with the rows of the
+    bidders who draw from it, at most ``most`` rows at a time."""
+    rows: dict[int, tuple[Dist, list[int]]] = {}
+    for i, component in enumerate(pd.components):
+        rows.setdefault(id(component), (component, []))[1].append(i)
+    return [(c, np.array(idx[i : i + most])) for c, idx in rows.values()
+            for i in range(0, len(idx), most)]
 
 
 def mc_expected_revenue(
@@ -239,6 +278,8 @@ def mc_expected_revenue(
         raise ValueError("need at least one sample")
     n = pd.n
     pay = _payment_kernel(mechanism, n)  # on this thread, before any draw
+    # one quantile call per component and slab of at most _MC_SLAB values
+    groups = _component_rows(pd, max(1, _MC_SLAB // min(samples, _MC_BLOCK)))
     payments = np.empty(samples)
 
     def block(start: int) -> None:
@@ -249,8 +290,8 @@ def mc_expected_revenue(
         # bidder-major: row j holds bidder j's draws, then its values
         values = unif[:, :n].T.copy()
         del unif
-        for row, component in zip(values, pd.components):
-            row[:] = component.quantile(row)
+        for component, rows in groups:
+            values[rows] = component.quantile(values[rows])
         out[:] = pay(values)
 
     starts = range(0, samples, _MC_BLOCK)

@@ -450,6 +450,17 @@ class TestSimulate:
         assert cli.main(["simulate", "--config", cfg, "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_bidders_of_one_literal_share_one_dist(self, tmp_path, capsys, monkeypatch):
+        # 200000 copies of one literal once built 200000 Dists and their tables
+        products = []
+        run = cli.R.mc_expected_revenue
+        monkeypatch.setattr(cli.R, "mc_expected_revenue", lambda m, pd, *a: products.append(pd) or run(m, pd, *a))
+        beta, reordered = {"family": "beta", "a": 2, "b": 3}, {"b": 3, "a": 2, "family": "beta"}
+        cfg = write_cfg(tmp_path, "c.json", {**self.CFG, "product": [beta, reordered, UNIF_LIT, beta], "grid": 64})
+        assert run_cli(["simulate", "--config", cfg], capsys)[0] == 0
+        first, second, uniform, last = products[0].components
+        assert first is second is last and uniform is not first
+
     def test_missing_seed_exit_2(self, tmp_path, capsys):
         cfg = dict(self.CFG)
         del cfg["seed"]

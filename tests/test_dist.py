@@ -54,10 +54,20 @@ class TestCdfQuantile:
         np.testing.assert_array_equal(d.xs, [1.0, 2.0, 3.0])
         np.testing.assert_array_equal(d.cdf([0.5, 1.0, 1.5, 2.5]), [0.0, 0.0, 0.25, 0.75])
 
-    @pytest.mark.parametrize("grid", [0, 15, 2**20 + 1])
+    @pytest.mark.parametrize("grid", [0, 15, 2**20 + 1, 64.0, 100.5, True])
     def test_family_grid_outside_its_bounds_refused(self, grid):
-        with pytest.raises(ValueError, match="grid must lie between"):
+        # a float grid once reached np.linspace and raised TypeError
+        says = "grid must lie between" if type(grid) is int else "grid must be an integer"
+        with pytest.raises(ValueError, match=says):
             D.exponential(1.0, grid=grid)
+
+    @pytest.mark.parametrize("make", [
+        lambda: D.from_literal({"family": "beta", "a": 2.0, "b": 3.0}, grid=100.5),
+        lambda: OS.consistent_iid(OS.AmbiguitySpec(3, 2, D.uniform(0.0, 1.0)), grid=64.0),
+    ], ids=["from_literal", "consistent_iid"])
+    def test_non_integer_grid_refused(self, make):
+        with pytest.raises(ValueError, match="grid must be an integer"):
+            make()
 
     def test_negative_support_rejected(self):
         with pytest.raises(ValueError):

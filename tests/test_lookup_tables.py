@@ -2,12 +2,17 @@
 ``VirtualValueFn.eval`` and the thresholds against the per-point
 implementations they replaced, copied below verbatim: the closed forms must
 read the same CDFs, and the Monte Carlo path must draw the same values and
-pay the same amounts, bit for bit."""
+pay the same amounts, bit for bit. Beneath them, the guided search they all
+read against ``np.searchsorted``, and the separable Monte Carlo kernel's
+top-row selection against the sort it replaced."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from osauction import dist as D
+from osauction import mech as M
+from osauction import revenue as R
 from conftest import random_discrete_dist, random_mixed_dist
 
 
@@ -250,3 +255,89 @@ def test_hand_built_map_with_zero_width_pieces():
     assert_bitwise(phi.eval(v), want)
     with np.errstate(invalid="ignore"):
         check_thresholds(phi, np.concatenate([np.linspace(-1.0, 6.0, 56), phi.phi_lo, phi.phi_hi]))
+
+
+@st.composite
+def sorted_keys(draw):
+    """Sorted keys without NaN: 0 to 5000 of them, heavy-tailed (crowded
+    buckets) or even, with duplicates, a signed zero pair or a leading -inf."""
+    n = draw(st.one_of(st.integers(0, 8), st.integers(9, 5000)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1e-300, 1e-6, 1.0, 1e6, 1e300]))
+    keys = (rng.standard_cauchy(n) if draw(st.booleans()) else rng.uniform(-1.0, 1.0, n)) * scale
+    if n and draw(st.booleans()):
+        keys = rng.choice(keys[: max(1, n // 3)], n)
+    if n >= 2 and draw(st.booleans()):
+        keys[:2] = -0.0, 0.0
+    keys.sort()
+    if n and draw(st.booleans()):
+        keys[0] = -np.inf
+    return keys
+
+
+def _queries(keys, rng):
+    """Every key and both of its float neighbours, NaN, the infinities and
+    random values, at least ``_GUIDED_MIN`` of them so the table is read."""
+    x = np.concatenate([keys, [np.nan, np.inf, -np.inf, 0.0, -0.0]])
+    x = np.concatenate([x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf)])
+    finite = keys[np.isfinite(keys)]
+    lo, hi = (finite.min(), finite.max()) if len(finite) else (-1.0, 1.0)
+    with np.errstate(over="ignore"):
+        spread = rng.uniform(lo - 0.1 * (hi - lo), hi + 0.1 * (hi - lo), D._GUIDED_MIN)
+    return rng.permutation(np.concatenate([x, spread]))
+
+
+@given(keys=sorted_keys(), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=120, deadline=None, derandomize=True)
+def test_guided_search_matches_searchsorted(keys, seed):
+    search = D._Search(keys)
+    x = _queries(keys, np.random.default_rng(seed))
+    for side in ("left", "right"):
+        want = np.searchsorted(keys, x, side)
+        got = search(x, side)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        # a matrix, a strided view, a query just under the guided size and a scalar
+        even = len(x) // 2 * 2
+        assert np.array_equal(search(x[:even].reshape(2, -1), side), want[:even].reshape(2, -1))
+        assert np.array_equal(search(x[::-2], side), want[::-2])
+        assert np.array_equal(search(x[: D._GUIDED_MIN - 1], side), want[: D._GUIDED_MIN - 1])
+        for v in x[:5]:
+            assert search(np.asarray(v), side) == np.searchsorted(keys, v, side)
+
+
+def reference_separable_payments(mechanism, n, values):
+    """The separable Monte Carlo payments, read from a sort of every column."""
+    r, a, b = M.separable_form(mechanism)
+    cleared = r * np.concatenate([[0.0], np.cumsum(a)])
+    total = cleared[np.minimum(np.count_nonzero(values >= r, axis=0), len(a))]
+    ascending = np.sort(values, axis=0)  # v_(j) is row n - j
+    for j, bj in enumerate(b[: n - 1], start=2):
+        if bj:
+            total += bj * np.clip(ascending[n - j] - r, 0.0, None)
+    return total
+
+
+def _separable_mechanisms(n, rng, reserve):
+    yield M.PostedPrice(reserve)
+    yield M.SPAReserve(reserve)
+    for units in range(1, n):
+        yield M.MultiUnit(units, reserve)
+    for length in (1, n, n + 1):
+        yield M.Laddered(tuple(np.sort(rng.uniform(0.1, 1.0, length))[::-1]), reserve)
+
+
+@given(seed=st.integers(0, 2**32 - 1), levels=st.integers(1, 6))
+@settings(max_examples=25, deadline=None, derandomize=True)
+def test_payment_kernel_matches_sorted_reference(seed, levels):
+    # values on a few levels tie with each other and with the reserve
+    rng = np.random.default_rng(seed)
+    grid = np.sort(rng.uniform(0.0, 2.0, levels))
+    for n in range(1, 13):
+        values = rng.choice(grid, (n, 97))
+        for mechanism in _separable_mechanisms(n, rng, float(rng.choice(np.append(grid, 0.0)))):
+            got = R._payment_kernel(mechanism, n)(values)
+            assert_bitwise(got, reference_separable_payments(mechanism, n, values))
+    # tails deeper than R._INSERT_DEPTH sort every column
+    values = rng.choice(grid, (40, 97))
+    for mechanism in (M.MultiUnit(30, float(grid[0])), M.Laddered(tuple(np.linspace(1.0, 0.1, 35)), 0.0)):
+        assert_bitwise(R._payment_kernel(mechanism, 40)(values), reference_separable_payments(mechanism, 40, values))

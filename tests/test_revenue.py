@@ -367,6 +367,18 @@ class TestMonteCarloBlocks:
             sys.setswitchinterval(interval)
         assert (rep.expected_revenue, rep.mc_stderr) == want
 
+    @pytest.mark.parametrize("name", ["laddered", "myerson_uniform"])
+    def test_shared_components_drawn_in_slabs(self, name):
+        # each distinct component draws its rows, adjacent or interleaved, in
+        # slabs of at most _MC_SLAB values
+        a, b = D.from_literal(PIN_LITERALS[0]), D.exponential(1.0, grid=64)
+        samples = 1000
+        rows = R._MC_SLAB // samples
+        pd = OS.ProductDist((b,) * (rows + 5) + tuple(a if j % 3 else b for j in range(2 * rows)))
+        mech = BLOCK_MECHANISMS[name]
+        rep = R.mc_expected_revenue(mech, pd, samples, 3)
+        assert (rep.expected_revenue, rep.mc_stderr) == _single_matrix_mc(mech, pd, samples, 3)
+
     def test_block_draws_are_slices_of_one_matrix(self):
         whole = R._uniform_matrix(5, 40, 7)
         for start in (0, 4, 36):
