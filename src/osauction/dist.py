@@ -101,10 +101,11 @@ class _Search:
         if x.size < _GUIDED_MIN:
             return np.searchsorted(self.keys, x, side)
         if n <= 4:
-            j = np.full(x.shape, n, dtype=np.intp)
+            # the keys at or above x ("left") or above it, counted in bytes
+            count = np.zeros(x.shape, dtype=np.int8)
             for k in self.keys.tolist():
-                j -= (x <= k) if side == "left" else (x < k)
-            return j
+                count += (x <= k) if side == "left" else (x < k)
+            return np.subtract(n, count, dtype=np.intp)
         bucket, guide, below, above = self._table
         j = guide[_bucket(x, *bucket)].astype(np.intp)
         for _ in range(_STEPS):
@@ -243,17 +244,33 @@ class Dist:
         if q_arr.size and (q_arr.min() < 0.0 or q_arr.max() > 1.0):
             raise ValueError("quantile argument must lie in [0, 1]")
         flat = q_arr.reshape(-1)
-        left, width, lower, rise = self.segments
-        j = self._quantile_search(flat, "left")
+        j, reach = self._locate(flat)
         out = self.xs[j]
-        if np.any(rise > 0):
-            # the segment entering knot j attains q earlier where f_left >= q > lower: it rises
-            lo = lower[j]
-            reach = (self.f_left[j] >= flat) & (flat > lo)
-            if reach.any():
-                with np.errstate(divide="ignore", invalid="ignore"):  # unreached flat segments
-                    np.copyto(out, left[j] + (flat - lo) / rise[j] * width[j], where=reach)
+        if reach is not None and reach.any():
+            np.copyto(out, self._along_segment(flat, j), where=reach)
         return out.reshape(q_arr.shape) if q_arr.ndim else float(out[0])
+
+    def _locate(self, q: np.ndarray):
+        """``(j, reach)`` for quantiles ``q`` in [0, 1]: the quantile of q is
+        ``xs[j]``, except where ``reach`` holds, the entries the rising segment
+        entering knot j attains first (``reach`` is None when no segment
+        rises). That is where f_left[j] >= q > lower[j]; the search puts every
+        q above f_right[j - 1], which is lower[j], so for j > 0 the second
+        condition always holds, and for j = 0 the two never do."""
+        j = self._quantile_search(q, "left")
+        if not self._rises:
+            return j, None
+        return j, (self.f_left[j] >= q) & (j > 0)
+
+    @cached_property
+    def _rises(self) -> bool:
+        return bool(np.any(self.segments.rise > 0))
+
+    def _along_segment(self, q: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """The value at which the segment entering knot j reaches quantile q."""
+        left, width, lower, rise = self.segments
+        with np.errstate(divide="ignore", invalid="ignore"):  # unreached flat segments
+            return left[j] + (q - lower[j]) / rise[j] * width[j]
 
     def describe(self) -> str:
         return self.label
@@ -654,6 +671,10 @@ class VirtualValueFn:
     flat_regions: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
+        # a breakpoint or top at -0.0 reads +0.0: a threshold at it adds a
+        # zero, which would turn -0.0 into +0.0
+        object.__setattr__(self, "bp", np.asarray(self.bp, dtype=np.float64) + 0.0)
+        object.__setattr__(self, "support_hi", float(self.support_hi) + 0.0)
         for name in ("bp", "phi_lo", "phi_hi"):
             object.__setattr__(self, name, _as_readonly(getattr(self, name)))
         # per piece: its width, its rise in virtual value, and the rise a
@@ -664,42 +685,81 @@ class VirtualValueFn:
         width = self.bp[1:] - self.bp[:-1]
         with np.errstate(invalid="ignore"):  # a piece at -inf has no rise
             rise = (self.phi_hi - self.phi_lo) * (width > 0)
-        object.__setattr__(self, "_pieces", (np.where(width > 0, width, 1.0), rise, np.where(rise > 0, rise, np.inf)))
-        # the piece holding v counts the inner breakpoints at or below v
-        object.__setattr__(self, "_piece_search", _Search(self.bp[1:-1]))
+        width = np.where(width > 0, width, 1.0)
+        divisor = np.where(rise > 0, rise, np.inf)
+        hi, starts = self.support_hi, self.bp[:-1]
+        # eval: one more piece, at and past support_hi, holds phi_top. It
+        # starts at support_hi - 1, so a v there has a fraction of +0 or more,
+        # never -0.0, and that times its rise of -0.0 adds nothing to phi_top,
+        # whatever its sign. The piece holding v counts the inner breakpoints
+        # at or below v, and support_hi itself; one below support_hi finds the
+        # piece it always did
+        keys = np.minimum(self.bp[1:-1], hi)
+        object.__setattr__(self, "_piece_search", _Search(np.append(keys, hi) if len(starts) else keys))
+        object.__setattr__(self, "_value_pieces", tuple(map(_as_readonly, (
+            np.append(starts, hi - 1.0), np.append(width, 1.0), np.append(self.phi_lo, self.phi_top),
+            np.append(rise, -0.0),
+        ))))
+        # thresholds: one more piece past the last level. Its level is
+        # phi_top, it has no rise and no width, and it starts at support_hi,
+        # which a level up to phi_top maps to
         object.__setattr__(self, "_level_search", _Search(self.phi_hi))
+        object.__setattr__(self, "_level_pieces", tuple(map(_as_readonly, (
+            np.append(self.phi_lo, self.phi_top), np.append(divisor, np.inf), np.append(starts, hi),
+            np.append(width, 0.0),
+        ))))
 
     def eval(self, v):
         """Ironed virtual value at v (vectorized)."""
         v = np.asarray(v, dtype=np.float64)
-        if len(self.bp) > 1:
-            width, rise, _ = self._pieces
-            j = self._piece_search(v, "right")
-            t = np.clip((v - self.bp[j]) / width[j], 0, 1)
-            inside = (v >= self.support_lo) & (v < self.support_hi)
-            out = np.where(inside, self.phi_lo[j] + t * rise[j], -np.inf)
-        else:
-            out = np.full(v.shape, -np.inf)
-        np.copyto(out, self.phi_top, where=v == self.support_hi)
-        np.copyto(out, v, where=v > self.support_hi)
-        return out if out.ndim else float(out)
+        x = np.atleast_1d(v)
+        left, width, phi_lo, rise = self._value_pieces
+        j = self._piece_search(x, "right")
+        # phi_lo + clip((x - left) / width, 0, 1) * rise, in place
+        out = x - left[j]
+        out /= width[j]
+        np.clip(out, 0, 1, out=out)
+        out *= rise[j]
+        out += phi_lo[j]
+        if x.size and not (x.min() >= self.support_lo and x.max() <= self.support_hi):
+            np.copyto(out, -np.inf, where=~(x >= self.support_lo))  # below the support, or NaN
+            np.copyto(out, x, where=x > self.support_hi)
+        return out if v.ndim else float(out[0])
 
     def _invert(self, t, strict: bool):
-        t = np.asarray(t, dtype=np.float64)
-        out = np.empty(t.shape)
-        past = np.ones(t.shape, dtype=bool)
-        if len(self.phi_hi):
-            width, _, divisor = self._pieces
-            j = self._level_search(t, "right" if strict else "left")
-            past = j >= len(self.phi_hi)
-            j = np.minimum(j, len(self.phi_hi) - 1)
-            lo = self.phi_lo[j]
-            with np.errstate(invalid="ignore"):  # an infinite level at a piece without rise
-                frac = np.clip((t - lo) / divisor[j], 0, 1)
-            out = np.where(lo > t if strict else lo >= t, self.bp[j], self.bp[j] + frac * width[j])
-        top_hit = self.phi_top > t if strict else self.phi_top >= t
-        out = np.where(past, np.where(top_hit, self.support_hi, np.maximum(self.support_hi, t)), out)
-        return out if out.ndim else float(out)
+        """A level at or below the start of its piece maps to the piece's
+        left end: there the fraction clips to 0 and adds 0 times the width.
+        Past phi_top a level t maps to max(support_hi, t), which is
+        support_hi, the start of the piece past the last level, unless t lies
+        above it (or both are zeros, whose sign max leaves open). Those
+        entries and the ones where the sum is NaN (a level or a piece at an
+        infinity) are rare; they are selected exactly."""
+        level = np.asarray(t, dtype=np.float64)
+        t = np.atleast_1d(level)
+        lo, divisor, left, width = self._level_pieces
+        j = self._level_search(t, "right" if strict else "left")
+        with np.errstate(invalid="ignore"):  # an infinite level at a piece without rise
+            # left + clip((t - lo) / divisor, 0, 1) * width, in place
+            out = t - lo[j]
+            out /= divisor[j]
+            np.clip(out, 0, 1, out=out)
+            out *= width[j]
+            out += left[j]
+        past_top = np.greater_equal if strict else np.greater
+        above = np.greater if self.support_hi else np.greater_equal
+
+        def beyond(x):
+            return past_top(x, self.phi_top) & above(x, self.support_hi)
+
+        if out.size and (np.isnan(out.min()) or beyond(t.max())):
+            rare = np.isnan(out) | beyond(t)
+            t, j = t[rare], j[rare]
+            start, level_lo = left[j], lo[j]
+            hit = level_lo > t if strict else level_lo >= t
+            with np.errstate(invalid="ignore"):
+                inside = np.where(hit, start, start + np.clip((t - level_lo) / divisor[j], 0, 1) * width[j])
+            out[rare] = np.where((j == len(self.phi_hi)) & ~hit, np.maximum(self.support_hi, t), inside)
+        return out if level.ndim else float(out[0])
 
     def threshold_weak(self, t):
         """inf{v : phi_bar(v) >= t}."""

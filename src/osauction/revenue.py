@@ -5,22 +5,28 @@ and the bounds that hold uniformly over the number of bidders.
 Every evaluator is built once per request, then scores whole arrays:
 ``_separable_revenue`` a separable mechanism's exact revenue at reserves,
 ``_unknown_n_revenue`` the any-number-of-bidders guarantee at prices, and
-``_payment_kernel`` the Monte Carlo payments of a block of samples, from the
-weights of ``mech.separable_form`` or, for Myerson, from its ironed virtual
-values in one array pass for both tie-breaking rules, which averages uniform
-ties exactly over the priority orders instead of drawing one, so it needs no
-random draw and works for any number of bidders. Monte Carlo values are
+``_payment_kernel`` the Monte Carlo payments of a block of samples' values,
+from the weights of ``mech.separable_form`` or, for Myerson, from its ironed
+virtual values in one array pass for both tie-breaking rules, which averages
+uniform ties exactly over the priority orders instead of drawing one, so it
+needs no random draw and works for any number of bidders. ``_sampler`` pairs
+a kernel with what it reads per bidder: a separable mechanism's values, drawn
+through ``Dist.quantile``, or Myerson's ironed levels, which it scores
+straight from each draw's knot through one table of levels per distinct
+component, so that only draws inside a rising segment (every draw, for a
+component without atoms) evaluate their value. Monte Carlo rows are
 bidder-major, one row per bidder and one column per sample, so the kernels
-reduce over contiguous rows; the rows of each distinct component are drawn
-through one ``Dist.quantile`` call per slab and scored through
-``VirtualValueFn.eval``, which read per-segment tables and guided searches
-built once per instance, and the separable kernel keeps only the top rows it
-reads instead of sorting them all. Samples run in fixed blocks, each drawing
-its own slice of one counter-based stream, on every available CPU, and the
-payments are reduced in sample order, so an estimate does not depend on the
-number of CPUs. The exact order-statistic terms come from ``orderstat``:
-Pr(v_(i) >= r) for the top rows at once, and one ``OrderStatTail`` per
-evaluator for the weighted sum of the exact tail integrals of Pr(v_(j) > t).
+reduce over contiguous rows; a block is drawn a slab at a time into that
+layout, and the rows of each distinct component are scored by one call per
+slab, read without a copy where they are adjacent. The lookups read
+per-segment tables and guided searches built once per instance, and both
+kernels keep only the top rows they read instead of sorting them all. Samples
+run in fixed blocks, each drawing its own slice of one counter-based stream,
+on every available CPU, and the payments are reduced in sample order, so an
+estimate does not depend on the number of CPUs. The exact order-statistic
+terms come from ``orderstat``: Pr(v_(i) >= r) for the top rows at once, and
+one ``OrderStatTail`` per evaluator for the weighted sum of the exact tail
+integrals of Pr(v_(j) > t).
 """
 
 from __future__ import annotations
@@ -141,7 +147,8 @@ def myerson_iid_revenue(base: Dist, n: int) -> float:
 # samples per Monte Carlo block; a multiple of 4, so every block's first draw
 # starts a Philox counter
 _MC_BLOCK = 16384
-# values one quantile call draws at most: its temporaries are a few times that
+# values one draw or one score call holds at most: its temporaries are a few
+# times that
 _MC_SLAB = 4 * _MC_BLOCK
 
 
@@ -159,10 +166,10 @@ def _uniform_matrix(seed: int, samples: int, width: int, start: int = 0) -> np.n
     return np.random.Generator(bits).random((samples, width))
 
 
-def _myerson_payments(phi_fn: VirtualValueFn, tiebreak: str, values: np.ndarray) -> np.ndarray:
+def _myerson_kernel(phi_fn: VirtualValueFn, tiebreak: str):
     """Vectorized total payments of the symmetric Myerson auction with ironed
-    virtual values ``phi_fn`` on bidder-major values (one row per bidder, one
-    column per sample).
+    virtual values ``phi_fn``, as a function of the bidders' ironed levels
+    (bidder-major: one row per bidder, one column per sample).
 
     The winner's critical bid depends only on the top ironed level, whether
     it is tied, the highest rival level t* below it and whether a rival at
@@ -171,29 +178,37 @@ def _myerson_payments(phi_fn: VirtualValueFn, tiebreak: str, values: np.ndarray)
     threshold_strict(t*)) when outranked at t*. Lexicographic priority
     outranks when a rival at t* has a smaller index; uniform priority does so
     with probability c/(c+1) for c rivals at t*, and that average is taken
-    exactly instead of drawn.
+    exactly instead of drawn. A sample whose top level is below 0 pays 0.
     """
-    phi = phi_fn.eval(values)
-    wmax = phi.max(axis=0)
-    at_top = phi == wmax
-    tied = np.count_nonzero(at_top, axis=0) > 1
-    rivals = np.where(at_top, -np.inf, phi)
-    t = rivals.max(axis=0)
-    at_t = (rivals == t) & np.isfinite(rivals)
-    contested = ~tied & np.isfinite(t)  # a rival at t* may outrank the winner
-    keep = phi_fn.threshold_weak(np.maximum(np.where(tied, wmax, t), 0.0))
-    lose = np.maximum(phi_fn.threshold_weak(0.0), phi_fn.threshold_strict(np.where(contested, t, 0.0)))
-    if tiebreak == "lexicographic":
-        # outranked: a rival at t* comes before the first bidder at the top
-        outranked, top_seen = np.zeros_like(tied), np.zeros_like(tied)
-        for at_top_i, at_t_i in zip(at_top, at_t):
-            outranked |= at_t_i & ~top_seen
-            top_seen |= at_top_i
-        pay = np.where(contested & outranked, lose, keep)
-    else:
-        c = np.where(contested, np.count_nonzero(at_t, axis=0), 0)
-        pay = (keep + c * lose) / (c + 1)
-    return np.where(wmax >= 0.0, pay, 0.0)
+    floor = phi_fn.threshold_weak(0.0)
+
+    def payments(phi: np.ndarray) -> np.ndarray:
+        top = _top_rows(phi, 2)
+        wmax = top[0]
+        # the second level counting ties: the top itself when it is tied, and
+        # t* when it is not
+        second = top[1] if len(top) > 1 else np.full_like(wmax, -np.inf)
+        tied = second == wmax
+        contested = ~tied & np.isfinite(second)  # a rival at t* may outrank the winner
+        keep = phi_fn.threshold_weak(np.maximum(second, 0.0))
+        if tiebreak == "lexicographic":
+            # lose is read only where contested, where second is t*
+            lose = np.maximum(floor, phi_fn.threshold_strict(second))
+            # outranked: a rival at t* comes before the first bidder at the top
+            outranked, top_seen = np.zeros_like(tied), np.zeros_like(tied)
+            for row in phi:
+                outranked |= (row == second) & ~top_seen
+                top_seen |= row == wmax
+            pay = np.where(contested & outranked, lose, keep)
+        else:
+            # uncontested, c is 0, and 0 * lose adds nothing only for a finite
+            # lose: the one at level 0
+            lose = np.maximum(floor, phi_fn.threshold_strict(np.where(contested, second, 0.0)))
+            c = np.count_nonzero(phi == second, axis=0) * contested
+            pay = (keep + c * lose) / (c + 1)
+        return np.where(wmax >= 0.0, pay, 0.0)
+
+    return payments
 
 
 # deepest order statistic the separable kernel keeps by insertion: each row
@@ -226,7 +241,8 @@ def _payment_kernel(mechanism: M.Mechanism, n: int):
     payment weights or ironed virtual values once, here."""
     if isinstance(mechanism, M.MyersonIID):
         phi_fn, tiebreak = virtual_values(mechanism.base), mechanism.tiebreak
-        return lambda values: _myerson_payments(phi_fn, tiebreak, values)
+        payments = _myerson_kernel(phi_fn, tiebreak)
+        return lambda values: payments(phi_fn.eval(values))
     r, a, b = _separable_form(mechanism, n)
     # r * sum_i a_i 1[v_(i) >= r] is r times the sum of the first c weights,
     # c the number of bidders at or above the reserve
@@ -252,14 +268,67 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _component_rows(pd: ProductDist, most: int) -> list[tuple[Dist, np.ndarray]]:
+def _sampler(mechanism: M.Mechanism, pd: ProductDist):
+    """``(score, pay)`` for Monte Carlo blocks on ``pd``: ``score(component,
+    q)`` turns one component's uniform draws into what ``pay`` reads per
+    bidder, and ``pay`` the total payment of every sample from those rows.
+    Both are built here, once per request, on the calling thread.
+
+    A separable mechanism reads values, drawn through ``Dist.quantile``.
+    Myerson reads only ironed levels: a draw's quantile is the knot
+    ``xs[j]`` unless a rising segment reaches it first, so its level is
+    ``phi_fn.eval(xs)[j]``, one table per distinct component, and only the
+    draws on a segment evaluate their value. A component without atoms has
+    nearly every draw on a segment, where picking those draws out costs more
+    than it saves, so its draws evaluate their values.
+    """
+    if not isinstance(mechanism, M.MyersonIID):
+        return Dist.quantile, _payment_kernel(mechanism, pd.n)
+    phi_fn, tiebreak = virtual_values(mechanism.base), mechanism.tiebreak
+    distinct = {id(c): c for c in pd.components}
+    tables = {key: phi_fn.eval(c.xs) if np.any(c.f_right > c.f_left) else None for key, c in distinct.items()}
+
+    def levels(component: Dist, q: np.ndarray) -> np.ndarray:
+        table = tables[id(component)]
+        if table is None:
+            return phi_fn.eval(component.quantile(q))
+        j, reach = component._locate(q)
+        out = table[j]
+        if reach is not None and reach.any():
+            out[reach] = phi_fn.eval(component._along_segment(q[reach], j[reach]))
+        return out
+
+    return levels, _myerson_kernel(phi_fn, tiebreak)
+
+
+def _component_rows(pd: ProductDist, most: int) -> list[tuple[Dist, slice | np.ndarray]]:
     """Each distinct component of ``pd`` (by identity) with the rows of the
-    bidders who draw from it, at most ``most`` rows at a time."""
+    bidders who draw from it, at most ``most`` rows at a time: a slice where
+    they are adjacent (every row of an i.i.d. product), so a block reads them
+    as a view instead of gathering a copy."""
     rows: dict[int, tuple[Dist, list[int]]] = {}
     for i, component in enumerate(pd.components):
         rows.setdefault(id(component), (component, []))[1].append(i)
-    return [(c, np.array(idx[i : i + most])) for c, idx in rows.values()
-            for i in range(0, len(idx), most)]
+    out = []
+    for c, idx in rows.values():
+        for i in range(0, len(idx), most):
+            chunk = idx[i : i + most]
+            adjacent = chunk[-1] - chunk[0] == len(chunk) - 1
+            out.append((c, slice(chunk[0], chunk[-1] + 1) if adjacent else np.array(chunk)))
+    return out
+
+
+def _bidder_major_draws(seed: int, samples: int, n: int, start: int) -> np.ndarray:
+    """The first n columns of rows ``start`` to ``start + samples`` of the
+    seed's draw matrix of width n + 1, transposed: one row per bidder. The
+    rows are drawn a slab of at most ``_MC_SLAB`` values (and at least 4
+    rows) at a time, each starting a Philox counter, so the draw matrix is
+    never held whole beside its transpose."""
+    out = np.empty((n, samples))
+    step = max(4, _MC_SLAB // (n + 1) // 4 * 4)
+    for s in range(0, samples, step):
+        out[:, s : s + step] = _uniform_matrix(seed, min(step, samples - s), n + 1, start + s)[:, :n].T
+    return out
 
 
 def mc_expected_revenue(
@@ -276,23 +345,20 @@ def mc_expected_revenue(
     """
     if samples < 1:
         raise ValueError("need at least one sample")
-    n = pd.n
-    pay = _payment_kernel(mechanism, n)  # on this thread, before any draw
-    # one quantile call per component and slab of at most _MC_SLAB values
+    score, pay = _sampler(mechanism, pd)  # on this thread, before any draw
+    # one score call per component and slab of at most _MC_SLAB values
     groups = _component_rows(pd, max(1, _MC_SLAB // min(samples, _MC_BLOCK)))
     payments = np.empty(samples)
 
     def block(start: int) -> None:
         out = payments[start : start + _MC_BLOCK]
-        # the last column is unused; it keeps the stream's layout, so every
+        # bidder-major: row j holds bidder j's draws, then what pay reads;
+        # the stream's last column is unused and keeps its layout, so every
         # value column stays the draw it has always been
-        unif = _uniform_matrix(seed, len(out), n + 1, start)
-        # bidder-major: row j holds bidder j's draws, then its values
-        values = unif[:, :n].T.copy()
-        del unif
+        rows_read = _bidder_major_draws(seed, len(out), pd.n, start)
         for component, rows in groups:
-            values[rows] = component.quantile(values[rows])
-        out[:] = pay(values)
+            rows_read[rows] = score(component, rows_read[rows])
+        out[:] = pay(rows_read)
 
     starts = range(0, samples, _MC_BLOCK)
     workers = min(len(starts), _available_cpus())

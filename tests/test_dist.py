@@ -320,6 +320,62 @@ class TestVirtualValues:
             assert vv.eval(v) == pytest.approx(v - (1.0 - d.cdf(v)) / density, abs=1e-9)
 
 
+def _hand_built(bp, phi_lo, phi_hi, phi_top, support_lo, support_hi):
+    return D.VirtualValueFn(np.array(bp), np.array(phi_lo), np.array(phi_hi), phi_top, support_lo, support_hi, ())
+
+
+# maps whose edges the extended piece tables must reproduce: the last
+# breakpoint below support_hi, phi_top above support_hi and below the last
+# level, a piece at -inf, a single atom at 0 (levels and support_hi both
+# zeros) and maps built from distributions with a gap and a top atom
+EDGE_MAPS = {
+    "bp_below_top": _hand_built([0.0, 1.0, 2.0], [-1.0, 0.5], [0.2, 1.5], 3.0, 0.0, 4.0),
+    "top_above_support": _hand_built([0.5, 1.0, 2.0], [0.1, 0.7], [0.4, 2.5], 2.2, 0.5, 2.0),
+    "neg_inf_piece": _hand_built([0.0, 0.5, 1.0, 3.0], [-np.inf, -0.5, 1.0], [-np.inf, 0.25, 3.0], 3.0, 0.0, 3.0),
+    "atom_at_zero": D.virtual_values(D.point_mass(0.0)),
+    "atom": D.virtual_values(D.point_mass(1.5)),
+    "gap": D.virtual_values(
+        D.from_table([(0.0, 0.0), (1.0, 0.3), (2.0, 0.3), (3.0, 0.6)], atoms=[(2.0, 0.25), (4.0, 0.15)])
+    ),
+    "pooled_top": D.virtual_values(D.from_table([], atoms=[(1.0, 0.7), (1.2, 0.1), (2.0, 0.19), (4.0, 0.01)])),
+    # a threshold adds a zero to its piece's start, which would turn a
+    # breakpoint or top at -0.0 into +0.0: the map stores them as +0.0
+    "negative_zero_start": _hand_built([-0.0, 1.0], [-1.0], [1.0], 1.0, -0.0, 1.0),
+    "atom_at_negative_zero": D.virtual_values(D.point_mass(-0.0)),
+}
+
+
+@pytest.mark.parametrize("name", list(EDGE_MAPS))
+def test_extended_tables_at_their_edges(name):
+    # eval at and past both ends of the support (support_hi above the last
+    # breakpoint included), thresholds at and past phi_top and support_hi
+    # and at -inf, each against the per-point references, bit for bit
+    from test_lookup_tables import assert_bitwise, reference_eval, reference_invert
+
+    phi = EDGE_MAPS[name]
+    ends = np.append(phi.bp, phi.support_hi)
+    assert not np.any(np.signbit(ends) & (ends == 0.0))
+    lo, hi, top = phi.support_lo, phi.support_hi, phi.phi_top
+    v = np.array([lo, hi, phi.bp[-1], lo - 1.0, hi + 1.0, 1e300, -np.inf, np.inf, np.nan, 0.0, -0.0])
+    v = np.concatenate([v, np.nextafter(v, -np.inf), np.nextafter(v, np.inf), phi.bp])
+    t = np.array([top, hi, 2.0 * hi + 1.0, 1e300, np.inf, -np.inf, np.nan, 0.0, -0.0])
+    t = np.concatenate([t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf), phi.phi_lo, phi.phi_hi])
+    # large queries read the tables, small ones and scalars search directly
+    for reps in (1, 300):
+        vs, ts = np.tile(v, reps), np.tile(t, reps)
+        # the infinities, and a fraction of a piece at -1.8e308, overflow
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = reference_eval(phi, vs), reference_invert(phi, ts, False), reference_invert(phi, ts, True)
+            got = phi.eval(vs), phi.threshold_weak(ts), phi.threshold_strict(ts)
+        for g, w in zip(got, want):
+            assert_bitwise(g, w)
+    for x in (hi, top, -np.inf):
+        with np.errstate(invalid="ignore"):
+            want = reference_eval(phi, x), reference_invert(phi, x, False), reference_invert(phi, x, True)
+        got = phi.eval(x), phi.threshold_weak(x), phi.threshold_strict(x)
+        assert [np.float64(g).tobytes() for g in got] == [np.float64(w).tobytes() for w in want]
+
+
 class TestMonopolyPrice:
     def test_uniform_against_grid_search(self):
         u = D.uniform(0, 1)

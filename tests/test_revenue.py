@@ -9,13 +9,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import betaincinv
 
 from osauction import dist as D
 from osauction import mech as M
 from osauction import orderstat as OS
 from osauction import revenue as R
-from conftest import random_discrete_dist
+from conftest import random_discrete_dist, random_mixed_dist
 
 F_DISC = D.two_point(1.0, 0.8, 2.0)
 UNIF = D.uniform(0, 1)
@@ -309,6 +310,36 @@ class TestMonteCarlo:
             R.RevenueReport("m", "d", 1.0, "closed-form", mc_stderr=0.1)
 
 
+def _moved(d, scale, shift):
+    """``d`` with every value scaled, then shifted."""
+    return D.Dist(d.xs * scale + shift, d.f_left, d.f_right)
+
+
+@given(seed=st.integers(0, 2**32 - 1), discrete_base=st.booleans(), n=st.integers(1, 7))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_level_scorer_matches_values(seed, discrete_base, n):
+    # components unlike the base, some entirely below or above its support,
+    # and bidders sharing a component; uniforms on their CDF knots included
+    rng = np.random.default_rng(seed)
+    base = random_discrete_dist(rng) if discrete_base else random_mixed_dist(rng)
+    pool = [base, random_discrete_dist(rng), random_mixed_dist(rng), random_mixed_dist(rng, atoms=False),
+            _moved(random_mixed_dist(rng), 0.5 * base.support_lo / 3.0, 0.0),
+            _moved(random_discrete_dist(rng), 1.0, base.support_hi)]
+    pd = OS.ProductDist(tuple(pool[int(rng.integers(len(pool)))] for _ in range(n)))
+    q = rng.random((n, 600))
+    for i, c in enumerate(pd.components):
+        q[i, :2 * len(c.xs)] = np.concatenate([c.f_left, c.f_right])
+    values = np.array([c.quantile(row) for c, row in zip(pd.components, q)])
+    phi_fn = D.virtual_values(base)
+    for tiebreak in ("lexicographic", "uniform"):
+        score, pay = R._sampler(M.MyersonIID(base, tiebreak), pd)
+        levels = np.array([score(c, row) for c, row in zip(pd.components, q)])
+        assert levels.tobytes() == phi_fn.eval(values).tobytes()
+        assert score(pd.components[0], q[:1]).tobytes() == levels[:1].tobytes()  # a slab of rows
+        want = R._payment_kernel(M.MyersonIID(base, tiebreak), n)(values)
+        assert pay(levels).tobytes() == want.tobytes()
+
+
 def _single_matrix_mc(mechanism, pd, samples, seed):
     """Monte Carlo on one draw matrix for all samples, as it ran before the
     samples were split into blocks."""
@@ -385,6 +416,34 @@ class TestMonteCarloBlocks:
             assert R._uniform_matrix(5, 40 - start, 7, start).tobytes() == whole[start:].tobytes()
         with pytest.raises(ValueError):
             R._uniform_matrix(5, 10, 7, 2)
+
+    @pytest.mark.parametrize("n", [1, 3, 4, 12, 40])
+    def test_slab_draws_are_the_whole_block_transposed(self, monkeypatch, n):
+        # a block wider than _MC_SLAB values is drawn a slab of rows at a
+        # time, each slab at most _MC_SLAB values (or 4 rows), into the
+        # bidder-major array; the bytes are those of the whole block's draw
+        samples, start = 2 * R._MC_SLAB // (n + 1) + 7, 16384
+        whole = R._uniform_matrix(9, samples, n + 1, start)[:, :n].T
+        drawn = []
+        draw = R._uniform_matrix
+
+        def spy(seed, rows, width, first):
+            drawn.append(rows * width)
+            return draw(seed, rows, width, first)
+
+        monkeypatch.setattr(R, "_uniform_matrix", spy)
+        got = R._bidder_major_draws(9, samples, n, start)
+        assert got.shape == (n, samples) and got.tobytes() == whole.tobytes()
+        assert len(drawn) > 1 and max(drawn) <= max(R._MC_SLAB, 4 * (n + 1))
+
+    def test_adjacent_rows_are_slices(self):
+        # an i.i.d. product's rows are slices, read as views; the rows of a
+        # component that other components interleave are gathered
+        a, b = D.from_literal(PIN_LITERALS[0]), D.from_literal(PIN_LITERALS[1])
+        assert [rows for _, rows in R._component_rows(OS.iid(a, 10), 4)] == [slice(0, 4), slice(4, 8), slice(8, 10)]
+        (c0, rows0), (c1, rows1) = R._component_rows(OS.ProductDist((a, b, a, a)), 4)
+        assert c0 is a and rows0.tolist() == [0, 2, 3]
+        assert c1 is b and rows1 == slice(1, 2)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_error_in_a_block_reaches_the_caller(self, monkeypatch, workers):
