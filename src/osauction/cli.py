@@ -152,9 +152,12 @@ def cmd_invert(cfg: dict, grid: int):
     fbar = consistent_iid(spec, grid=grid)
     xs, fl, fr = fbar.xs, fbar.f_left, fbar.f_right
     residual_l = np.abs(h_poly(spec.n, spec.k, fl) - spec.G.cdf_left(xs))
-    residual_r = np.abs(h_poly(spec.n, spec.k, fr) - spec.G.cdf(xs))
     # both sides of every knot, the right one only where the CDF jumps
-    keep = np.column_stack([np.ones(len(xs), dtype=bool), fr != fl]).ravel()
+    jumps = fr != fl
+    residual_r = np.zeros(len(xs))
+    if jumps.any():
+        residual_r[jumps] = np.abs(h_poly(spec.n, spec.k, fr[jumps]) - spec.G.cdf(xs[jumps]))
+    keep = np.column_stack([np.ones(len(xs), dtype=bool), jumps]).ravel()
     cols = [np.column_stack(pair).ravel()[keep] for pair in ((xs, xs), (fl, fr), (residual_l, residual_r))]
     return ("value", "cdf", "roundtrip_residual"), zip(*cols)
 

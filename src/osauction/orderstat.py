@@ -120,6 +120,8 @@ _DEEP_TAIL = 1e-96
 
 def h_inverse(n: int, k: int, g):
     """Inverse of h_poly; strictly increasing on [0, 1], endpoints exact.
+    Entry by entry: each root depends only on its own g, never on the other
+    entries of the call, bit for bit (``consistent_iid`` relies on it).
 
     Deep in the lower tail ``betaincinv`` loses the root: it returns NaN
     below g ~ 1e-108, and wrong values at some smaller g. The leading term
@@ -191,7 +193,10 @@ def consistent_iid(spec: AmbiguitySpec, grid: int = DEFAULT_GRID) -> Dist:
     continuous segments (a uniform G is a single one) are subdivided so the
     curvature introduced by the inversion is resolved; segments already finer
     than 1/64 of the mass are left alone, keeping every knot an exact
-    inversion of an exact knot of G.
+    inversion of an exact knot of G. The two sides of a knot differ only at
+    G's atoms, so the right-side levels are inverted once and a left-side
+    level only where it differs; since ``h_inverse`` works entry by entry,
+    F is bit for bit what inverting both sides in full gives.
     """
     check_grid(grid)
     G = spec.G
@@ -203,10 +208,12 @@ def consistent_iid(spec: AmbiguitySpec, grid: int = DEFAULT_GRID) -> Dist:
     f = G.f_right[seg] + t * rise[seg]
     fl = np.append(np.where(t == 0.0, G.f_left[seg], f), G.f_left[-1])
     fr = np.append(f, G.f_right[-1])
-    return dist_from_arrays(
-        xs, h_inverse(spec.n, spec.k, fl), h_inverse(spec.n, spec.k, fr),
-        label=f"iid(k={spec.k},n={spec.n};{G.describe()})",
-    )
+    ur = h_inverse(spec.n, spec.k, fr)
+    ul = ur.copy()
+    jumps = fl != fr
+    if jumps.any():
+        ul[jumps] = h_inverse(spec.n, spec.k, fl[jumps])
+    return dist_from_arrays(xs, ul, ur, label=f"iid(k={spec.k},n={spec.n};{G.describe()})")
 
 
 def poisson_binomial_pmf(x) -> np.ndarray:

@@ -436,6 +436,7 @@ class ReserveResult:
 
 
 # the reserve searches scan _SCAN steps per zoom, down to a bracket of _PRICE_TOL
+# times the candidate span where that span is below 1
 _PRICE_TOL = 1e-8
 _SCAN = 64
 
@@ -446,14 +447,15 @@ def _maximize(objective, candidates: np.ndarray) -> tuple[float, float]:
     takes ``_SCAN`` steps across the two candidate steps around the best
     candidate, each later one across the two steps of the previous scan
     around the best point so far. The search stops once the bracket is below
-    ``_PRICE_TOL`` or ``_SCAN`` float spacings of the reserve, whichever is
-    wider, so it ends at any scale."""
+    ``_PRICE_TOL`` times the candidate span (the span taken as 1 when it is
+    wider) or ``_SCAN`` float spacings of the reserve, whichever is wider, so
+    it ends at any scale and zooms as far on small supports as on unit ones."""
     values = objective(candidates)
     best = int(np.argmax(values))
     r_best, v_best = float(candidates[best]), float(values[best])
     lo = candidates[max(best - 1, 0)]
     hi = candidates[min(best + 1, len(candidates) - 1)]
-    stop = max(_PRICE_TOL, _SCAN * np.spacing(hi))
+    stop = max(_PRICE_TOL * min(1.0, candidates[-1] - candidates[0]), _SCAN * np.spacing(hi))
     while hi - lo > stop:
         rs = np.linspace(lo, hi, _SCAN + 1)
         vs = objective(rs)

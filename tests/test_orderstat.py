@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from osauction import dist as D
 from osauction import orderstat as OS
@@ -133,6 +133,21 @@ class TestHInverse:
         assert OS.h_inverse(n, k, g).tobytes() == alone.tobytes()
         assert OS.h_inverse(n, k, g[::-3]).tobytes() == alone[::-3].tobytes()
 
+    @given(st.integers(1, 2000), st.data())
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_entry_by_entry(self, n, data):
+        # a level's root does not depend on the other levels of its call, deep
+        # ones (below 1e-96) mixed in among ordinary ones: consistent_iid
+        # inverts each distinct level once and copies it on that basis
+        k = data.draw(st.integers(1, n))
+        level = st.one_of(st.floats(0.0, 1.0), st.floats(1e-300, 1e-96), st.sampled_from([0.0, 1.0, 5e-324]))
+        g = np.array(data.draw(st.lists(level, min_size=1, max_size=12)))
+        batch = OS.h_inverse(n, k, g)
+        alone = np.array([OS.h_inverse(n, k, x) for x in g])
+        assert batch.tobytes() == alone.tobytes()
+        some = g != g[0]
+        assert OS.h_inverse(n, k, g[some]).tobytes() == batch[some].tobytes()
+
     @given(st.integers(1, 10), st.data())
     @settings(max_examples=60, deadline=None)
     def test_round_trip(self, n, data):
@@ -142,7 +157,74 @@ class TestHInverse:
         assert OS.h_poly(n, k, u) == pytest.approx(g, abs=1e-10)
 
 
+def two_pass_consistent_iid(spec, grid):
+    """``consistent_iid`` inverting both sides of every knot, one
+    ``h_inverse`` call per side."""
+    G = spec.G
+    rise = G.segments.rise[1:]
+    n_sub = np.where(rise > OS._REFINE_MASS, np.ceil(rise * grid), 1).astype(np.int64)
+    seg = np.repeat(np.arange(len(rise)), n_sub)
+    t = (np.arange(len(seg)) - np.repeat(np.cumsum(n_sub) - n_sub, n_sub)) / n_sub[seg]
+    xs = np.append(G.xs[seg] + t * (G.xs[seg + 1] - G.xs[seg]), G.xs[-1])
+    f = G.f_right[seg] + t * rise[seg]
+    fl = np.append(np.where(t == 0.0, G.f_left[seg], f), G.f_left[-1])
+    fr = np.append(f, G.f_right[-1])
+    return D.dist_from_arrays(
+        xs, OS.h_inverse(spec.n, spec.k, fl), OS.h_inverse(spec.n, spec.k, fr),
+        label=f"iid(k={spec.k},n={spec.n};{G.describe()})",
+    )
+
+
+# a table G with atoms at its lowest and its highest knot
+ENDS_ATOMS = D.from_table([(0.5, 0.0), (1.0, 0.3), (2.0, 0.5)], atoms=[(0.5, 0.2), (2.0, 0.3)])
+
+
+@st.composite
+def observations(draw):
+    """(G, grid) over the families a config can name, G at grid 16 to 256."""
+    grid = draw(st.sampled_from([16, 64, 256]))
+    kind = draw(st.sampled_from(["uniform", "exponential", "beta", "normal", "twopoint", "table"]))
+    if kind == "uniform":
+        lo = draw(st.floats(0.0, 2.0))
+        return D.uniform(lo, lo + draw(st.floats(0.1, 5.0))), grid
+    if kind == "exponential":
+        return D.exponential(draw(st.floats(0.1, 10.0)), grid=grid), grid
+    if kind == "beta":
+        return D.beta_dist(draw(st.floats(0.5, 5.0)), draw(st.floats(0.5, 5.0)), grid=grid), grid
+    if kind == "normal":
+        return D.normal(draw(st.floats(0.5, 3.0)), draw(st.floats(0.1, 1.0)), grid=grid), grid
+    if kind == "twopoint":
+        v1 = draw(st.floats(0.0, 1.0))
+        return D.two_point(v1, draw(st.floats(0.05, 0.95)), v1 + draw(st.floats(0.1, 2.0))), grid
+    xs = sorted(draw(st.lists(st.integers(0, 100), min_size=2, max_size=6, unique=True)))
+    cont = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    steps = np.cumsum(draw(st.lists(st.floats(0.0, 1.0), min_size=len(xs) - 1, max_size=len(xs) - 1)))
+    cdf = [0.0] + list(cont * steps / steps[-1]) if steps[-1] > 0 else [0.0] * len(xs)
+    atoms = []
+    if cdf[-1] < 1.0:  # the rest of the mass in atoms at some of the knots
+        at = draw(st.lists(st.sampled_from(range(len(xs))), unique=True, min_size=1))
+        mass = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=len(at), max_size=len(at))))
+        atoms = [(xs[i] / 10, m) for i, m in zip(at, (1.0 - cdf[-1]) * mass / mass.sum())]
+    return D.from_table([(x / 10, c) for x, c in zip(xs, cdf)], atoms=atoms), grid
+
+
 class TestConsistentIID:
+    @given(st.data(), observations())
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @example(data=None, case=(ENDS_ATOMS, 64))
+    def test_one_pass_per_distinct_level_is_bitwise_two_pass(self, data, case):
+        G, grid = case
+        draws = [(2000, 1), (2000, 1000), (2000, 2000), (3, 2)] if data is None else [None]
+        for nk in draws:
+            if nk is None:
+                n = data.draw(st.one_of(st.integers(1, 12), st.integers(13, 2000)))
+                nk = (n, data.draw(st.integers(1, n)))
+            spec = OS.AmbiguitySpec(*nk, G)
+            got, want = OS.consistent_iid(spec, grid), two_pass_consistent_iid(spec, grid)
+            for side in ("xs", "f_left", "f_right"):
+                assert getattr(got, side).tobytes() == getattr(want, side).tobytes()
+            assert got.label == want.label
+
     def test_last_statistic_formula(self):
         spec = OS.AmbiguitySpec(3, 3, D.uniform(0, 1))
         f = OS.consistent_iid(spec)

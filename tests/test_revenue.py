@@ -584,7 +584,7 @@ class TestOptimalReserve:
             R.optimal_robust_reserve(OS.AmbiguitySpec(4, 2, UNIF), M.MultiUnit(2))
 
 
-# Both reserve searches on uniform and exponential G at scale 1 and at 1e12,
+# Both reserve searches on uniform and exponential G at scales 1e-6 to 1e12,
 # printed as JSON. A search whose stopping rule the float spacing cannot meet
 # never returns, so it runs in a subprocess under a timeout.
 SCALED_SEARCHES = """
@@ -592,7 +592,7 @@ import json
 from osauction import dist as D, mech as M, orderstat as OS, revenue as R
 out = {}
 for family in ("uniform", "exponential"):
-    for scale in (1.0, 1e12):
+    for scale in (1e-6, 1e-3, 1.0, 1e12):
         G = D.uniform(0.0, scale) if family == "uniform" else D.exponential(1.0 / scale, grid=256)
         fin = R.optimal_robust_reserve(OS.AmbiguitySpec(3, 2, G), M.SPAReserve(0.0), grid=256)
         unk = R.optimal_unknown_n_reserve(G)
@@ -607,11 +607,13 @@ def test_reserve_searches_are_scale_equivariant():
                           text=True, timeout=120, check=True)
     got = json.loads(done.stdout)
     for family in ("uniform", "exponential"):
-        base, big = got[f"{family} 1"], got[f"{family} 1e+12"]
-        for i in (0, 2):  # finite-n and unknown-n reserves
-            assert big[i] / 1e12 == pytest.approx(base[i], rel=1e-6)
-        for i in (1, 3):  # worst-case revenue and guarantee
-            assert big[i] / 1e12 == pytest.approx(base[i], rel=1e-12)
+        base = got[f"{family} 1"]
+        for scale in (1e-6, 1e-3, 1e12):
+            scaled = got[f"{family} {scale:g}"]
+            for i in (0, 2):  # finite-n and unknown-n reserves
+                assert scaled[i] / scale == pytest.approx(base[i], rel=1e-6)
+            for i in (1, 3):  # worst-case revenue and guarantee
+                assert scaled[i] / scale == pytest.approx(base[i], rel=1e-12)
 
 
 class TestUnknownN:

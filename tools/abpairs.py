@@ -12,14 +12,22 @@ on each side with seed ``--seed + i`` and the same run length, the base
 first in even pairs and the working tree first in odd ones. Each pair's
 end-to-end metrics are printed as they arrive, then, per metric, the
 median and quartiles of each side, the working tree's median over the
-base's, and the pairs the working tree won (by the direction
-``BENCHMARK.json`` gives; ties count for neither side).
+base's, the pairs the working tree won (by the direction
+``BENCHMARK.json`` gives; ties count for neither side) and a verdict:
+
+* ``gain`` when the working tree won at least nine tenths of the pairs and
+  its median beats the base's by more than the base's interquartile range;
+* ``within`` when its median is worse than the base's by no more than the
+  metric's ``bound`` in ``BENCHMARK.json`` (as a fraction of the base's
+  median; 0 for the failed share and any metric without one), else
+  ``OUTSIDE``, with the relative move of the median that decides it.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -59,6 +67,19 @@ def quartiles(xs: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def verdict(base: list[float], head: list[float], better: str, bound: float) -> tuple[int, bool, bool, float]:
+    """One metric's runs, pair by pair: (pairs the working tree won, gain,
+    within bound, how much worse the working tree's median is than the
+    base's, relative to the base's; negative when it is better)."""
+    sign = 1 if better == "higher" else -1
+    wins = sum(sign * (y - x) > 0 for x, y in zip(base, head))
+    (b1, b2, b3), h2 = quartiles(base), quartiles(head)[1]
+    move = sign * (b2 - h2)  # positive when the working tree is worse
+    gain = wins >= 0.9 * len(base) and -move > b3 - b1
+    worse = move / abs(b2) if b2 else math.copysign(math.inf, move) if move else 0.0
+    return wins, gain, worse <= bound, worse
+
+
 def main(argv: list[str] | None = None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--workload", required=True)
@@ -68,7 +89,8 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--seed", type=int, default=21, help="seed of the first pair; pair i uses seed + i")
     p.add_argument("--workdir", default=None, help="parent directory of the base checkout (default: system temp)")
     args = p.parse_args(argv)
-    better = {m["name"]: m["better"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    better, bound = {m["name"]: m["better"] for m in metrics}, {m["name"]: m["bound"] for m in metrics}
     better["failed"] = "lower"
 
     runs: dict[str, list[dict[str, float]]] = {"base": [], "head": []}
@@ -86,16 +108,17 @@ def main(argv: list[str] | None = None) -> int:
             print(f"pair {i} seed {seed} {order[0]} first: {row}", flush=True)
 
     print(f"\n{args.workload}: {args.pairs} pairs of {args.seconds:g} s, base {args.base} against the working tree")
-    print(f"{'metric':<14}{'base q1/med/q3':>32}{'head q1/med/q3':>32}{'head/base':>11}{'wins':>7}")
+    print(f"{'metric':<14}{'base q1/med/q3':>32}{'head q1/med/q3':>32}{'head/base':>11}{'wins':>7}  verdict")
     for name in runs["base"][0]:
         b = [r[name] for r in runs["base"]]
         h = [r[name] for r in runs["head"]]
         bq, hq = quartiles(b), quartiles(h)
         ratio = hq[1] / bq[1] if bq[1] else float("nan")
-        sign = 1 if better.get(name, "higher") == "higher" else -1
-        wins = sum(sign * (y - x) > 0 for x, y in zip(b, h))
+        limit = bound.get(name, 0.0)
+        wins, gain, within, worse = verdict(b, h, better.get(name, "higher"), limit)
+        say = f"{'gain' if gain else 'no gain'}, {'within' if within else 'OUTSIDE'} bound {limit:.0%}"
         print(f"{name:<14}{' / '.join(f'{v:.4g}' for v in bq):>32}{' / '.join(f'{v:.4g}' for v in hq):>32}"
-              f"{ratio:>11.3f}{wins:>4}/{len(b)}")
+              f"{ratio:>11.3f}{wins:>4}/{len(b)}  {say} (median {abs(worse):.1%} {'worse' if worse >= 0 else 'better'})")
     return 0
 
 
