@@ -17,7 +17,6 @@ from .dist import (
     exponential,
     from_literal,
     from_table,
-    geometric_average,
     iron,
     is_regular_above_reserve,
     monopoly_price,
@@ -45,15 +44,14 @@ from .mech import (
     spa_outcome,
     topk_class,
 )
+from .oracle import fosd_check, geometric_average, minimal_orderstat_cdf
 from .orderstat import (
     AmbiguitySpec,
     ProductDist,
     consistent_iid,
-    fosd_check,
     h_inverse,
     h_poly,
     iid,
-    minimal_orderstat_cdf,
     order_stat_cdf,
     poisson_binomial_pmf,
 )

@@ -84,8 +84,12 @@ def _require(cfg: dict, key: str):
 def _integer(name: str, value, most: int | None = None) -> int:
     """``value`` as an int, at most ``most`` when given; bools, strings and
     non-integral numbers are refused, an integral float such as 1000.0 is
-    taken."""
+    taken below 2**53 in magnitude, past which it need not be the integer
+    written."""
     if isinstance(value, float) and value.is_integer():
+        if abs(value) >= 2**53:
+            raise ConfigError(f"{name} must be written as an integer, got the float {value!r}: past 2**53 a float "
+                              "need not be the integer written")
         value = int(value)
     if not isinstance(value, numbers.Integral) or isinstance(value, bool):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
@@ -237,6 +241,8 @@ def cmd_simulate(cfg: dict, grid: int):
     if not isinstance(cfg.get("product"), list):
         raise ConfigError("simulate needs 'product': a list of distribution literals")
     samples, seed = _integer("samples", samples), _integer("seed", seed)
+    if not 0 <= seed < 2**128:  # the generator's key
+        raise ConfigError(f"seed must lie between 0 and 2**128 - 1, got {seed}")
     if samples * len(cfg["product"]) > MAX_DRAWS:
         raise ConfigError(f"simulate draws samples x bidders values, at most {MAX_DRAWS}")
     # one Dist per distinct literal, shared by every bidder that names it

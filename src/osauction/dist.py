@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import numbers
 from collections import namedtuple
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -129,6 +130,21 @@ def _bucket(x: np.ndarray, lo: float, scale: float, m: int) -> np.ndarray:
     return np.clip(b, 0, m - 1, out=b)
 
 
+def _along(x: np.ndarray, j: np.ndarray, start, span, base, rise) -> np.ndarray:
+    """``base + clip((x - start) / span, 0, 1) * rise`` at piece ``j`` of
+    every entry, computed in place: the one linear formula of the CDF and
+    quantile segments and of the virtual-value pieces and thresholds. An
+    infinity, a NaN or a piece without span gives what IEEE arithmetic
+    gives, silently; callers overwrite those entries."""
+    with np.errstate(all="ignore"):
+        out = x - start[j]
+        out /= span[j]
+        np.clip(out, 0, 1, out=out)
+        out *= rise[j]
+        out += base[j]
+    return out
+
+
 # on the segment entering a knot the CDF is lower + (v - left) / width * rise
 Segments = namedtuple("Segments", "left width lower rise")
 
@@ -211,11 +227,9 @@ class Dist:
         """F(v) on the right side, F(v-) on the left (f_left exactly at a knot)."""
         v = np.asarray(v, dtype=np.float64)
         flat = v.reshape(-1)
-        left, width, lower, rise = self.segments
         j = np.searchsorted(self.xs, flat, side=side)
         s = np.minimum(j, len(self.xs) - 1)
-        with np.errstate(over="ignore", invalid="ignore"):  # v far past the support
-            out = lower[s] + (flat - left[s]) / width[s] * rise[s]
+        out = _along(flat, s, *self.segments)
         if side == "left":
             np.copyto(out, self.f_left[s], where=self.xs[s] == flat)
         np.copyto(out, 0.0, where=flat < self.xs[0])
@@ -269,8 +283,7 @@ class Dist:
     def _along_segment(self, q: np.ndarray, j: np.ndarray) -> np.ndarray:
         """The value at which the segment entering knot j reaches quantile q."""
         left, width, lower, rise = self.segments
-        with np.errstate(divide="ignore", invalid="ignore"):  # unreached flat segments
-            return left[j] + (q - lower[j]) / rise[j] * width[j]
+        return _along(q, j, lower, rise, left, width)
 
     def describe(self) -> str:
         return self.label
@@ -497,6 +510,17 @@ def _finite(x, what: str) -> float:
 # -- revenue curves and ironing ---------------------------------------------
 
 
+@contextmanager
+def _refusing_overflow(d: Dist):
+    """Turn a float overflow inside the block into a ValueError naming ``d``:
+    a distribution near the float maximum has no revenue curve to read."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except FloatingPointError:
+        raise ValueError(f"{d.describe()} lies too close to the float maximum: its revenue curve overflows") from None
+
+
 @dataclass(frozen=True)
 class RevenueCurve:
     """Quantile-domain revenue curve r(q) = q * F^{-1}(1-q).
@@ -521,15 +545,11 @@ class RevenueCurve:
         return np.interp(q, self.ironed_qs, self.ironed_rs)
 
 
-def iron(qs, rs) -> RevenueCurve:
-    """The revenue curve through the points ``(qs, rs)`` and its upper concave
-    envelope: the upper convex hull of the points in any order, where a
-    quantile that appears twice (the two sides of a jump) keeps its higher
-    point and collinear points are dropped. Read in the order given, a run of
-    points more than 1e-12 of the curve's scale below the envelope gives an
-    ironing interval reaching to the points on either side of it; touching
-    intervals merge.
-    """
+def _upper_hull(qs: np.ndarray, rs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vertices of the upper convex hull of the points ``(qs, rs)``, in any
+    order, by increasing quantile: a quantile that appears twice (the two
+    sides of a jump) keeps its higher point, and collinear points are
+    dropped. The vertices do not depend on the order of the points."""
     order = np.lexsort((rs, qs))
     sq, sr = qs[order], rs[order]
     highest = np.append(sq[1:] != sq[:-1], True)
@@ -542,6 +562,17 @@ def iron(qs, rs) -> RevenueCurve:
             hr.pop()
         hq.append(q)
         hr.append(r)
+    return np.array(hq), np.array(hr)
+
+
+def iron(qs, rs) -> RevenueCurve:
+    """The revenue curve through the points ``(qs, rs)`` and its upper concave
+    envelope, ``_upper_hull`` of the points. Read in the order given, a run
+    of points more than 1e-12 of the curve's scale below the envelope gives
+    an ironing interval reaching to the points on either side of it;
+    touching intervals merge.
+    """
+    hq, hr = _upper_hull(qs, rs)
     scale = max(1.0, float(np.max(rs, initial=0.0)))
     below = np.interp(qs, hq, hr) > rs + 1e-12 * scale
     step = np.diff(below.astype(np.int8), prepend=0, append=0)
@@ -549,7 +580,7 @@ def iron(qs, rs) -> RevenueCurve:
     hi = qs[np.minimum(np.flatnonzero(step == -1), len(qs) - 1)]
     first = lo > np.append(-np.inf, hi[:-1])
     intervals = tuple(zip(lo[first].tolist(), hi[np.roll(first, -1)].tolist()))
-    return RevenueCurve(qs, rs, np.array(hq), np.array(hr), intervals)
+    return RevenueCurve(qs, rs, hq, hr, intervals)
 
 
 def revenue_curve(d: Dist) -> RevenueCurve:
@@ -568,7 +599,7 @@ def revenue_curve(d: Dist) -> RevenueCurve:
         _, width, c_lo, rise = d.segments
         rising = rise > 0
         q_top, q_bot = 1.0 - fl, 1.0 - c_lo
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with _refusing_overflow(d), np.errstate(divide="ignore", invalid="ignore"):
             price_bot = xs - (q_bot - q_top) * (width / rise)
         atom = 1.0 - fl > 1.0 - fr
         # per knot, from the top down: above its jump, at it, the segment's bottom
@@ -595,9 +626,8 @@ def optimal_revenue_bound(d: Dist, n: int) -> float:
     qa = q0 + 0.5 * rise[up]  # the apex sits midway along the arc
     curve = revenue_curve(d)
     qs, rs = np.append(curve.ironed_qs, qa), np.append(curve.ironed_rs, d.xs[up] * qa - 0.5 * q0 * width[up])
-    order = np.argsort(qs, kind="stable")  # iron reads its intervals in the order given
-    hull = iron(qs[order], rs[order])
-    F, slope = 1.0 - hull.ironed_qs, np.diff(hull.ironed_rs) / np.diff(hull.ironed_qs)
+    hq, hr = _upper_hull(qs, rs)
+    F, slope = 1.0 - hq, np.diff(hr) / np.diff(hq)
     return float(np.maximum(slope, 0.0) @ (F[:-1] ** n - F[1:] ** n))
 
 
@@ -613,7 +643,8 @@ def monopoly_price(d: Dist) -> tuple[float, float]:
     left, width, lower, rise = d.segments
     x_lo, x_hi, c_lo, slope = (a[rise > 0] for a in (left, d.xs, lower, rise / width))
     # stationary point of p * (1 - F(p)) inside each rising segment
-    p_star = 0.5 * (x_lo + (1.0 - c_lo) / slope)
+    with _refusing_overflow(d):
+        p_star = 0.5 * (x_lo + (1.0 - c_lo) / slope)
     interior = p_star[(x_lo < p_star) & (p_star < x_hi)]
     candidates = np.sort(np.concatenate([d.xs, interior]))
     revenue = candidates * d.survival_left(candidates)
@@ -657,9 +688,7 @@ class VirtualValueFn:
     Piece j covers [bp[j], bp[j+1]) rising linearly from phi_lo[j] to
     phi_hi[j]; phi_top is the value at the top of the support. Below the
     support the virtual value is -inf (a bid there never wins); above it the
-    map continues as the identity. flat_regions lists the value intervals
-    where the map is constant: ironed spans, atoms followed by a zero-mass
-    gap, and spans the monotone regularization levels.
+    map continues as the identity.
     """
 
     bp: np.ndarray
@@ -668,7 +697,6 @@ class VirtualValueFn:
     phi_top: float
     support_lo: float
     support_hi: float
-    flat_regions: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
         # a breakpoint or top at -0.0 reads +0.0: a threshold at it adds a
@@ -677,53 +705,38 @@ class VirtualValueFn:
         object.__setattr__(self, "support_hi", float(self.support_hi) + 0.0)
         for name in ("bp", "phi_lo", "phi_hi"):
             object.__setattr__(self, name, _as_readonly(getattr(self, name)))
-        # per piece: its width, its rise in virtual value, and the rise a
-        # threshold divides by. As in ``Dist.segments``, a piece without width
-        # gets width 1 and no rise (0 times its rise, so it adds what weight 0
-        # adds), and a piece without rise divides by inf: a level inside it
-        # maps to its left end
+        # per piece: its start, width, level, rise in virtual value, and the
+        # rise a threshold divides by. As in ``Dist.segments``, a piece without
+        # width gets width 1 and no rise (0 times its rise, so it adds what
+        # weight 0 adds), and a piece without rise divides by inf: a level
+        # inside it maps to its left end. The thresholds read one more piece
+        # past the last level: it starts at support_hi, which a level up to
+        # phi_top maps to, with level phi_top and no width or rise. ``eval``
+        # searches the inner breakpoints and reads that piece only on a point
+        # mass, which has no piece of its own and no value inside
+        # [support_lo, support_hi)
         width = self.bp[1:] - self.bp[:-1]
         with np.errstate(invalid="ignore"):  # a piece at -inf has no rise
             rise = (self.phi_hi - self.phi_lo) * (width > 0)
         width = np.where(width > 0, width, 1.0)
         divisor = np.where(rise > 0, rise, np.inf)
-        hi, starts = self.support_hi, self.bp[:-1]
-        # eval: one more piece, at and past support_hi, holds phi_top. It
-        # starts at support_hi - 1, so a v there has a fraction of +0 or more,
-        # never -0.0, and that times its rise of -0.0 adds nothing to phi_top,
-        # whatever its sign. The piece holding v counts the inner breakpoints
-        # at or below v, and support_hi itself; one below support_hi finds the
-        # piece it always did
-        keys = np.minimum(self.bp[1:-1], hi)
-        object.__setattr__(self, "_piece_search", _Search(np.append(keys, hi) if len(starts) else keys))
-        object.__setattr__(self, "_value_pieces", tuple(map(_as_readonly, (
-            np.append(starts, hi - 1.0), np.append(width, 1.0), np.append(self.phi_lo, self.phi_top),
-            np.append(rise, -0.0),
-        ))))
-        # thresholds: one more piece past the last level. Its level is
-        # phi_top, it has no rise and no width, and it starts at support_hi,
-        # which a level up to phi_top maps to
+        columns = (self.bp[:-1], width, self.phi_lo, rise, divisor)
+        tops = (self.support_hi, 0.0, self.phi_top, 0.0, np.inf)
+        object.__setattr__(self, "_pieces", tuple(_as_readonly(np.append(c, top)) for c, top in zip(columns, tops)))
+        object.__setattr__(self, "_piece_search", _Search(self.bp[1:-1]))
         object.__setattr__(self, "_level_search", _Search(self.phi_hi))
-        object.__setattr__(self, "_level_pieces", tuple(map(_as_readonly, (
-            np.append(self.phi_lo, self.phi_top), np.append(divisor, np.inf), np.append(starts, hi),
-            np.append(width, 0.0),
-        ))))
 
     def eval(self, v):
         """Ironed virtual value at v (vectorized)."""
         v = np.asarray(v, dtype=np.float64)
         x = np.atleast_1d(v)
-        left, width, phi_lo, rise = self._value_pieces
-        j = self._piece_search(x, "right")
-        # phi_lo + clip((x - left) / width, 0, 1) * rise, in place
-        out = x - left[j]
-        out /= width[j]
-        np.clip(out, 0, 1, out=out)
-        out *= rise[j]
-        out += phi_lo[j]
-        if x.size and not (x.min() >= self.support_lo and x.max() <= self.support_hi):
-            np.copyto(out, -np.inf, where=~(x >= self.support_lo))  # below the support, or NaN
-            np.copyto(out, x, where=x > self.support_hi)
+        left, width, phi_lo, rise, _ = self._pieces
+        out = _along(x, self._piece_search(x, "right"), left, width, phi_lo, rise)
+        lo, hi = self.support_lo, self.support_hi
+        if x.size and not (x.min() >= lo and x.max() < hi):
+            np.copyto(out, -np.inf, where=~(x >= lo))  # below the support, or NaN
+            np.copyto(out, self.phi_top, where=x == hi)
+            np.copyto(out, x, where=x > hi)
         return out if v.ndim else float(out[0])
 
     def _invert(self, t, strict: bool):
@@ -736,15 +749,9 @@ class VirtualValueFn:
         infinity) are rare; they are selected exactly."""
         level = np.asarray(t, dtype=np.float64)
         t = np.atleast_1d(level)
-        lo, divisor, left, width = self._level_pieces
+        left, width, lo, _, divisor = self._pieces
         j = self._level_search(t, "right" if strict else "left")
-        with np.errstate(invalid="ignore"):  # an infinite level at a piece without rise
-            # left + clip((t - lo) / divisor, 0, 1) * width, in place
-            out = t - lo[j]
-            out /= divisor[j]
-            np.clip(out, 0, 1, out=out)
-            out *= width[j]
-            out += left[j]
+        out = _along(t, j, lo, divisor, left, width)
         past_top = np.greater_equal if strict else np.greater
         above = np.greater if self.support_hi else np.greater_equal
 
@@ -754,10 +761,8 @@ class VirtualValueFn:
         if out.size and (np.isnan(out.min()) or beyond(t.max())):
             rare = np.isnan(out) | beyond(t)
             t, j = t[rare], j[rare]
-            start, level_lo = left[j], lo[j]
-            hit = level_lo > t if strict else level_lo >= t
-            with np.errstate(invalid="ignore"):
-                inside = np.where(hit, start, start + np.clip((t - level_lo) / divisor[j], 0, 1) * width[j])
+            hit = lo[j] > t if strict else lo[j] >= t
+            inside = np.where(hit, left[j], out[rare])
             out[rare] = np.where((j == len(self.phi_hi)) & ~hit, np.maximum(self.support_hi, t), inside)
         return out if level.ndim else float(out[0])
 
@@ -804,7 +809,7 @@ def virtual_values(d: Dist) -> VirtualValueFn:
     lo, hi = np.reshape(curve.ironed_intervals, (-1, 2)).T
     q_mid = 0.5 * (q_top + q_bot)
     ironed = np.append(lo, np.inf)[np.searchsorted(hi + 1e-15, q_mid)] - 1e-15 <= q_mid
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with _refusing_overflow(d), np.errstate(divide="ignore", invalid="ignore"):
         inv_f = width / rise
         # the segment's bottom as its quantile -> value map reads it
         v_bot = x_hi - (q_bot - q_top) * inv_f
@@ -846,11 +851,6 @@ def virtual_values(d: Dist) -> VirtualValueFn:
         bp = np.array([d.support_lo])
     phi_top = phi_atom[-1] if atom[-1] else d.support_hi
     phi_top = max(phi_top, p1.max(initial=-np.inf))
-    width = np.diff(bp)
-    flat = (phi_hi == phi_lo)[width > 0]
-    f_lo, f_hi = bp[:-1][width > 0], bp[1:][width > 0]
-    first = flat & ~np.append(False, flat[:-1])
-    last = flat & ~np.append(flat[1:], False)
     phi = VirtualValueFn(
         bp=bp,
         phi_lo=phi_lo,
@@ -858,23 +858,6 @@ def virtual_values(d: Dist) -> VirtualValueFn:
         phi_top=float(phi_top),
         support_lo=d.support_lo,
         support_hi=d.support_hi,
-        flat_regions=tuple(zip(f_lo[first].tolist(), f_hi[last].tolist())),
     )
     object.__setattr__(d, "_phi_memo", phi)
     return phi
-
-
-# -- geometric averaging ------------------------------------------------------
-
-
-def geometric_average(d1: Dist, d2: Dist) -> Dist:
-    """The distribution whose survival is the geometric mean of the inputs'.
-
-    Evaluated on the union of the two knot grids; replacing a pair of
-    independent values by two i.i.d. draws from the result preserves the
-    distribution of the pair's minimum.
-    """
-    xs = np.unique(np.concatenate([d1.xs, d2.xs]))
-    s_left = np.sqrt(d1.survival_left(xs) * d2.survival_left(xs))
-    s_right = np.sqrt(d1.survival(xs) * d2.survival(xs))
-    return dist_from_arrays(xs, 1.0 - s_left, 1.0 - s_right, label="geom_avg")

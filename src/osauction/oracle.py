@@ -15,8 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mech as M
-from .dist import Dist, point_mass, two_point
-from .orderstat import AmbiguitySpec, ProductDist, h_inverse, h_poly, poisson_binomial_pmf
+from .dist import DEFAULT_GRID, Dist, dist_from_arrays, point_mass, two_point
+from .orderstat import (
+    AmbiguitySpec, ProductDist, _check_index, consistent_iid, h_inverse, h_poly, poisson_binomial_pmf,
+)
 
 OUTCOME_GUARD = 10**6
 
@@ -102,6 +104,33 @@ def exhaustive_order_stat_cdf(inst: DiscreteInstance, i: int, v: float) -> float
         if vals[i - 1] <= v:
             total += weight
     return total
+
+
+# -- stochastic dominance of order statistics -----------------------------------
+
+
+def fosd_check(d1: Dist, d2: Dist, tol: float = 1e-12) -> bool:
+    """First-order stochastic dominance of d1 over d2: F1 <= F2 everywhere
+    on the merged knot grid (both sides of every jump)."""
+    xs = np.unique(np.concatenate([d1.xs, d2.xs]))
+    ok_right = np.all(d1.cdf(xs) <= d2.cdf(xs) + tol)
+    ok_left = np.all(d1.cdf_left(xs) <= d2.cdf_left(xs) + tol)
+    return bool(ok_right and ok_left)
+
+
+def minimal_orderstat_cdf(spec: AmbiguitySpec, i: int, grid: int = DEFAULT_GRID) -> Dist:
+    """Stochastically minimal i-th order-statistic marginal over the
+    ambiguity set: the consistent i.i.d. marginal for i <= k, and a point
+    mass at zero for i > k (dummy bidders can absorb every lower slot)."""
+    _check_index(spec.n, i)
+    if i > spec.k:
+        return point_mass(0.0)
+    fbar = consistent_iid(spec, grid=grid)
+    fl = h_poly(spec.n, i, fbar.f_left)
+    fr = h_poly(spec.n, i, fbar.f_right)
+    return dist_from_arrays(
+        fbar.xs.copy(), fl, fr, label=f"min_stat(i={i};{spec.G.describe()})"
+    )
 
 
 # -- feasible-set sampling for two-point observations ---------------------------
@@ -270,6 +299,19 @@ def counterexample_certificate(q: float) -> CounterexampleReport:
 
 
 # -- pairwise averaging ------------------------------------------------------------
+
+
+def geometric_average(d1: Dist, d2: Dist) -> Dist:
+    """The distribution whose survival is the geometric mean of the inputs'.
+
+    Evaluated on the union of the two knot grids; replacing a pair of
+    independent values by two i.i.d. draws from the result preserves the
+    distribution of the pair's minimum.
+    """
+    xs = np.unique(np.concatenate([d1.xs, d2.xs]))
+    s_left = np.sqrt(d1.survival_left(xs) * d2.survival_left(xs))
+    s_right = np.sqrt(d1.survival(xs) * d2.survival(xs))
+    return dist_from_arrays(xs, 1.0 - s_left, 1.0 - s_right, label="geom_avg")
 
 
 def dominance_bivariate_check(d1: Dist, d2: Dist, d: Dist, tol: float = 1e-12):

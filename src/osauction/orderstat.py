@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dist import DEFAULT_GRID, Dist, check_grid, dist_from_arrays, point_mass
+from .dist import DEFAULT_GRID, Dist, check_grid, dist_from_arrays
 
 
 @dataclass(frozen=True)
@@ -339,27 +339,3 @@ class OrderStatTail:
         nxt = np.minimum(np.searchsorted(k, start, side="right"), len(k) - 1)
         # below every support each order statistic exceeds t surely
         return self._w.sum() * np.maximum(k[0] - lo, 0.0) + self._segments(start, k[nxt]) + self._suffix[nxt]
-
-
-def fosd_check(d1: Dist, d2: Dist, tol: float = 1e-12) -> bool:
-    """First-order stochastic dominance of d1 over d2: F1 <= F2 everywhere
-    on the merged knot grid (both sides of every jump)."""
-    xs = np.unique(np.concatenate([d1.xs, d2.xs]))
-    ok_right = np.all(d1.cdf(xs) <= d2.cdf(xs) + tol)
-    ok_left = np.all(d1.cdf_left(xs) <= d2.cdf_left(xs) + tol)
-    return bool(ok_right and ok_left)
-
-
-def minimal_orderstat_cdf(spec: AmbiguitySpec, i: int, grid: int = DEFAULT_GRID) -> Dist:
-    """Stochastically minimal i-th order-statistic marginal over the
-    ambiguity set: the consistent i.i.d. marginal for i <= k, and a point
-    mass at zero for i > k (dummy bidders can absorb every lower slot)."""
-    _check_index(spec.n, i)
-    if i > spec.k:
-        return point_mass(0.0)
-    fbar = consistent_iid(spec, grid=grid)
-    fl = h_poly(spec.n, i, fbar.f_left)
-    fr = h_poly(spec.n, i, fbar.f_right)
-    return dist_from_arrays(
-        fbar.xs.copy(), fl, fr, label=f"min_stat(i={i};{spec.G.describe()})"
-    )

@@ -212,7 +212,7 @@ def test_c07_geometric_averaging():
 
         for _ in range(50):
             d1, d2 = random_mixed_dist(rng), random_mixed_dist(rng)
-            ok, worst = O.dominance_bivariate_check(d1, d2, D.geometric_average(d1, d2))
+            ok, worst = O.dominance_bivariate_check(d1, d2, O.geometric_average(d1, d2))
             assert ok, worst
         for n in (3, 4, 5, 6):
             comps = tuple(

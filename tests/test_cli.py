@@ -112,6 +112,17 @@ class TestReserve:
         assert float(row["reserve"]) == pytest.approx(0.5191, abs=1e-3)
         assert float(row["worst_case_revenue"]) >= 0.531809
 
+    def test_near_float_maximum_still_certified(self, tmp_path, capsys):
+        # uniform(1e300, 1.7e308) overflows and is refused; two decades lower
+        # every float of the revenue curve is finite and the verdict reads 1
+        cfg = write_cfg(
+            tmp_path, "c.json",
+            {"n": 3, "k": 2, "G": {"family": "uniform", "lo": 1e300, "hi": 1.7e306}, "family": "spa"},
+        )
+        code, out, _ = run_cli(["reserve", "--config", cfg], capsys)
+        assert code == 0
+        assert parse_csv(out)[0]["regular_above_reserve"] == "1"
+
 
 UNIF_LIT = {"family": "uniform", "lo": 0, "hi": 1}
 REFUSED = {
@@ -205,6 +216,20 @@ REFUSED = {
         "worstcase", {"n": 3, "k": 2, "G": UNIF_LIT, "grid": 64, "mechanism": {"type": "vickrey"}}),
     "simulate_myerson_without_base": (
         "simulate", {"product": [UNIF_LIT, UNIF_LIT], "mechanism": {"type": "myerson"}, "samples": 10, "seed": 1}),
+    # a revenue curve past the float maximum was read as not regular, with exit 0
+    "overflowing_revenue_curve": (
+        "reserve", {"n": 3, "k": 2, "G": {"family": "uniform", "lo": 1e300, "hi": 1.7e308}, "family": "spa"}),
+    # a seed is used as written or refused: past 2**53 a float need not be the
+    # integer written, and the generator's key lies in [0, 2**128)
+    "float_seed_at_2_53": (
+        "simulate", {"product": [UNIF_LIT, UNIF_LIT], "mechanism": {"type": "spa"}, "samples": 10,
+                     "seed": 9.007199254740993e15}),
+    "float_seed_1e30": (
+        "simulate", {"product": [UNIF_LIT, UNIF_LIT], "mechanism": {"type": "spa"}, "samples": 10, "seed": 1e30}),
+    "negative_seed": (
+        "simulate", {"product": [UNIF_LIT, UNIF_LIT], "mechanism": {"type": "spa"}, "samples": 10, "seed": -1}),
+    "seed_past_key": (
+        "simulate", {"product": [UNIF_LIT, UNIF_LIT], "mechanism": {"type": "spa"}, "samples": 10, "seed": 2**128}),
 }
 # what the refusal of a case says, where a test pins it
 REFUSED_SAYS = {
@@ -213,6 +238,11 @@ REFUSED_SAYS = {
     "config_not_an_object": "error: config must be a JSON object",
     "unknown_mechanism_type": "error: unknown mechanism type 'vickrey'",
     "simulate_myerson_without_base": "error: simulate needs an explicit 'base' for the myerson mechanism",
+    "overflowing_revenue_curve": "error: iid(k=2,n=3;uniform(1e+300,1.7e+308)) lies too close to the float maximum",
+    "float_seed_at_2_53": "error: seed must be written as an integer, got the float 9007199254740992.0",
+    "float_seed_1e30": "error: seed must be written as an integer, got the float 1e+30",
+    "negative_seed": "error: seed must lie between 0 and 2**128 - 1, got -1",
+    "seed_past_key": f"error: seed must lie between 0 and 2**128 - 1, got {2**128}",
 }
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from osauction import dist as D
+from osauction import oracle as O
 from osauction import orderstat as OS
 from conftest import random_discrete_dist, random_mixed_dist
 
@@ -258,6 +259,43 @@ class TestIron:
         assert np.all(np.diff(slopes) <= 1e-12)
 
 
+def reference_revenue_bound(d, n):
+    """``optimal_revenue_bound`` as built before it hulled its points
+    directly: ``iron`` on the knot hull plus the arc apexes, stably sorted by
+    quantile."""
+    _, width, _, rise = d.segments
+    up = rise > 0
+    q0 = 1.0 - d.f_left[up]
+    qa = q0 + 0.5 * rise[up]
+    curve = D.revenue_curve(d)
+    qs, rs = np.append(curve.ironed_qs, qa), np.append(curve.ironed_rs, d.xs[up] * qa - 0.5 * q0 * width[up])
+    order = np.argsort(qs, kind="stable")
+    hull = D.iron(qs[order], rs[order])
+    F, slope = 1.0 - hull.ironed_qs, np.diff(hull.ironed_rs) / np.diff(hull.ironed_qs)
+    return float(np.maximum(slope, 0.0) @ (F[:-1] ** n - F[1:] ** n))
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["mixed", "discrete", "exponential", "beta", "normal"]),
+    st.integers(16, 4096),
+    st.integers(1, 60),
+)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_revenue_bound_matches_ironed_reference(seed, kind, grid, n):
+    # the hull's vertices do not depend on the order of its points, so the
+    # bound keeps the bits of the sorted and ironed construction
+    rng = np.random.default_rng(seed)
+    d = {
+        "mixed": lambda: random_mixed_dist(rng, 8),
+        "discrete": lambda: random_discrete_dist(rng, 6),
+        "exponential": lambda: D.exponential(rng.uniform(0.2, 5.0), grid=grid),
+        "beta": lambda: D.beta_dist(rng.uniform(0.5, 5.0), rng.uniform(0.5, 5.0), grid=grid),
+        "normal": lambda: D.normal(rng.uniform(0.0, 3.0), rng.uniform(0.1, 2.0), grid=grid),
+    }[kind]()
+    assert D.optimal_revenue_bound(d, n).hex() == reference_revenue_bound(d, n).hex()
+
+
 class TestVirtualValues:
     def test_f_disc_pooled_values(self):
         vv = D.virtual_values(F_DISC)
@@ -265,7 +303,6 @@ class TestVirtualValues:
         assert vv.eval(1.0) == pytest.approx(0.75, abs=1e-12)
         assert vv.eval(1.5) == pytest.approx(0.75, abs=1e-12)
         assert vv.eval(2.0) == 2.0
-        assert vv.flat_regions == ((1.0, 2.0),)
 
     def test_f_reg_matches_pooled_f_disc(self):
         # continuous counterpart of F_DISC: CDF (v-1)/(v-2+1/q) on [1, 2)
@@ -311,8 +348,9 @@ class TestVirtualValues:
     def test_phi_bar_equals_raw_outside_flats(self):
         d = D.exponential(1.0, grid=512)
         vv = D.virtual_values(d)
+        flat = vv.phi_lo == vv.phi_hi  # ironed or levelled pieces
         for v in np.linspace(0.1, 5.0, 23):
-            if any(lo <= v <= hi for lo, hi in vv.flat_regions):
+            if flat[np.searchsorted(vv.bp, v, side="right") - 1]:
                 continue
             # the density formula v - (1 - F(v)) / f(v) on the segment holding v
             i = int(np.searchsorted(d.xs, v, side="right")) - 1
@@ -321,7 +359,7 @@ class TestVirtualValues:
 
 
 def _hand_built(bp, phi_lo, phi_hi, phi_top, support_lo, support_hi):
-    return D.VirtualValueFn(np.array(bp), np.array(phi_lo), np.array(phi_hi), phi_top, support_lo, support_hi, ())
+    return D.VirtualValueFn(np.array(bp), np.array(phi_lo), np.array(phi_hi), phi_top, support_lo, support_hi)
 
 
 # maps whose edges the extended piece tables must reproduce: the last
@@ -436,18 +474,18 @@ class TestRegularity:
 class TestGeometricAverage:
     def test_idempotent(self):
         u = D.uniform(0, 1)
-        g = D.geometric_average(u, u)
+        g = O.geometric_average(u, u)
         xs = np.linspace(0, 1, 33)
         assert np.allclose(g.cdf(xs), u.cdf(xs), atol=1e-12)
 
     def test_point_mass_at_zero_absorbs(self):
-        g = D.geometric_average(D.point_mass(0.0), D.uniform(0, 1))
+        g = O.geometric_average(D.point_mass(0.0), D.uniform(0, 1))
         assert g.support_hi == 0.0
         assert g.cdf(0.0) == 1.0
 
     def test_bernoulli_success_probs_multiply(self):
         a, b = 0.2, 0.8
-        g = D.geometric_average(D.two_point(0, 1 - a, 1), D.two_point(0, 1 - b, 1))
+        g = O.geometric_average(D.two_point(0, 1 - a, 1), D.two_point(0, 1 - b, 1))
         assert g.survival(0.0) == pytest.approx(math.sqrt(a * b), abs=1e-12)
 
     @given(st.integers(0, 10**6))
@@ -455,7 +493,7 @@ class TestGeometricAverage:
     def test_survival_identity_on_grid(self, seed):
         rng = np.random.default_rng(seed)
         d1, d2 = random_mixed_dist(rng), random_mixed_dist(rng)
-        g = D.geometric_average(d1, d2)
+        g = O.geometric_average(d1, d2)
         xs = np.unique(np.concatenate([d1.xs, d2.xs]))
         lhs = (1 - g.cdf(xs)) ** 2
         rhs = (1 - d1.cdf(xs)) * (1 - d2.cdf(xs))

@@ -247,7 +247,6 @@ def test_hand_built_map_with_zero_width_pieces():
         phi_top=5.0,
         support_lo=0.0,
         support_hi=3.0,
-        flat_regions=(),
     )
     v = np.concatenate([np.linspace(-0.5, 3.5, 81), phi.bp])
     with np.errstate(invalid="ignore"):
