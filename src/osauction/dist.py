@@ -1,10 +1,11 @@
 """Value distributions as atoms plus piecewise-linear CDF segments.
 
 The representation is exact: between knots the CDF is linear and atoms are
-jumps. One segment table per distribution, memoized on the instance, holds
-the segment entering each knot; both CDF sides, the quantile, the revenue
-curve, the monopoly price and the virtual values read it in closed form.
-Continuous families are discretized onto quantile- and value-spaced knots.
+jumps. One piece table per distribution, built by ``_pieces`` like each
+virtual-value map's and memoized on the instance, holds the segment
+entering each knot; both CDF sides, the quantile, the revenue curve, the
+monopoly price and the virtual values read it in closed form. Continuous
+families are discretized onto quantile- and value-spaced knots.
 
 Ironing reads one envelope per distribution, built once and memoized on the
 (immutable) instance: the upper concave hull of the revenue curve's knot
@@ -145,6 +146,21 @@ def _along(x: np.ndarray, j: np.ndarray, start, span, base, rise) -> np.ndarray:
     return out
 
 
+def _pieces(start, end, lo, hi, top, top_level) -> tuple[np.ndarray, ...]:
+    """The read-only piece table of a non-decreasing piecewise-linear map:
+    per piece from ``start`` to ``end``, rising from ``lo`` to ``hi``, its
+    start, width, level, rise and inverse divisor, then a row at ``top`` of
+    level ``top_level`` and no width or rise. A piece without width gets
+    width 1 and no rise (0 times its rise, so it adds what weight 0 adds);
+    one without rise divides by inf: ``_along(t, j, lo, divisor, start,
+    width)``, the weak inverse at piece j, maps a level inside it to its start."""
+    width = end - start
+    with np.errstate(invalid="ignore"):  # a piece at -inf has no rise
+        rise = (hi - lo) * (width > 0)
+    columns = (start, np.where(width > 0, width, 1.0), lo, rise, np.where(rise > 0, rise, np.inf))
+    return tuple(_as_readonly(np.append(c, t)) for c, t in zip(columns, (top, 0.0, top_level, 0.0, np.inf)))
+
+
 # on the segment entering a knot the CDF is lower + (v - left) / width * rise
 Segments = namedtuple("Segments", "left width lower rise")
 
@@ -166,7 +182,7 @@ class Dist:
     label: str = "table"
 
     def __post_init__(self):
-        xs = _as_readonly(self.xs)
+        xs = _as_readonly(np.add(self.xs, 0.0))  # a knot at -0.0 reads +0.0, as a piece read gives
         fl = _as_readonly(self.f_left)
         fr = _as_readonly(self.f_right)
         object.__setattr__(self, "xs", xs)
@@ -208,18 +224,22 @@ class Dist:
         return bool(np.all(self.segments.rise <= MASS_TOL))
 
     @cached_property
+    def _table(self) -> tuple[np.ndarray, ...]:
+        """``_pieces`` of the CDF: per knot the segment entering it, knot 0's
+        of width 1 and no rise, then the top knot's atom; row j + 1 leaves knot j."""
+        xs, fl, fr = self.xs, self.f_left, self.f_right
+        return _pieces(np.append(xs[0], xs[:-1]), xs, np.append(fl[0], fr[:-1]), fl, xs[-1], fr[-1])
+
+    @cached_property
     def segments(self) -> Segments:
-        """Per knot j, the linear CDF segment entering it, read-only; so that
-        ``lower + rise == f_left`` everywhere, knot 0 gets width 1 and rise 0."""
-        left, lower = np.append(self.xs[0], self.xs[:-1]), np.append(self.f_left[0], self.f_right[:-1])
-        width, rise = self.xs - left, self.f_left - lower
-        width[0] = 1.0
-        return Segments(*map(_as_readonly, (left, width, lower, rise)))
+        """Per knot j, the linear CDF segment entering it: read-only views of
+        the piece table, with ``lower + rise == f_left`` everywhere."""
+        return Segments(*(c[:-1] for c in self._table[:4]))
 
     @cached_property
     def _quantile_search(self) -> _Search:
-        """The first knot whose right CDF reaches q; the last one takes every q above."""
-        return _Search(self.f_right[:-1])
+        """The first knot whose leaving segment reaches q; the last one takes every q above."""
+        return _Search(self.f_left[1:])
 
     # -- CDF / survival / quantile ----------------------------------------
 
@@ -255,35 +275,28 @@ class Dist:
     def quantile(self, q):
         """Generalized inverse inf{v : F(v) >= q}; q must lie in [0, 1]."""
         q_arr = np.asarray(q, dtype=np.float64)
-        if q_arr.size and (q_arr.min() < 0.0 or q_arr.max() > 1.0):
+        if q_arr.size and not (q_arr.min() >= 0.0 and q_arr.max() <= 1.0):  # NaN too
             raise ValueError("quantile argument must lie in [0, 1]")
         flat = q_arr.reshape(-1)
-        j, reach = self._locate(flat)
-        out = self.xs[j]
-        if reach is not None and reach.any():
-            np.copyto(out, self._along_segment(flat, j), where=reach)
+        j = self._quantile_search(flat, "left")
+        out = self._along_segment(flat, j) if self._rises else self.xs[j]
         return out.reshape(q_arr.shape) if q_arr.ndim else float(out[0])
 
     def _locate(self, q: np.ndarray):
         """``(j, reach)`` for quantiles ``q`` in [0, 1]: the quantile of q is
-        ``xs[j]``, except where ``reach`` holds, the entries the rising segment
-        entering knot j attains first (``reach`` is None when no segment
-        rises). That is where f_left[j] >= q > lower[j]; the search puts every
-        q above f_right[j - 1], which is lower[j], so for j > 0 the second
-        condition always holds, and for j = 0 the two never do."""
+        ``xs[j]``, except where ``reach`` holds (None when no segment rises):
+        past f_right[j], on the segment leaving knot j."""
         j = self._quantile_search(q, "left")
-        if not self._rises:
-            return j, None
-        return j, (self.f_left[j] >= q) & (j > 0)
+        return j, (q > self.f_right[j] if self._rises else None)
 
     @cached_property
     def _rises(self) -> bool:
         return bool(np.any(self.segments.rise > 0))
 
     def _along_segment(self, q: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """The value at which the segment entering knot j reaches quantile q."""
-        left, width, lower, rise = self.segments
-        return _along(q, j, lower, rise, left, width)
+        """The value at which the segment leaving knot j reaches quantile q."""
+        start, width, lower, _, divisor = (c[1:] for c in self._table)
+        return _along(q, j, lower, divisor, start, width)
 
     def describe(self) -> str:
         return self.label
@@ -640,12 +653,12 @@ def monopoly_price(d: Dist) -> tuple[float, float]:
     Exact on the representation: candidates are knots, atoms, and the
     interior stationary point of each linear-CDF segment.
     """
-    left, width, lower, rise = d.segments
-    x_lo, x_hi, c_lo, slope = (a[rise > 0] for a in (left, d.xs, lower, rise / width))
-    # stationary point of p * (1 - F(p)) inside each rising segment
+    up = d.segments.rise > 0
+    x_lo, width, c_lo, rise = (a[up] for a in d.segments)
+    # stationary point of p * (1 - F(p)) inside each rising segment, by the inverse density
     with _refusing_overflow(d):
-        p_star = 0.5 * (x_lo + (1.0 - c_lo) / slope)
-    interior = p_star[(x_lo < p_star) & (p_star < x_hi)]
+        p_star = 0.5 * (x_lo + (1.0 - c_lo) * (width / rise))
+    interior = p_star[(x_lo < p_star) & (p_star < d.xs[up])]
     candidates = np.sort(np.concatenate([d.xs, interior]))
     revenue = candidates * d.survival_left(candidates)
     best = int(np.argmax(revenue))  # the first maximum: the smaller price
@@ -705,24 +718,11 @@ class VirtualValueFn:
         object.__setattr__(self, "support_hi", float(self.support_hi) + 0.0)
         for name in ("bp", "phi_lo", "phi_hi"):
             object.__setattr__(self, name, _as_readonly(getattr(self, name)))
-        # per piece: its start, width, level, rise in virtual value, and the
-        # rise a threshold divides by. As in ``Dist.segments``, a piece without
-        # width gets width 1 and no rise (0 times its rise, so it adds what
-        # weight 0 adds), and a piece without rise divides by inf: a level
-        # inside it maps to its left end. The thresholds read one more piece
-        # past the last level: it starts at support_hi, which a level up to
-        # phi_top maps to, with level phi_top and no width or rise. ``eval``
-        # searches the inner breakpoints and reads that piece only on a point
-        # mass, which has no piece of its own and no value inside
-        # [support_lo, support_hi)
-        width = self.bp[1:] - self.bp[:-1]
-        with np.errstate(invalid="ignore"):  # a piece at -inf has no rise
-            rise = (self.phi_hi - self.phi_lo) * (width > 0)
-        width = np.where(width > 0, width, 1.0)
-        divisor = np.where(rise > 0, rise, np.inf)
-        columns = (self.bp[:-1], width, self.phi_lo, rise, divisor)
-        tops = (self.support_hi, 0.0, self.phi_top, 0.0, np.inf)
-        object.__setattr__(self, "_pieces", tuple(_as_readonly(np.append(c, top)) for c, top in zip(columns, tops)))
+        # the thresholds map a level up to phi_top past the last piece to the
+        # top row, at support_hi; ``eval`` reads that row only on a point mass,
+        # which has no piece of its own and no value in [support_lo, support_hi)
+        table = _pieces(self.bp[:-1], self.bp[1:], self.phi_lo, self.phi_hi, self.support_hi, self.phi_top)
+        object.__setattr__(self, "_table", table)
         object.__setattr__(self, "_piece_search", _Search(self.bp[1:-1]))
         object.__setattr__(self, "_level_search", _Search(self.phi_hi))
 
@@ -730,7 +730,7 @@ class VirtualValueFn:
         """Ironed virtual value at v (vectorized)."""
         v = np.asarray(v, dtype=np.float64)
         x = np.atleast_1d(v)
-        left, width, phi_lo, rise, _ = self._pieces
+        left, width, phi_lo, rise, _ = self._table
         out = _along(x, self._piece_search(x, "right"), left, width, phi_lo, rise)
         lo, hi = self.support_lo, self.support_hi
         if x.size and not (x.min() >= lo and x.max() < hi):
@@ -749,7 +749,7 @@ class VirtualValueFn:
         infinity) are rare; they are selected exactly."""
         level = np.asarray(t, dtype=np.float64)
         t = np.atleast_1d(level)
-        left, width, lo, _, divisor = self._pieces
+        left, width, lo, _, divisor = self._table
         j = self._level_search(t, "right" if strict else "left")
         out = _along(t, j, lo, divisor, left, width)
         past_top = np.greater_equal if strict else np.greater

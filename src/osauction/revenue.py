@@ -331,6 +331,24 @@ def _bidder_major_draws(seed: int, samples: int, n: int, start: int) -> np.ndarr
     return out
 
 
+def _mean_stderr(payments: np.ndarray) -> tuple[float, float]:
+    """The mean of the payments and its standard error, inf from one sample.
+    The sums of payments near the float maximum overflow where the mean does
+    not: only where either comes out non-finite (the stderr of one sample
+    stays inf), both are computed again from the payments scaled by the power
+    of two that brings the largest below 1, an exact scaling, and scaled back."""
+
+    def stats(x: np.ndarray) -> tuple[float, float]:
+        with np.errstate(over="ignore"):
+            return float(x.mean()), float(x.std(ddof=1) / math.sqrt(len(x))) if len(x) > 1 else math.inf
+
+    mean, stderr = stats(payments)
+    if not (math.isfinite(mean) and math.isfinite(stderr)):
+        _, e = np.frexp(np.abs(payments).max())
+        mean, stderr = (math.ldexp(s, int(e)) for s in stats(np.ldexp(payments, -e)))
+    return mean, stderr
+
+
 def mc_expected_revenue(
     mechanism: M.Mechanism, pd: ProductDist, samples: int, seed: int
 ) -> RevenueReport:
@@ -372,8 +390,7 @@ def mc_expected_revenue(
 
         with ThreadPoolExecutor(workers) as pool:
             list(pool.map(block, starts))  # raises what a block raised
-    mean = float(payments.mean())
-    stderr = float(payments.std(ddof=1) / math.sqrt(samples)) if samples > 1 else float("inf")
+    mean, stderr = _mean_stderr(payments)
     return RevenueReport(
         mechanism=mechanism.describe(),
         distribution=pd.describe(),

@@ -279,6 +279,29 @@ def test_request_at_the_size_cap(command, cfg, tmp_path, capsys):
     assert 0.0 < revenue < 1.0
 
 
+@pytest.mark.parametrize("command, G", [
+    ("reserve", {"family": "table", "knots": [[0, 0], [1e-310, 0.5], [1, 1]]}),
+    ("reserve", {"family": "uniform", "lo": 0, "hi": 1e-310}),
+    ("curve", {"family": "uniform", "lo": 0, "hi": 1e-310}),
+], ids=["reserve-table", "reserve-uniform", "curve-uniform"])
+def test_subnormal_width_segment_answered(command, G, tmp_path, capsys):
+    # a segment of subnormal width has a density past the float maximum; its
+    # monopoly price reads the inverse density, with no overflow warning
+    cfg = {"n": 3, "k": 2, "G": G, "family": "spa"} if command == "reserve" else {"n": 3, "k": 2, "G": G}
+    code, out, err = run_cli([command, "--config", write_cfg(tmp_path, "c.json", cfg)], capsys)
+    assert (code, err) == (0, "")
+    rows = parse_csv(out)
+    if command == "reserve":
+        (row,) = rows
+        assert row["regular_above_reserve"] == "1"
+        if G["family"] == "table":
+            assert row["reserve"] == "0.640267467126"
+        else:
+            assert 0.0 < float(row["reserve"]) < 1e-310
+    else:
+        assert sum(r["is_reserve_quantile"] == "1" for r in rows) == 1
+
+
 def test_integral_float_is_an_integer(tmp_path, capsys):
     cfg = {"n": 3.0, "k": 2, "G": UNIF_LIT}
     code, out, _ = run_cli(["invert", "--config", write_cfg(tmp_path, "c.json", dict(cfg, grid=64.0))], capsys)

@@ -3,8 +3,11 @@
 implementations they replaced, copied below verbatim: the closed forms must
 read the same CDFs, and the Monte Carlo path must draw the same values and
 pay the same amounts, bit for bit. Beneath them, the guided search they all
-read against ``np.searchsorted``, and the separable Monte Carlo kernel's
-top-row selection against the sort it replaced."""
+read against ``np.searchsorted``, the separable Monte Carlo kernel's
+top-row selection against the sort it replaced, and the quantile's read of
+the CDF's piece table against the reach mask it replaced."""
+
+import math
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from osauction import dist as D
 from osauction import mech as M
+from osauction import orderstat as O
 from osauction import revenue as R
 from conftest import random_discrete_dist, random_mixed_dist
 
@@ -181,7 +185,7 @@ def test_cdf_left_reads_f_left_at_a_knot():
     assert_bitwise(d.cdf_left(d.xs), reference_cdf_left(d, d.xs))
 
 
-@pytest.mark.parametrize("q", [-1e-300, -0.5, 1.0 + 1e-15, 2.0, [0.5, -0.1], [[0.2], [1.5]]])
+@pytest.mark.parametrize("q", [-1e-300, -0.5, 1.0 + 1e-15, 2.0, [0.5, -0.1], [[0.2], [1.5]], np.nan, [0.5, np.nan]])
 def test_quantile_out_of_range_raises(q):
     with pytest.raises(ValueError):
         DISTS["mixed"].quantile(q)
@@ -340,3 +344,123 @@ def test_payment_kernel_matches_sorted_reference(seed, levels):
     values = rng.choice(grid, (40, 97))
     for mechanism in (M.MultiUnit(30, float(grid[0])), M.Laddered(tuple(np.linspace(1.0, 0.1, 35)), 0.0)):
         assert_bitwise(R._payment_kernel(mechanism, 40)(values), reference_separable_payments(mechanism, 40, values))
+
+
+# -- the quantile as the weak inverse of the CDF's piece table ------------------
+# The reach-mask implementation the piece-table read replaced, kept verbatim:
+# ``segments`` built on its own, a search of f_right[:-1] for the knot whose
+# right CDF reaches q, and a mask of the entries the segment entering that
+# knot reaches first.
+
+
+def reach_mask_segments(self):
+    left, lower = np.append(self.xs[0], self.xs[:-1]), np.append(self.f_left[0], self.f_right[:-1])
+    width, rise = self.xs - left, self.f_left - lower
+    width[0] = 1.0
+    return D.Segments(*map(D._as_readonly, (left, width, lower, rise)))
+
+
+def reach_mask_locate(self, q):
+    j = D._Search(self.f_right[:-1])(q, "left")
+    if not self._rises:
+        return j, None
+    return j, (self.f_left[j] >= q) & (j > 0)
+
+
+def reach_mask_along_segment(self, q, j):
+    left, width, lower, rise = reach_mask_segments(self)
+    return D._along(q, j, lower, rise, left, width)
+
+
+def reach_mask_quantile(self, q):
+    q_arr = np.asarray(q, dtype=np.float64)
+    if q_arr.size and (q_arr.min() < 0.0 or q_arr.max() > 1.0):
+        raise ValueError("quantile argument must lie in [0, 1]")
+    flat = q_arr.reshape(-1)
+    j, reach = reach_mask_locate(self, flat)
+    out = self.xs[j]
+    if reach is not None and reach.any():
+        np.copyto(out, reach_mask_along_segment(self, flat, j), where=reach)
+    return out.reshape(q_arr.shape) if q_arr.ndim else float(out[0])
+
+
+def _flat_table(rng):
+    """Rising segments, zero-mass gaps and atoms, on up to 8 knots."""
+    m = int(rng.integers(2, 9))
+    xs = np.cumsum(rng.uniform(0.05, 1.0, m))
+    cdf = np.append(0.0, np.cumsum(rng.uniform(0.0, 1.0, m - 1) * (rng.random(m - 1) < 0.6)))
+    atoms = [(float(x), float(rng.uniform(0.05, 1.0))) for x in xs[rng.random(m) < 0.4]]
+    total = cdf[-1] + sum(mass for _, mass in atoms)
+    if total == 0.0:
+        return D.point_mass(float(xs[0]))
+    return D.from_table(list(zip(xs, cdf / total)), [(x, mass / total) for x, mass in atoms])
+
+
+@st.composite
+def laws(draw):
+    """Random tables, consistent i.i.d. laws and discretized families."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["mixed", "atomless", "discrete", "flats", "iid", "family"]))
+    if kind in ("mixed", "atomless"):
+        return random_mixed_dist(rng, max_knots=8, atoms=kind == "mixed")
+    if kind == "discrete":
+        return random_discrete_dist(rng, max_atoms=8)
+    if kind == "flats":
+        return _flat_table(rng)
+    grid = draw(st.one_of(st.sampled_from([16, 4096]), st.integers(16, 4096)))
+    if kind == "iid":
+        n = draw(st.sampled_from([2, 3, 5, 50, 2000]))
+        k = draw(st.integers(1, n))
+        G = D.exponential(float(rng.uniform(0.2, 5.0)), grid=grid) if draw(st.booleans()) else D.two_point(
+            float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.05, 0.95)), float(rng.uniform(1.0, 3.0)))
+        return O.consistent_iid(O.AmbiguitySpec(n=n, k=k, G=G), grid=grid)
+    family = draw(st.sampled_from([D.exponential, D.beta_dist, D.normal]))
+    params = {D.exponential: (1.3,), D.beta_dist: (2.0, 3.0), D.normal: (1.0, 0.6)}[family]
+    return family(*params, grid=grid)
+
+
+def _quantile_points(d, rng):
+    """Both CDF sides at every knot, their float neighbours, 0, 1 and random
+    points, shuffled."""
+    q = np.concatenate([d.f_left, d.f_right, [0.0, 1.0]])
+    q = np.concatenate([q, np.nextafter(q, 0.0), np.nextafter(q, 1.0), rng.random(500)])
+    return rng.permutation(q)
+
+
+@given(d=laws(), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_quantile_reads_the_piece_table_as_the_reach_mask_did(d, seed):
+    for got, want in zip(d.segments, reach_mask_segments(d)):
+        assert_bitwise(got, want)
+        assert not got.flags.writeable
+    q = _quantile_points(d, np.random.default_rng(seed))
+    # batches on both sides of the guided search's threshold
+    for batch in (q[: D._GUIDED_MIN - 1], np.resize(q, max(len(q), D._GUIDED_MIN))):
+        assert_bitwise(d.quantile(batch), reach_mask_quantile(d, batch))
+        j, reach = d._locate(batch)
+        want_j, want_reach = reach_mask_locate(d, batch)
+        if want_reach is None:
+            assert reach is None
+            assert_bitwise(j, want_j)
+            continue
+        assert_bitwise(reach, want_reach)
+        # off the segments the knot itself; on them the knot they leave
+        assert_bitwise(j[~reach], want_j[~reach])
+        assert_bitwise(j[reach], want_j[reach] - 1)
+        assert_bitwise(d._along_segment(batch[reach], j[reach]),
+                       reach_mask_along_segment(d, batch[reach], want_j[reach]))
+
+
+@pytest.mark.parametrize("d", [
+    D.point_mass(-0.0),
+    D.uniform(-0.0, 1.0),
+    D.from_table([(-0.0, 0.0), (1.0, 0.5)], atoms=[(-0.0, 0.25), (2.0, 0.25)]),
+], ids=["point_mass", "uniform", "table"])
+def test_knot_at_negative_zero_reads_positive_zero(d):
+    # a piece read adds a zero to the knot, so every read gives +0.0 there
+    assert not np.signbit(d.xs).any()
+    q = np.concatenate([[0.0], d.f_left, d.f_right])
+    assert not np.signbit(d.quantile(q)).any()
+    assert not np.signbit(d.quantile(np.resize(q, D._GUIDED_MIN))).any()
+    assert math.copysign(1.0, d.quantile(0.0)) == 1.0
+    assert d.cdf(-0.0) == d.cdf(0.0) and d.cdf_left(-0.0) == d.cdf_left(0.0)

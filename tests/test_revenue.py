@@ -296,6 +296,26 @@ class TestMonteCarlo:
         rep = R.mc_expected_revenue(_pin_mechanisms(n)[name], pd, 3000, 40 + n)
         assert (rep.expected_revenue.hex(), rep.mc_stderr.hex()) == PINNED_MC[key]
 
+    @pytest.mark.parametrize("case", ["myerson-uniform-n3", "spa-uniform-n2", "spa-exponential-n2"])
+    def test_payment_sums_past_the_float_maximum(self, case):
+        # the sums of these payments overflow although their mean and stderr
+        # do not; scaling every value by 2**-1000 is exact, so the same draws
+        # from the scaled law, scaled back, are the reference
+        def law(e):
+            if case.startswith("spa-exponential"):
+                return D.exponential(math.ldexp(1e-300, -e))
+            return D.uniform(math.ldexp(1e300, e), math.ldexp(1e305, e))
+
+        def estimate(e):
+            d = law(e)
+            mechanism = M.MyersonIID(d) if case.startswith("myerson") else M.SPAReserve(0.0)
+            rep = R.mc_expected_revenue(mechanism, OS.iid(d, int(case[-1])), 5000, 3)
+            return math.ldexp(rep.expected_revenue, -e), math.ldexp(rep.mc_stderr, -e)
+
+        got, want = estimate(0), estimate(-1000)
+        assert all(math.isfinite(x) for x in got)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
     @pytest.mark.parametrize("n", [10, 200])
     def test_uniform_tiebreak_at_any_n(self, n):
         # bidders are exchangeable, so uniform ties earn the closed-form
