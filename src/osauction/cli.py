@@ -241,7 +241,7 @@ def cmd_simulate(cfg: dict, grid: int):
     if not isinstance(cfg.get("product"), list):
         raise ConfigError("simulate needs 'product': a list of distribution literals")
     samples, seed = _integer("samples", samples), _integer("seed", seed)
-    if not 0 <= seed < 2**128:  # the generator's key
+    if not 0 <= seed < 2**128:  # 128 bits of entropy for the stream's SeedSequence
         raise ConfigError(f"seed must lie between 0 and 2**128 - 1, got {seed}")
     if samples * len(cfg["product"]) > MAX_DRAWS:
         raise ConfigError(f"simulate draws samples x bidders values, at most {MAX_DRAWS}")

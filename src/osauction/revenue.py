@@ -16,13 +16,13 @@ straight from each draw's knot through one table of levels per distinct
 component, so that only draws inside a rising segment (every draw, for a
 component without atoms) evaluate their value. Monte Carlo rows are
 bidder-major, one row per bidder and one column per sample, so the kernels
-reduce over contiguous rows; a block is drawn a slab at a time into that
+reduce over contiguous rows; a block draws its uniforms straight into that
 layout, and the rows of each distinct component are scored by one call per
 slab, read without a copy where they are adjacent. The lookups read
 per-segment tables and guided searches built once per instance, and both
 kernels keep only the top rows they read instead of sorting them all. Samples
-run in fixed blocks, each drawing its own slice of one counter-based stream,
-on every available CPU, and the payments are reduced in sample order, so an
+run in fixed blocks, each drawing its own stretch of one PCG64 stream, on
+every available CPU, and the payments are reduced in sample order, so an
 estimate does not depend on the number of CPUs. The exact order-statistic
 terms come from ``orderstat``: Pr(v_(i) >= r) for the top rows at once, and
 one ``OrderStatTail`` per evaluator for the weighted sum of the exact tail
@@ -144,26 +144,21 @@ def myerson_iid_revenue(base: Dist, n: int) -> float:
 # -- Monte Carlo ---------------------------------------------------------------
 
 
-# samples per Monte Carlo block; a multiple of 4, so every block's first draw
-# starts a Philox counter
+# samples per Monte Carlo block, part of the stream's definition: a block
+# starting at sample ``start`` reads its n bidders' draws from stream position
+# n·start on
 _MC_BLOCK = 16384
-# values one draw or one score call holds at most: its temporaries are a few
-# times that
+# values one score call reads at most: its temporaries are a few times that
 _MC_SLAB = 4 * _MC_BLOCK
 
 
-def _uniform_matrix(seed: int, samples: int, width: int, start: int = 0) -> np.ndarray:
-    """Rows ``start`` to ``start + samples`` of the seed's draw matrix.
-
-    The generator is counter-based: the draw for sample s and column c is a
-    fixed function of (seed, s, c), independent of evaluation order. Each
-    counter yields four draws, so ``start * width`` must be a multiple of 4.
-    """
-    if start * width % 4:
-        raise ValueError("the first draw must start a Philox counter")
-    bits = np.random.Philox(key=seed)
-    bits.advance(start * width // 4)
-    return np.random.Generator(bits).random((samples, width))
+def _block_draws(seeds: np.random.SeedSequence, n: int, start: int, samples: int) -> np.ndarray:
+    """The uniforms of the block of ``samples`` samples from ``start`` on,
+    bidder-major: bidder c's draw at offset t is the PCG64 stream's draw
+    n·start + c·samples + t, one double per 64-bit output."""
+    bits = np.random.PCG64(seeds)
+    bits.advance(n * start)
+    return np.random.Generator(bits).random((n, samples))
 
 
 def _myerson_kernel(phi_fn: VirtualValueFn, tiebreak: str):
@@ -318,19 +313,6 @@ def _component_rows(pd: ProductDist, most: int) -> list[tuple[Dist, slice | np.n
     return out
 
 
-def _bidder_major_draws(seed: int, samples: int, n: int, start: int) -> np.ndarray:
-    """The first n columns of rows ``start`` to ``start + samples`` of the
-    seed's draw matrix of width n + 1, transposed: one row per bidder. The
-    rows are drawn a slab of at most ``_MC_SLAB`` values (and at least 4
-    rows) at a time, each starting a Philox counter, so the draw matrix is
-    never held whole beside its transpose."""
-    out = np.empty((n, samples))
-    step = max(4, _MC_SLAB // (n + 1) // 4 * 4)
-    for s in range(0, samples, step):
-        out[:, s : s + step] = _uniform_matrix(seed, min(step, samples - s), n + 1, start + s)[:, :n].T
-    return out
-
-
 def _mean_stderr(payments: np.ndarray) -> tuple[float, float]:
     """The mean of the payments and its standard error, inf from one sample.
     The sums of payments near the float maximum overflow where the mean does
@@ -353,10 +335,11 @@ def mc_expected_revenue(
     mechanism: M.Mechanism, pd: ProductDist, samples: int, seed: int
 ) -> RevenueReport:
     """Monte Carlo revenue estimate, bit-reproducible for a given
-    (seed, samples): sample s consumes row s of a Philox counter stream.
+    (seed, samples): the draws come from one PCG64 stream seeded by ``seed``.
 
     Samples are drawn and priced in blocks of ``_MC_BLOCK``, each from its own
-    slice of the stream and on as many threads as there are CPUs to run on;
+    stretch of the stream (see ``_block_draws``; a short last block's draws
+    depend on its length) and on as many threads as there are CPUs to run on;
     numpy releases the GIL in the draws, the searches and the ufuncs. The
     payments land in one array in sample order, so the estimate does not
     depend on the number of threads or the order the blocks finish in.
@@ -367,13 +350,12 @@ def mc_expected_revenue(
     # one score call per component and slab of at most _MC_SLAB values
     groups = _component_rows(pd, max(1, _MC_SLAB // min(samples, _MC_BLOCK)))
     payments = np.empty(samples)
+    seeds = np.random.SeedSequence(seed)
 
     def block(start: int) -> None:
         out = payments[start : start + _MC_BLOCK]
-        # bidder-major: row j holds bidder j's draws, then what pay reads;
-        # the stream's last column is unused and keeps its layout, so every
-        # value column stays the draw it has always been
-        rows_read = _bidder_major_draws(seed, len(out), pd.n, start)
+        # bidder-major: row j holds bidder j's draws, then what pay reads
+        rows_read = _block_draws(seeds, pd.n, start, len(out))
         for component, rows in groups:
             rows_read[rows] = score(component, rows_read[rows])
         out[:] = pay(rows_read)
@@ -532,12 +514,17 @@ def z_star(g):
         raise ValueError("probability must lie in [0, 1]")
     # bracket [lo, lo + w] from [1e-300, 1]; every bracket halves in step, and
     # its end points are dyadic, so lo + w is the exact midpoint; a 0-d g
-    # steps as numpy scalars, which cost a fraction of 0-d arrays
+    # steps as numpy scalars, which cost a fraction of 0-d arrays, and an
+    # array moves lo in place
     level, lo, w = g[()], np.full(g.shape, 1e-300)[()], 1.0
     for _ in range(math.ceil(math.log2(1.0 / _Z_TOL))):
         w *= 0.5
         mid = lo + w
-        lo = lo + w * (mid * (1.0 - np.log(mid)) < level)
+        below = mid * (1.0 - np.log(mid)) < level
+        if g.ndim:
+            np.copyto(lo, mid, where=below)
+        elif below:
+            lo = mid
     z = np.where(g == 0.0, 0.0, np.where(g == 1.0, 1.0, lo + 0.5 * w))
     return float(z) if z.ndim == 0 else z
 

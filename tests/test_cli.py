@@ -220,7 +220,7 @@ REFUSED = {
     "overflowing_revenue_curve": (
         "reserve", {"n": 3, "k": 2, "G": {"family": "uniform", "lo": 1e300, "hi": 1.7e308}, "family": "spa"}),
     # a seed is used as written or refused: past 2**53 a float need not be the
-    # integer written, and the generator's key lies in [0, 2**128)
+    # integer written, and a seed lies in [0, 2**128)
     "float_seed_at_2_53": (
         "simulate", {"product": [UNIF_LIT, UNIF_LIT], "mechanism": {"type": "spa"}, "samples": 10,
                      "seed": 9.007199254740993e15}),
@@ -513,6 +513,13 @@ class TestSimulate:
         assert run_cli(["simulate", "--config", cfg], capsys)[0] == 0
         first, second, uniform, last = products[0].components
         assert first is second is last and uniform is not first
+
+    @pytest.mark.parametrize("seed", [0, 2**128 - 1])
+    def test_seeds_at_the_ends_of_the_range_answered(self, seed, tmp_path, capsys):
+        # 2**128 is refused (see REFUSED["seed_past_key"])
+        cfg = write_cfg(tmp_path, "c.json", {**self.CFG, "seed": seed, "samples": 100})
+        code, out, _ = run_cli(["simulate", "--config", cfg], capsys)
+        assert code == 0 and parse_csv(out)[0]["seed"] == str(seed)
 
     def test_missing_seed_exit_2(self, tmp_path, capsys):
         cfg = dict(self.CFG)

@@ -189,6 +189,10 @@ PIN_LITERALS = [
 PIN_BASE = {"family": "table", "knots": [[0.2, 0.0], [1.4, 0.4]], "atoms": [[0.5, 0.2], [0.9, 0.1], [1.5, 0.3]]}
 
 
+def _pin_product(n):
+    return OS.ProductDist(tuple(D.from_literal(PIN_LITERALS[(3 * j) % 4 if n > 4 else j % 4]) for j in range(n)))
+
+
 def _pin_mechanisms(n):
     base = D.from_literal(PIN_BASE)
     return {
@@ -203,36 +207,36 @@ def _pin_mechanisms(n):
 
 # (n, mechanism) -> (mean, stderr) of 3000 samples with seed 40 + n
 PINNED_MC = {
-    (2, "posted_price"): ("0x1.3020c49ba5e35p-1", "0x1.66ff51ff884d6p-7"),  # 0.5940 0.0110
-    (2, "spa"): ("0x1.453a8152883c2p-1", "0x1.2e1c0a8490edep-8"),  # 0.6352 0.0046
-    (2, "multi_unit"): ("0x1.3a9d778f4d7bep-1", "0x1.3e847ec8b4b80p-8"),  # 0.6145 0.0049
-    (2, "laddered"): ("0x1.2beccfd0dbe22p-1", "0x1.454a28310056ep-9"),  # 0.5858 0.0025
-    (2, "myerson_lexicographic"): ("0x1.604ea4a8c154dp-1", "0x1.45c4533908be8p-7"),  # 0.6881 0.0099
-    (2, "myerson_uniform"): ("0x1.469ad42c3c9efp-1", "0x1.1d5b78ccda2a7p-7"),  # 0.6379 0.0087
-    (3, "posted_price"): ("0x1.36ae7d566cf42p-1", "0x1.66fe035a40d12p-7"),  # 0.6068 0.0110
-    (3, "spa"): ("0x1.afd6ba163b6a2p-1", "0x1.f207e566f858ap-9"),  # 0.8434 0.0038
-    (3, "multi_unit"): ("0x1.25f8d7fd08b85p+0", "0x1.9d4ab9c4016a3p-8"),  # 1.1483 0.0063
-    (3, "laddered"): ("0x1.e682f7fed0f4cp-1", "0x1.ed6eba1dc7f3cp-9"),  # 0.9502 0.0038
-    (3, "myerson_lexicographic"): ("0x1.fe425aee631f9p-1", "0x1.07e601e676f62p-8"),  # 0.9966 0.0040
-    (3, "myerson_uniform"): ("0x1.09652bd3c3611p+0", "0x1.95eb51f2ffb1ep-9"),  # 1.0367 0.0031
-    (5, "posted_price"): ("0x1.c5d63886594afp-1", "0x1.3b79891ddc524p-7"),  # 0.8864 0.0096
-    (5, "spa"): ("0x1.137abc29270bep+0", "0x1.252fa7f0d1f65p-8"),  # 1.0761 0.0045
-    (5, "multi_unit"): ("0x1.aea3a04bfb1ecp+0", "0x1.ea5dcdeabdbeap-8"),  # 1.6822 0.0075
-    (5, "laddered"): ("0x1.7f715de8aca5bp+0", "0x1.a3d000cd9285cp-8"),  # 1.4978 0.0064
-    (5, "myerson_lexicographic"): ("0x1.30a3d70a3d70ap+0", "0x1.66d0d777ca686p-8"),  # 1.1900 0.0055
-    (5, "myerson_uniform"): ("0x1.2874df5e58336p+0", "0x1.0dc59dd220f20p-8"),  # 1.1580 0.0041
-    (8, "posted_price"): ("0x1.16f0068db8bacp+0", "0x1.9f0f174332ecep-8"),  # 1.0896 0.0063
-    (8, "spa"): ("0x1.4d7ebdbe3c868p+0", "0x1.6451bb2cf324ap-8"),  # 1.3027 0.0054
-    (8, "multi_unit"): ("0x1.1354c0fc677aep+1", "0x1.15d96880a7937p-7"),  # 2.1510 0.0085
-    (8, "laddered"): ("0x1.f6790b97d0f57p+0", "0x1.b5ea0441f5a96p-8"),  # 1.9628 0.0067
-    (8, "myerson_lexicographic"): ("0x1.678ee7a7cbacep+0", "0x1.54901944af2d7p-8"),  # 1.4045 0.0052
-    (8, "myerson_uniform"): ("0x1.5fe31a6228e28p+0", "0x1.36821cd6c8beap-8"),  # 1.3746 0.0047
-    (12, "posted_price"): ("0x1.2acd9e83e4259p+0", "0x1.d44ec253788c3p-9"),  # 1.1672 0.0036
-    (12, "spa"): ("0x1.7b7cf0420813fp+0", "0x1.4c83d05d726f6p-8"),  # 1.4824 0.0051
-    (12, "multi_unit"): ("0x1.436ecbea3f736p+1", "0x1.320411ad504ddp-7"),  # 2.5268 0.0093
-    (12, "laddered"): ("0x1.25e2e60ab7420p+1", "0x1.e38d1c7ed78c2p-8"),  # 2.2960 0.0074
-    (12, "myerson_lexicographic"): ("0x1.885ff0aa604b4p+0", "0x1.2df4a781b0c04p-8"),  # 1.5327 0.0046
-    (12, "myerson_uniform"): ("0x1.84ecd105b5dffp+0", "0x1.24f8f83e98866p-8"),  # 1.5192 0.0045
+    (2, "posted_price"): ("0x1.2f4f0d844d014p-1", "0x1.66fc8adedb82fp-7"),  # 0.5924 0.0110
+    (2, "spa"): ("0x1.4531915b5ef58p-1", "0x1.2b929cfdcdb1cp-8"),  # 0.6351 0.0046
+    (2, "multi_unit"): ("0x1.3a4002465346fp-1", "0x1.3c94785c5aef5p-8"),  # 0.6138 0.0048
+    (2, "laddered"): ("0x1.2c4693cfe10c1p-1", "0x1.4059f288085a2p-9"),  # 0.5865 0.0024
+    (2, "myerson_lexicographic"): ("0x1.573eab367a0f9p-1", "0x1.4b2bbcbb5ba5fp-7"),  # 0.6704 0.0101
+    (2, "myerson_uniform"): ("0x1.3d3c36113404fp-1", "0x1.21e09f1034735p-7"),  # 0.6196 0.0088
+    (3, "posted_price"): ("0x1.3c36113404ea5p-1", "0x1.66dc5dd19033ap-7"),  # 0.6176 0.0110
+    (3, "spa"): ("0x1.af1052de8fe5ep-1", "0x1.019ae46854150p-8"),  # 0.8419 0.0039
+    (3, "multi_unit"): ("0x1.26e76f1cf62a7p+0", "0x1.a9a375d2d4cdcp-8"),  # 1.1520 0.0065
+    (3, "laddered"): ("0x1.e5d32a32beb08p-1", "0x1.018f8a4774ad9p-8"),  # 0.9489 0.0039
+    (3, "myerson_lexicographic"): ("0x1.019652bd3c362p+0", "0x1.120cc0156c3b2p-8"),  # 1.0062 0.0042
+    (3, "myerson_uniform"): ("0x1.0a5e353f7ced9p+0", "0x1.9b03bc303b8e2p-9"),  # 1.0405 0.0031
+    (5, "posted_price"): ("0x1.cf0d844d013a9p-1", "0x1.3561a31f4e3d3p-7"),  # 0.9044 0.0094
+    (5, "spa"): ("0x1.1499589307dc4p+0", "0x1.2b6eab5d53d1ap-8"),  # 1.0805 0.0046
+    (5, "multi_unit"): ("0x1.b01e723e8ae7ep+0", "0x1.f95615e048e03p-8"),  # 1.6880 0.0077
+    (5, "laddered"): ("0x1.805845250518fp+0", "0x1.ad7b80dabeb0cp-8"),  # 1.5013 0.0066
+    (5, "myerson_lexicographic"): ("0x1.319ce075f6fd3p+0", "0x1.66f049493d69cp-8"),  # 1.1938 0.0055
+    (5, "myerson_uniform"): ("0x1.28bc4e88b27a0p+0", "0x1.0f28c441e31aap-8"),  # 1.1591 0.0041
+    (8, "posted_price"): ("0x1.194af4f0d844cp+0", "0x1.8f1015b4665e3p-8"),  # 1.0988 0.0061
+    (8, "spa"): ("0x1.5194f1a764e60p+0", "0x1.669fdedafcd81p-8"),  # 1.3187 0.0055
+    (8, "multi_unit"): ("0x1.147e7066a981fp+1", "0x1.1871cd36348eep-7"),  # 2.1601 0.0086
+    (8, "laddered"): ("0x1.fa6b812ebe18cp+0", "0x1.ba58ad216e09dp-8"),  # 1.9782 0.0067
+    (8, "myerson_lexicographic"): ("0x1.699096c00a3b6p+0", "0x1.57c6bd325d604p-8"),  # 1.4124 0.0052
+    (8, "myerson_uniform"): ("0x1.62af0b29918b7p+0", "0x1.395c7c1a7c853p-8"),  # 1.3855 0.0048
+    (12, "posted_price"): ("0x1.2a305532617c1p+0", "0x1.e4a3aed3c1963p-9"),  # 1.1648 0.0037
+    (12, "spa"): ("0x1.7dcf0eb4dea86p+0", "0x1.4db31d1502023p-8"),  # 1.4914 0.0051
+    (12, "multi_unit"): ("0x1.455e755e24d42p+1", "0x1.2f6ecfac35b33p-7"),  # 2.5419 0.0093
+    (12, "laddered"): ("0x1.27d4ed83d484fp+1", "0x1.e1303a81c7593p-8"),  # 2.3112 0.0073
+    (12, "myerson_lexicographic"): ("0x1.88ac9aabfca3dp+0", "0x1.37a600587d02ep-8"),  # 1.5339 0.0048
+    (12, "myerson_uniform"): ("0x1.8613cb217920ep+0", "0x1.2c34120850f6cp-8"),  # 1.5237 0.0046
 }
 
 
@@ -253,14 +257,14 @@ class TestMonteCarlo:
     def test_myerson_mc_matches_scalar_path(self, tiebreak):
         pd = OS.iid(F_DISC, 3)
         rep = R.mc_expected_revenue(M.MyersonIID(F_DISC, tiebreak), pd, 2000, 3)
-        unif = R._uniform_matrix(3, 2000, 4)
+        (unif,) = _reference_draws(3, 3, 2000)
         # uniform ties are averaged exactly: the reference is the mean over
         # all 3! priority orders
         orders = list(itertools.permutations(range(3))) if tiebreak == "uniform" else [(0, 1, 2)]
         pays = {}  # the profiles repeat: two values for three bidders
         total = 0.0
         for s in range(2000):
-            vals = tuple(F_DISC.quantile(unif[s, j]) for j in range(3))
+            vals = tuple(F_DISC.quantile(unif[j, s]) for j in range(3))
             if vals not in pays:
                 pays[vals] = np.mean(
                     [M.myerson_outcome(F_DISC, tiebreak, M.Profile(vals), priority=p).total_payment for p in orders]
@@ -292,9 +296,19 @@ class TestMonteCarlo:
         # and stderr; the literals need only arithmetic, so every platform
         # must reproduce them
         n, name = key
-        pd = OS.ProductDist(tuple(D.from_literal(PIN_LITERALS[(3 * j) % 4 if n > 4 else j % 4]) for j in range(n)))
-        rep = R.mc_expected_revenue(_pin_mechanisms(n)[name], pd, 3000, 40 + n)
+        rep = R.mc_expected_revenue(_pin_mechanisms(n)[name], _pin_product(n), 3000, 40 + n)
         assert (rep.expected_revenue.hex(), rep.mc_stderr.hex()) == PINNED_MC[key]
+
+    @pytest.mark.parametrize("n", sorted({n for n, _ in PINNED_MC}))
+    def test_pinned_products_against_closed_forms(self, n):
+        # the pinned runs estimate the exact revenue of their heterogeneous
+        # products whatever the stream; bidders that shared draws would not
+        pd = _pin_product(n)
+        for name, mechanism in _pin_mechanisms(n).items():
+            if not isinstance(mechanism, M.MyersonIID):
+                rep = R.mc_expected_revenue(mechanism, pd, 3000, 40 + n)
+                exact = R.closed_form_revenue(mechanism, pd)
+                assert abs(rep.expected_revenue - exact) <= 4 * rep.mc_stderr, name
 
     @pytest.mark.parametrize("case", ["myerson-uniform-n3", "spa-uniform-n2", "spa-exponential-n2"])
     def test_payment_sums_past_the_float_maximum(self, case):
@@ -360,15 +374,20 @@ def test_level_scorer_matches_values(seed, discrete_base, n):
         assert pay(levels).tobytes() == want.tobytes()
 
 
+def _reference_draws(seed, n, samples):
+    """Each block's bidder-major uniforms, read in order from one PCG64
+    stream: ``(n, len)`` per block, without advancing it."""
+    g = np.random.Generator(np.random.PCG64(seed))
+    return [g.random((n, min(R._MC_BLOCK, samples - start))) for start in range(0, samples, R._MC_BLOCK)]
+
+
 def _single_matrix_mc(mechanism, pd, samples, seed):
-    """Monte Carlo on one draw matrix for all samples, as it ran before the
-    samples were split into blocks."""
-    n = pd.n
-    unif = np.random.Generator(np.random.Philox(key=seed)).random((samples, n + 1))
-    values = unif[:, :n].T.copy()
+    """Monte Carlo on one draw matrix for all samples, its blocks read from
+    the stream in order, priced in one call."""
+    values = np.concatenate(_reference_draws(seed, pd.n, samples), axis=1)
     for row, component in zip(values, pd.components):
         row[:] = component.quantile(row)
-    payments = R._payment_kernel(mechanism, n)(values)
+    payments = R._payment_kernel(mechanism, pd.n)(values)
     stderr = float(payments.std(ddof=1) / math.sqrt(samples)) if samples > 1 else float("inf")
     return float(payments.mean()), stderr
 
@@ -387,14 +406,14 @@ class TestMonteCarloBlocks:
     BLOCK = R._MC_BLOCK
 
     @pytest.mark.parametrize("name", list(BLOCK_MECHANISMS))
-    @pytest.mark.parametrize("n", [3, 4])  # n + 1 draws per sample: even, then odd
+    @pytest.mark.parametrize("n", [3, 4])  # n draws per sample: odd, then even
     @pytest.mark.parametrize("samples", [1, BLOCK - 1, BLOCK + 1, 2 * BLOCK + 5])
     def test_same_bits_for_any_worker_count(self, monkeypatch, name, n, samples):
         comps = [D.from_literal(PIN_LITERALS[j % 4]) for j in range(n - 1)] + [D.exponential(1.0, grid=64)]
         pd = OS.ProductDist(tuple(comps))
         mech = BLOCK_MECHANISMS[name]
         want = _single_matrix_mc(mech, pd, samples, 23)
-        for workers in (1, 2, 3):
+        for workers in (1, 2, 3, 8):
             monkeypatch.setattr(R, "_available_cpus", lambda: workers)
             rep = R.mc_expected_revenue(mech, pd, samples, 23)
             assert (rep.expected_revenue, rep.mc_stderr) == want
@@ -430,31 +449,17 @@ class TestMonteCarloBlocks:
         rep = R.mc_expected_revenue(mech, pd, samples, 3)
         assert (rep.expected_revenue, rep.mc_stderr) == _single_matrix_mc(mech, pd, samples, 3)
 
-    def test_block_draws_are_slices_of_one_matrix(self):
-        whole = R._uniform_matrix(5, 40, 7)
-        for start in (0, 4, 36):
-            assert R._uniform_matrix(5, 40 - start, 7, start).tobytes() == whole[start:].tobytes()
-        with pytest.raises(ValueError):
-            R._uniform_matrix(5, 10, 7, 2)
-
     @pytest.mark.parametrize("n", [1, 3, 4, 12, 40])
-    def test_slab_draws_are_the_whole_block_transposed(self, monkeypatch, n):
-        # a block wider than _MC_SLAB values is drawn a slab of rows at a
-        # time, each slab at most _MC_SLAB values (or 4 rows), into the
-        # bidder-major array; the bytes are those of the whole block's draw
-        samples, start = 2 * R._MC_SLAB // (n + 1) + 7, 16384
-        whole = R._uniform_matrix(9, samples, n + 1, start)[:, :n].T
-        drawn = []
-        draw = R._uniform_matrix
-
-        def spy(seed, rows, width, first):
-            drawn.append(rows * width)
-            return draw(seed, rows, width, first)
-
-        monkeypatch.setattr(R, "_uniform_matrix", spy)
-        got = R._bidder_major_draws(9, samples, n, start)
-        assert got.shape == (n, samples) and got.tobytes() == whole.tobytes()
-        assert len(drawn) > 1 and max(drawn) <= max(R._MC_SLAB, 4 * (n + 1))
+    def test_block_rows_are_the_reference_block(self, n):
+        # each block advances its own generator to its first draw; its rows
+        # are the block the in-order reference reads there: the first and a
+        # later block, full and short
+        seeds = np.random.SeedSequence(9)
+        for samples in (7, 2 * self.BLOCK + 7):
+            want = _reference_draws(9, n, samples)
+            for b, start in enumerate(range(0, samples, self.BLOCK)):
+                got = R._block_draws(seeds, n, start, len(want[b][0]))
+                assert got.shape == want[b].shape and got.tobytes() == want[b].tobytes()
 
     def test_adjacent_rows_are_slices(self):
         # an i.i.d. product's rows are slices, read as views; the rows of a
@@ -485,7 +490,7 @@ class TestMonteCarloBlocks:
             R.mc_expected_revenue(M.SPAReserve(0.5), OS.iid(UNIF, 3), 2 * self.BLOCK + 5, 1)
 
     def test_refusals_come_before_any_draw(self, monkeypatch):
-        monkeypatch.setattr(R, "_uniform_matrix", None)  # a draw would fail with TypeError
+        monkeypatch.setattr(R, "_block_draws", None)  # a draw would fail with TypeError
         with pytest.raises(ValueError, match="more bidders than units"):
             R.mc_expected_revenue(M.MultiUnit(3, 0.0), OS.iid(UNIF, 3), 100, 1)
 
