@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import numbers
 import sys
@@ -317,6 +318,7 @@ REPRODUCTIONS = {
 # -- entry point -------------------------------------------------------------------
 
 
+@functools.cache  # built once per process: parsing leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="osauction", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)

@@ -264,6 +264,17 @@ class Dist:
         """Left limit F(v-) = Pr(value < v)."""
         return self._cdf(v, "left")
 
+    def _cdf_rows(self, v: np.ndarray, at: np.ndarray) -> np.ndarray:
+        """``cdf`` at every entry of the 2-d ``v``, row i read off the piece
+        that holds ``at[i]``: one search per row instead of per entry. Where
+        a row's entries lie in ``[at[i], next knot)``, these are the floats
+        ``cdf`` gives."""
+        j = np.searchsorted(self.xs, at, side="right")[:, None]
+        out = _along(v, np.minimum(j, len(self.xs) - 1), *self.segments)
+        np.copyto(out, 0.0, where=j == 0)
+        np.copyto(out, 1.0, where=j == len(self.xs))
+        return out
+
     def survival(self, v):
         """Pr(value > v)."""
         return 1.0 - self.cdf(v)

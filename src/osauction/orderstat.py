@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -249,7 +249,12 @@ def _order_stat_below(pd: ProductDist, rows: range, v, strict: bool = False) -> 
         u = F.cdf_left(v) if strict else F.cdf(v)
         return np.stack([h_poly(pd.n, i, u) for i in rows])
     # survivals of valid distributions lie in [0, 1]: no need to re-check
-    x = np.stack([c.survival_left(v) if strict else c.survival(v) for c in pd.components])
+    return _count_below(np.stack([c.survival_left(v) if strict else c.survival(v) for c in pd.components]), rows)
+
+
+def _count_below(x: np.ndarray, rows: range) -> np.ndarray:
+    """Pr(v_(i) <= v), one row per i in ``rows``, from the survivals ``x`` at
+    v (one row per bidder): at most i-1 of them exceed v."""
     return np.minimum(np.cumsum(_pb_pmf(x, rows=rows.stop - 1), axis=0)[rows.start - 1 :], 1.0)
 
 
@@ -268,7 +273,18 @@ def order_stat_reach(pd: ProductDist, m: int, r: np.ndarray) -> np.ndarray:
 # below this relative move of x the antiderivative difference cancels, while
 # three-point Gauss-Legendre is exact to rounding
 _FLAT_SEGMENT = 1e-3
-_GAUSS3 = np.polynomial.legendre.leggauss(3)
+# survivals a heterogeneous tail evaluates per pass: bidders x nodes x segments
+_TAIL_CHUNK = 2**20
+
+
+@cache
+def _gauss(points: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], exact for
+    polynomials of degree below 2 ``points``."""
+    rule = np.polynomial.legendre.leggauss(points)
+    for a in rule:
+        a.setflags(write=False)
+    return rule
 
 
 def _mean_betainc(p: int, q: int, x0: np.ndarray, x1: np.ndarray) -> np.ndarray:
@@ -283,7 +299,7 @@ def _mean_betainc(p: int, q: int, x0: np.ndarray, x1: np.ndarray) -> np.ndarray:
     flat = np.abs(x1 - x0) <= _FLAT_SEGMENT * np.maximum(x0, x1)
     if flat.any():
         mid, half = 0.5 * (x0[flat] + x1[flat]), 0.5 * (x1[flat] - x0[flat])
-        gx, gw = _GAUSS3
+        gx, gw = _gauss(3)
         out[flat] = 0.5 * betainc(p, q, mid[:, None] + half[:, None] * gx) @ gw
     if not flat.all():
         x0, x1 = x0[~flat], x1[~flat]
@@ -299,7 +315,9 @@ class OrderStatTail:
     Pr(v_(j) > t) = I_s(j, n-j+1) = 1 - I_F(n-j+1, j) with the common
     survival s = 1 - F, integrated in closed form per j (in the smaller of s
     and F, where the antiderivative cancels least); for a heterogeneous one
-    the sum is a polynomial of degree <= n, integrated by exact Gauss-Legendre.
+    the sum is a polynomial of degree <= n, integrated by exact Gauss-Legendre
+    in passes of at most ``_TAIL_CHUNK`` survivals, so its memory does not
+    grow with the number of segments.
     """
 
     def __init__(self, pd: ProductDist, weights):
@@ -307,9 +325,6 @@ class OrderStatTail:
         self.pd = pd
         self._w = np.asarray(weights, dtype=np.float64)
         self.knots = pd.merged_knots()
-        if pd.common is None:
-            # exact for polynomial degree n
-            self._gx, self._gw = np.polynomial.legendre.leggauss(max(1, (pd.n + 2) // 2))
         a, b = self.knots[:-1], self.knots[1:]
         self._suffix = np.concatenate([np.cumsum(self._segments(a, b)[::-1])[::-1], [0.0]])
 
@@ -317,11 +332,12 @@ class OrderStatTail:
         """Integrals over [a, b] for arrays of bounds inside one knot segment each."""
         F = self.pd.common
         if F is None:
-            mid, half = 0.5 * (a + b), 0.5 * (b - a)
-            pts = mid[:, None] + half[:, None] * self._gx[None, :]
-            below = _order_stat_below(self.pd, range(1, len(self._w) + 1), pts.ravel())
-            sf = (self._w @ (1.0 - below)).reshape(pts.shape)
-            return (sf * self._gw[None, :]).sum(axis=1) * half
+            rule = _gauss((self.pd.n + 2) // 2)  # exact for polynomial degree n
+            step = max(1, _TAIL_CHUNK // (self.pd.n * len(rule[0])))
+            out = np.empty(a.shape)
+            for i in range(0, len(a), step):
+                out[i : i + step] = self._product_segments(a[i : i + step], b[i : i + step], *rule)
+            return out
         n = self.pd.n
         F0, F1 = F.cdf(a), F.cdf_left(b)
         upper = F0 + F1 >= 1.0  # survival below one half
@@ -331,6 +347,20 @@ class OrderStatTail:
             mean[upper] += self._w[j - 1] * _mean_betainc(j, n - j + 1, s0, s1)
             mean[~upper] += self._w[j - 1] * (1.0 - _mean_betainc(n - j + 1, j, f0, f1))
         return (b - a) * mean
+
+    def _product_segments(self, a: np.ndarray, b: np.ndarray, gx: np.ndarray, gw: np.ndarray) -> np.ndarray:
+        """``_segments`` on a heterogeneous product, by the Gauss-Legendre rule
+        ``(gx, gw)``. No component has a knot strictly inside a merged
+        segment, so each component's survival at a segment's nodes reads the
+        one CDF piece that holds its lower end."""
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        pts = mid[:, None] + half[:, None] * gx[None, :]
+        x = np.empty((self.pd.n, pts.size))  # survivals, one row per bidder
+        for row, c in zip(x, self.pd.components):
+            np.subtract(1.0, c._cdf_rows(pts, a).ravel(), out=row)
+        below = _count_below(x, range(1, len(self._w) + 1))
+        sf = (self._w @ (1.0 - below)).reshape(pts.shape)
+        return (sf * gw[None, :]).sum(axis=1) * half
 
     def integral_from(self, lo: np.ndarray) -> np.ndarray:
         """Integral of sum_j w_j Pr(v_(j) > t) over [lo, inf) for every entry of ``lo``."""

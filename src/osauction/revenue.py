@@ -21,18 +21,21 @@ layout, and the rows of each distinct component are scored by one call per
 slab, read without a copy where they are adjacent. The lookups read
 per-segment tables and guided searches built once per instance, and both
 kernels keep only the top rows they read instead of sorting them all. Samples
-run in fixed blocks, each drawing its own stretch of one PCG64 stream, on
-every available CPU, and the payments are reduced in sample order, so an
-estimate does not depend on the number of CPUs. The exact order-statistic
-terms come from ``orderstat``: Pr(v_(i) >= r) for the top rows at once, and
-one ``OrderStatTail`` per evaluator for the weighted sum of the exact tail
-integrals of Pr(v_(j) > t).
+run in fixed blocks, each drawing its own stretch of one PCG64 stream, on the
+calling thread and a helper thread per further available CPU, which claim
+the next block from one counter; the payments are reduced in sample order,
+so an estimate does not depend on the number of CPUs. The exact
+order-statistic terms come from ``orderstat``: Pr(v_(i) >= r) for the top
+rows at once, and one ``OrderStatTail`` per evaluator for the weighted sum of
+the exact tail integrals of Pr(v_(j) > t).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -313,6 +316,40 @@ def _component_rows(pd: ProductDist, most: int) -> list[tuple[Dist, slice | np.n
     return out
 
 
+def _run_blocks(block, starts: range, workers: int) -> None:
+    """``block(start)`` for every start, on this thread and ``workers - 1``
+    helper threads (none for one worker), each claiming the next start from
+    one shared counter. A failure in any block, an interrupt on this thread
+    included, stops further claims; once the helpers are joined, the first
+    failure is raised."""
+    claims = itertools.count()
+    failed: list[BaseException] = []
+
+    def claim_blocks() -> None:
+        try:
+            while not failed and (i := next(claims)) < len(starts):
+                block(starts[i])
+        except BaseException as e:  # raised below, on the calling thread
+            failed.append(e)
+
+    helpers = []
+    try:
+        for _ in range(workers - 1):
+            helpers.append(threading.Thread(target=claim_blocks))
+            helpers[-1].start()
+    except BaseException as e:  # a helper that would not start
+        failed.append(e)
+    claim_blocks()
+    for helper in helpers:
+        while helper.is_alive():  # False for one that never started
+            try:
+                helper.join()
+            except BaseException as e:  # an interrupt while waiting stops the claims too
+                failed.append(e)
+    if failed:
+        raise failed[0]
+
+
 def _mean_stderr(payments: np.ndarray) -> tuple[float, float]:
     """The mean of the payments and its standard error, inf from one sample.
     The sums of payments near the float maximum overflow where the mean does
@@ -339,7 +376,8 @@ def mc_expected_revenue(
 
     Samples are drawn and priced in blocks of ``_MC_BLOCK``, each from its own
     stretch of the stream (see ``_block_draws``; a short last block's draws
-    depend on its length) and on as many threads as there are CPUs to run on;
+    depend on its length). ``_run_blocks`` runs them on this thread and on
+    helper threads, one thread per CPU to run on and at most one per block;
     numpy releases the GIL in the draws, the searches and the ufuncs. The
     payments land in one array in sample order, so the estimate does not
     depend on the number of threads or the order the blocks finish in.
@@ -361,17 +399,7 @@ def mc_expected_revenue(
         out[:] = pay(rows_read)
 
     starts = range(0, samples, _MC_BLOCK)
-    workers = min(len(starts), _available_cpus())
-    if workers == 1:
-        for start in starts:
-            block(start)
-    else:
-        # imported here: it is about 10 ms, which a run without Monte Carlo
-        # need not pay at start-up
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(block, starts))  # raises what a block raised
+    _run_blocks(block, starts, min(len(starts), _available_cpus()))
     mean, stderr = _mean_stderr(payments)
     return RevenueReport(
         mechanism=mechanism.describe(),

@@ -2,8 +2,10 @@ import csv
 import hashlib
 import io
 import json
-
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -520,6 +522,35 @@ class TestSimulate:
         cfg = write_cfg(tmp_path, "c.json", {**self.CFG, "seed": seed, "samples": 100})
         code, out, _ = run_cli(["simulate", "--config", cfg], capsys)
         assert code == 0 and parse_csv(out)[0]["seed"] == str(seed)
+
+    def test_parser_built_once_per_process(self, tmp_path, capsys):
+        # the cached parser answers a run after one it refused as it did before
+        cfg = write_cfg(tmp_path, "c.json", self.CFG)
+        first = run_cli(["simulate", "--config", cfg], capsys)
+        with pytest.raises(SystemExit) as refused:
+            cli.main(["simulate", "--config", cfg, "--no-such-flag"])
+        assert refused.value.code == 2 and "--no-such-flag" in capsys.readouterr().err
+        assert run_cli(["simulate", "--config", cfg], capsys) == first and first[0] == 0
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_threaded_simulate_imports_no_executor(self, tmp_path):
+        # the README's sim.json on two threads, in a fresh process; its
+        # literals need no scipy.special, which imports concurrent.futures itself
+        cfg = write_cfg(tmp_path, "sim.json", {
+            "product": [UNIF_LIT, {"family": "atom", "v": 0}],
+            "mechanism": {"type": "spa", "reserve": 0.5},
+        })
+        script = (
+            "import sys\n"
+            "from osauction import cli, revenue\n"
+            "revenue._available_cpus = lambda: 2\n"
+            f"assert cli.main(['simulate', '--config', {cfg!r}, '--seed', '7', '--samples', '100000']) == 0\n"
+            "assert 'concurrent.futures' not in sys.modules and 'scipy.special' not in sys.modules\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert parse_csv(done.stdout)[0]["samples"] == "100000"
 
     def test_missing_seed_exit_2(self, tmp_path, capsys):
         cfg = dict(self.CFG)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from osauction import dist as D
 from osauction import oracle as O
 from osauction import orderstat as OS
+from conftest import random_mixed_dist
 
 BERN_HALF = D.two_point(0.0, 0.5, 1.0)
 
@@ -313,6 +315,50 @@ class TestPoissonBinomial:
         full = OS._pb_pmf(x)
         for m in range(1, len(x) + 2):
             assert np.array_equal(OS._pb_pmf(x, rows=m), full[:m])
+
+
+def per_node_tail_segments(pd, w, a, b):
+    """A heterogeneous tail's integrals over [a, b] as ``OrderStatTail``
+    computed them in one pass, every Gauss node searching its own CDF pieces."""
+    gx, gw = np.polynomial.legendre.leggauss((pd.n + 2) // 2)
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    pts = mid[:, None] + half[:, None] * gx[None, :]
+    below = OS._order_stat_below(pd, range(1, len(w) + 1), pts.ravel())
+    return ((w @ (1.0 - below)).reshape(pts.shape) * gw[None, :]).sum(axis=1) * half
+
+
+class TestHeterogeneousTail:
+    @pytest.mark.parametrize("chunk", [OS._TAIL_CHUNK, 1000])  # one pass, and many short ones
+    def test_agrees_with_per_node_lookups(self, monkeypatch, chunk):
+        monkeypatch.setattr(OS, "_TAIL_CHUNK", chunk)
+        rng = np.random.default_rng(26)
+        for _ in range(40):
+            n = int(rng.integers(2, 13))
+            families = [D.beta_dist(2.0 + rng.uniform(), 3.0, grid=64), D.exponential(1.0 + rng.uniform(), grid=32)]
+            pd = OS.ProductDist(tuple(
+                families[j % 2] if j < 2 else random_mixed_dist(rng, atoms=bool(j % 3)) for j in range(n)
+            ))
+            w = rng.uniform(0.0, 1.0, size=int(rng.integers(1, n + 1)))
+            tail = OS.OrderStatTail(pd, w)
+            k = tail.knots
+            lo = np.sort(rng.uniform(-0.5, k[-1] + 0.5, size=64))
+            start = np.clip(lo, k[0], k[-1])
+            nxt = np.minimum(np.searchsorted(k, start, side="right"), len(k) - 1)
+            for a, b in ((k[:-1], k[1:]), (start, k[nxt])):
+                np.testing.assert_allclose(tail._segments(a, b), per_node_tail_segments(pd, w, a, b),
+                                           rtol=1e-13, atol=1e-13)
+
+    def test_memory_does_not_grow_with_the_segments(self):
+        # 30 betas of 1026 knots each: one pass held 30 x 16 x 30780 survivals
+        # and their Poisson-binomial table, a 229.5 MB peak
+        pd = OS.ProductDist(tuple(D.beta_dist(2 + 0.01 * i, 3, grid=1024) for i in range(30)))
+        tracemalloc.start()
+        try:
+            OS.OrderStatTail(pd, (0.0, 1.0, 0.5, 0.25))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestDominance:

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -493,6 +494,75 @@ class TestMonteCarloBlocks:
         monkeypatch.setattr(R, "_block_draws", None)  # a draw would fail with TypeError
         with pytest.raises(ValueError, match="more bidders than units"):
             R.mc_expected_revenue(M.MultiUnit(3, 0.0), OS.iid(UNIF, 3), 100, 1)
+
+
+class Interrupt(BaseException):
+    """Stands for KeyboardInterrupt: not an Exception."""
+
+
+class TestBlockThreads:
+    """The calling thread and its helpers claim blocks from one counter; a
+    failure on either reaches the caller, and no helper outlives the call."""
+
+    BLOCKS = 16
+    WAIT = 30.0  # seconds a block waits for another thread's block, at most
+
+    def run(self, monkeypatch, workers, began, on_caller=None, on_helper=None):
+        """``mc_expected_revenue`` on BLOCKS blocks and ``workers`` threads,
+        with ``on_caller`` or ``on_helper`` called before each block's draws
+        on that side; ``began`` collects the start of every block drawn."""
+        caller, draws = threading.current_thread(), R._block_draws
+
+        def block_draws(seeds, n, start, samples):
+            began.append(start)
+            hook = on_caller if threading.current_thread() is caller else on_helper
+            if hook is not None:
+                hook()
+            return draws(seeds, n, start, samples)
+
+        monkeypatch.setattr(R, "_available_cpus", lambda: workers)
+        monkeypatch.setattr(R, "_block_draws", block_draws)
+        before = threading.active_count()
+        try:
+            return R.mc_expected_revenue(M.SPAReserve(0.5), OS.iid(UNIF, 2), self.BLOCKS * R._MC_BLOCK, 4)
+        finally:
+            assert threading.active_count() == before  # every helper joined, on success or failure
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_every_block_runs_once(self, monkeypatch, workers):
+        began = []
+        rep = self.run(monkeypatch, workers, began)
+        assert sorted(began) == list(range(0, self.BLOCKS * R._MC_BLOCK, R._MC_BLOCK))
+        want = _single_matrix_mc(M.SPAReserve(0.5), OS.iid(UNIF, 2), self.BLOCKS * R._MC_BLOCK, 4)
+        assert (rep.expected_revenue, rep.mc_stderr) == want
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_error_on_a_helper_reaches_the_caller(self, monkeypatch, workers):
+        failed = threading.Event()
+
+        def fail():
+            failed.set()
+            raise RuntimeError("helper block failed")
+
+        # the caller's first block waits until a helper's block has failed
+        with pytest.raises(RuntimeError, match="helper block failed"):
+            self.run(monkeypatch, workers, [], on_caller=lambda: failed.wait(self.WAIT), on_helper=fail)
+        assert failed.is_set()
+
+    @pytest.mark.parametrize("error", [RuntimeError, Interrupt])
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_error_on_the_caller_stops_the_claims(self, monkeypatch, workers, error):
+        began, failed = [], threading.Event()
+
+        def fail():
+            failed.set()
+            raise error("caller block failed")
+
+        # each helper's block waits until the caller's has failed; then no
+        # thread claims another block
+        with pytest.raises(error, match="caller block failed"):
+            self.run(monkeypatch, workers, began, on_caller=fail, on_helper=lambda: failed.wait(self.WAIT))
+        assert failed.is_set() and len(began) < self.BLOCKS
 
 
 GRID_ENTRY_POINTS = {
