@@ -223,12 +223,15 @@ def cmd_curve(cfg: dict, grid: int):
     # the implied i.i.d. distribution is densely knotted, so the knot-level
     # curve is already plot-ready; the regularity check reads the same one
     curve = revenue_curve(fbar)
-    q_star = is_regular_above_reserve(fbar).reserve_quantile
-    qs, rs = curve.qs, curve.rs
+    report = is_regular_above_reserve(fbar)
+    q_star = report.reserve_quantile
+    qs, rs, ironed = curve.qs, curve.rs, curve.ironed_value(curve.qs)
     if q_star not in qs:
-        j = int(np.searchsorted(qs, q_star))
-        qs, rs = np.insert(qs, j, q_star), np.insert(rs, j, np.interp(q_star, qs, rs))
-    cols = (qs, rs, curve.ironed_value(qs), qs == q_star)
+        # inside a segment the reserve sits at its arc's peak, p* q*, above
+        # the chord and the knot hull there; both curves pass through it
+        j, r_star = int(np.searchsorted(qs, q_star)), report.monopoly_price * q_star
+        qs, rs, ironed = np.insert(qs, j, q_star), np.insert(rs, j, r_star), np.insert(ironed, j, r_star)
+    cols = (qs, rs, ironed, qs == q_star)
     header = ("quantile", "revenue", "ironed_revenue", "is_reserve_quantile")
     return header, zip(*(c.tolist() for c in cols))
 

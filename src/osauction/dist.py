@@ -7,6 +7,11 @@ entering each knot; both CDF sides, the quantile, the revenue curve, the
 monopoly price and the virtual values read it in closed form. Continuous
 families are discretized onto quantile- and value-spaced knots.
 
+``dist_from_arrays`` is the one place a Dist is made: ``from_table`` builds
+every table literal through it (``point_mass``, ``uniform`` and
+``two_point`` are table shorthands), and ``_from_family`` every continuous
+family.
+
 Ironing reads one envelope per distribution, built once and memoized on the
 (immutable) instance: the upper concave hull of the revenue curve's knot
 points. The revenue curve, the regularity verdict and the ironed virtual
@@ -314,16 +319,14 @@ class Dist:
 
 
 def dist_from_arrays(xs, f_left, f_right, label="table") -> Dist:
-    """Build a Dist from raw arrays, clamping rounding noise and trimming
-    zero-measure leading/trailing knots."""
+    """The one place a Dist is made: from raw knot arrays, clamping rounding
+    noise, trimming zero-measure leading/trailing knots and pinning the CDF
+    to 0 below the first kept knot and 1 at the last."""
     xs = np.asarray(xs, dtype=np.float64)
     fl = np.clip(np.asarray(f_left, dtype=np.float64), 0.0, 1.0)
     fr = np.clip(np.asarray(f_right, dtype=np.float64), 0.0, 1.0)
     fr = np.maximum(fr, fl)
-    if len(xs) > 1:
-        fl[1:] = np.maximum(fl[1:], fr[:-1])
-    fl[0] = 0.0
-    fr[-1] = 1.0
+    fl[1:] = np.maximum(fl[1:], fr[:-1])
     # trim knots that carry no mass at the extremes of the support
     lo = 0
     while lo + 1 < len(xs) and fr[lo] <= MASS_TOL and fl[lo + 1] <= MASS_TOL:
@@ -342,34 +345,28 @@ def dist_from_arrays(xs, f_left, f_right, label="table") -> Dist:
 
 def point_mass(v: float) -> Dist:
     """Degenerate distribution putting all mass at v."""
-    return Dist(np.array([v]), np.array([0.0]), np.array([1.0]), label=f"atom({v:g})")
+    return from_table((), [(v, 1.0)], label=f"atom({v:g})")
 
 
 def uniform(lo: float, hi: float) -> Dist:
     if hi <= lo:
         raise ValueError("uniform needs lo < hi")
-    return Dist(
-        np.array([lo, hi]),
-        np.array([0.0, 1.0]),
-        np.array([0.0, 1.0]),
-        label=f"uniform({lo:g},{hi:g})",
-    )
+    return from_table([(lo, 0.0), (hi, 1.0)], label=f"uniform({lo:g},{hi:g})")
 
 
 def two_point(v1: float, p1: float, v2: float) -> Dist:
     """Two atoms: v1 with probability p1, v2 with the rest."""
     if not (0.0 < p1 < 1.0) or v2 <= v1:
         raise ValueError("two_point needs v1 < v2 and p1 in (0, 1)")
-    return Dist(
-        np.array([v1, v2]),
-        np.array([0.0, p1]),
-        np.array([p1, 1.0]),
-        label=f"twopoint({v1:g},{p1:g},{v2:g})",
-    )
+    return from_table((), [(v1, p1), (v2, 1.0 - p1)], label=f"twopoint({v1:g},{p1:g},{v2:g})")
 
 
-def from_table(knots: Sequence[tuple[float, float]], atoms: Sequence[tuple[float, float]] = ()) -> Dist:
-    """Mixed distribution from continuous CDF knots plus a list of atoms.
+def from_table(
+    knots: Sequence[tuple[float, float]], atoms: Sequence[tuple[float, float]] = (), label: str = "table"
+) -> Dist:
+    """Mixed distribution from continuous CDF knots plus a list of atoms,
+    described by ``label``; ``point_mass``, ``uniform`` and ``two_point``
+    are built here too.
 
     ``knots`` give the cumulative mass of the continuous part, non-decreasing
     from 0 at the lowest knot, at distinct values; a jump in the CDF is an
@@ -399,15 +396,16 @@ def from_table(knots: Sequence[tuple[float, float]], atoms: Sequence[tuple[float
     total = fr[-1]
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"total mass {total} is not 1")
-    return dist_from_arrays(xs, fl / total, fr / total)
+    return dist_from_arrays(xs, fl / total, fr / total, label=label)
 
 
 _FAMILY_TAIL = 1e-8
 
 
-def _from_family(cdf, ppf, grid: int, label: str, floor: float | None = None, tail: float = _FAMILY_TAIL) -> Dist:
+def _from_family(cdf, ppf, grid: int, label: str, tail: float = _FAMILY_TAIL) -> Dist:
     """Discretize a continuous family, truncating where the tail mass drops
-    below ``tail``.
+    below ``tail`` and flooring every knot at 0, the least value a bidder
+    can hold.
 
     Knots are the union of a quantile-spaced grid (resolution where the mass
     is) and a value-spaced grid (so no segment spans a wide value range,
@@ -417,10 +415,9 @@ def _from_family(cdf, ppf, grid: int, label: str, floor: float | None = None, ta
     half = grid // 2
     qs = np.linspace(tail, 1.0 - tail, half + 1)
     xs_q = np.asarray(ppf(qs), dtype=np.float64)
-    lo, hi = float(xs_q[0]), float(xs_q[-1])
-    if floor is not None:
-        lo = max(lo, floor)
-        xs_q = np.maximum(xs_q, floor)
+    hi = float(xs_q[-1])  # read before the floor: a window below 0 names its top
+    xs_q = np.maximum(xs_q, 0.0)
+    lo = float(xs_q[0])
     xs = np.unique(np.concatenate([xs_q, np.linspace(lo, hi, half + 1)]))
     c = np.asarray(cdf(xs), dtype=np.float64)
     if not (hi > lo and c[-1] > c[0]):  # fewer than two knots, or no mass between them
@@ -458,7 +455,7 @@ def beta_dist(a: float, b: float, grid: int = DEFAULT_GRID, tail: float = _FAMIL
 
 
 def normal(mean: float, sd: float, grid: int = DEFAULT_GRID, tail: float = _FAMILY_TAIL) -> Dist:
-    """Normal with tails truncated at mass ``tail``, floored at 0 for auction use."""
+    """Normal with tails truncated at mass ``tail``."""
     if sd <= 0:
         raise ValueError("sd must be positive")
     from scipy.special import ndtr, ndtri
@@ -468,21 +465,19 @@ def normal(mean: float, sd: float, grid: int = DEFAULT_GRID, tail: float = _FAMI
         lambda q: ndtri(q) * sd + mean,
         grid,
         label=f"normal({mean:g},{sd:g})",
-        floor=0.0,
         tail=tail,
     )
 
 
 def from_literal(spec, grid: int = DEFAULT_GRID) -> Dist:
-    """Parse the distribution literal format used in config files.
+    """Parse the distribution literal format used in config files: a dict
+    with a ``family`` key, and nothing else (a Dist is refused too).
 
     Parameters must be finite numbers (not bools or strings), a table's
     ``knots`` and ``atoms`` lists of number pairs, and ``grid`` between 16 and
     2**20; anything else raises ValueError rather than yielding a degenerate
     distribution.
     """
-    if isinstance(spec, Dist):
-        return spec
     if not isinstance(spec, dict) or "family" not in spec:
         raise ValueError(f"distribution literal must be a dict with a 'family' key, got {spec!r}")
     check_grid(grid)

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -426,6 +427,22 @@ class TestCurve:
                     float(r["revenue"]), abs=1e-8
                 )
 
+    def test_reserve_row_reads_the_peak(self, tmp_path, capsys):
+        # q* lies inside a segment: the chord there reads 0.342060573834, below
+        # the knot row at 0.342062813126
+        from osauction import dist as D, orderstat as OS
+
+        G = {"family": "exponential", "rate": 1}
+        cfg = write_cfg(tmp_path, "c.json", {"n": 4, "k": 2, "G": G, "grid": 256})
+        code, out, _ = run_cli(["curve", "--config", cfg], capsys)
+        assert code == 0
+        rows = parse_csv(out)
+        (mark,) = [r for r in rows if r["is_reserve_quantile"] == "1"]
+        fbar = OS.consistent_iid(OS.AmbiguitySpec(4, 2, D.from_literal(G, grid=256)), grid=256)
+        peak = cli._fmt(D.monopoly_price(fbar)[1])
+        assert mark["revenue"] == mark["ironed_revenue"] == peak == "0.34211442669"
+        assert max(float(r["revenue"]) for r in rows) == float(peak)
+
     def test_concave_input_identical_columns(self, tmp_path, capsys):
         cfg = write_cfg(
             tmp_path, "c.json",
@@ -437,18 +454,19 @@ class TestCurve:
             assert float(r["ironed_revenue"]) == pytest.approx(float(r["revenue"]), abs=1e-9)
 
 
-# SHA-256 of the curve CSV at grid 1024 as the per-knot loops wrote it: the
-# array-built curve, hull and intervals must write the same bytes. The CSV
-# carries the last digits of scipy.special.betaincinv (through the
+# SHA-256 of the curve CSV at grid 1024 as the per-knot loops wrote it, but
+# for the reserve row, which reads the arc's peak p* q* instead of the chord:
+# the array-built curve, hull and intervals must write the same bytes. The
+# CSV carries the last digits of scipy.special.betaincinv (through the
 # inversion), so the hashes hold for the scipy they were taken with.
 CURVE_SHA256 = {
     "uniform-n4-k2": ({"n": 4, "k": 2, "G": {"family": "uniform", "lo": 0, "hi": 1}},
-                      "c520b73c9137f38e608119b8649c8d4ec14920782ce9ce4e1c1f404713cf31ea"),
+                      "a6019d12cea2c279578fe2be84c969ef22a53fa49d593ab7213b459e3ee4a6e2"),
     "exponential-n6-k3": ({"n": 6, "k": 3, "G": {"family": "exponential", "rate": 1}},
-                          "91538a6bca30a00026d2d7df16dd0ac4fdd57a11cdd4dd81cbc26a591f0338e6"),
+                          "2aeb402c6c1a17199f8f7332322634bcc416e037e78d52f49880c6a963245a7a"),
     "table-atom-n5-k2": ({"n": 5, "k": 2, "G": {"family": "table", "knots": [[0, 0], [1, 0.4], [2, 0.8]],
                                                "atoms": [[1.5, 0.2]]}},
-                         "d6113e9325425cae830a22e10e75b13c080aa19fd92742a55c9904b442ce51c8"),
+                         "a918ad3796cff360196a1f8742f69e43cbfd3e991cf9a837b313ad9fc01bfb23"),
 }
 
 
@@ -471,6 +489,15 @@ class TestReproduce:
         assert code == 0
         rows = parse_csv(out)
         assert rows and all(r["status"] == "PASS" for r in rows)
+
+    # runpy warns that the module it runs as __main__ is imported already
+    @pytest.mark.filterwarnings("ignore:.*found in sys.modules:RuntimeWarning")
+    def test_module_exits_with_the_code_of_main(self, monkeypatch, capsys):
+        # python -m osauction.cli
+        monkeypatch.setattr(sys, "argv", ["osauction", "reproduce", "not-a-thing"])
+        with pytest.raises(SystemExit) as stop:
+            runpy.run_module("osauction.cli", run_name="__main__")
+        assert stop.value.code == 2
 
     def test_unknown_name_exit_2(self, capsys):
         code, _, err = run_cli(["reproduce", "not-a-thing"], capsys)

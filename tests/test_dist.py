@@ -74,6 +74,18 @@ class TestCdfQuantile:
         with pytest.raises(ValueError):
             D.uniform(-1.0, 1.0)
 
+    @pytest.mark.parametrize("make, xs, f_left, f_right, label", [
+        (lambda: D.point_mass(0.9), [0.9], [0.0], [1.0], "atom(0.9)"),
+        (lambda: D.uniform(0.2, 1.4), [0.2, 1.4], [0.0, 1.0], [0.0, 1.0], "uniform(0.2,1.4)"),
+        (lambda: D.two_point(0.5, 0.6, 1.5), [0.5, 1.5], [0.0, 0.6], [0.6, 1.0], "twopoint(0.5,0.6,1.5)"),
+    ], ids=["point_mass", "uniform", "two_point"])
+    def test_shorthands_build_their_knot_arrays(self, make, xs, f_left, f_right, label):
+        # built through from_table, each gives exactly its own knot arrays and label
+        d = make()
+        for got, want in ((d.xs, xs), (d.f_left, f_left), (d.f_right, f_right)):
+            assert got.tobytes() == np.array(want, dtype=np.float64).tobytes()
+        assert d.label == label
+
     def test_sample_trivial(self):
         assert D.point_mass(0.0).quantile(0.37) == 0.0
         assert D.uniform(0, 1).quantile(0.7) == pytest.approx(0.7)
@@ -571,10 +583,13 @@ class TestLiterals:
             ({"family": "table", "knots": [[0, 0], [1, 1]], "atoms": [[0.5, 0]]}, "atom masses must be positive"),
             ({"family": "uniform", "lo": 1, "hi": 0}, "uniform needs lo < hi"),
             ({"family": "twopoint", "v1": 1, "p1": 0.5, "v2": 0.5}, "two_point needs v1 < v2"),
+            ({"family": "table", "atoms": [[1.0, 0.5]]}, "total mass 0.5 is not 1"),
+            # a literal is a dict, never a distribution built already
+            (D.uniform(0, 1), "must be a dict with a 'family' key"),
         ],
         ids=["knots_not_a_list", "knot_triple", "atom_not_a_pair", "atoms_a_dict", "beta_point", "normal_point",
              "missing_parameter", "integer_past_float_range", "atom_without_mass", "uniform_reversed",
-             "twopoint_reversed"],
+             "twopoint_reversed", "table_mass_short", "a_dist"],
     )
     def test_malformed_literal_names_its_field(self, lit, field):
         with warnings.catch_warnings():

@@ -78,6 +78,14 @@ class TestExhaustiveRevenue:
                 R.myerson_iid_revenue(base, n), abs=1e-12
             ), (base.atoms, n)
 
+    def test_profiles_without_probability_skipped(self, monkeypatch):
+        # bidder 0 never holds 2.0: no profile with it is evaluated
+        inst = O.DiscreteInstance(((1.0, 2.0), (1.0, 2.0)), ((1.0, 0.0), (0.5, 0.5)))
+        seen, outcome = [], M.outcome
+        monkeypatch.setattr(M, "outcome", lambda mech, prof: seen.append(prof.values) or outcome(mech, prof))
+        assert O.exhaustive_revenue(M.SPAReserve(0.0), inst) == 1.0
+        assert seen == [(1.0, 1.0), (1.0, 2.0)]
+
     def test_guard(self):
         with pytest.raises(ValueError):
             O.DiscreteInstance(
@@ -127,6 +135,15 @@ class TestFeasibleSampler:
         assert x2 is not None
         pmf = OS.poisson_binomial_pmf([x1, 0.0, x2])
         assert abs(pmf[:2].sum() - g) <= 1e-12
+
+    def test_last_bidder_that_cannot_move_the_count(self):
+        # the other bidder is never above, so at most k - 1 = 1 value is above
+        # whatever the last one does: that probability is 1, never g = 0.5
+        assert O._solve_last_survival(np.array([0.0]), 2, 0.5) is None
+
+    def test_survivals_at_the_ends_are_point_masses(self):
+        pd = O.product_from_survivals([0.0, 1.0, 0.5], 1.0, 2.0)
+        assert [c.describe() for c in pd.components] == ["atom(1)", "atom(2)", "twopoint(1,0.5,2)"]
 
     def test_survival_vectors_build_consistent_products(self):
         spec = OS.AmbiguitySpec(4, 2, D.two_point(0.0, 0.25, 2.0))

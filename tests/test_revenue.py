@@ -564,6 +564,24 @@ class TestBlockThreads:
             self.run(monkeypatch, workers, began, on_caller=fail, on_helper=lambda: failed.wait(self.WAIT))
         assert failed.is_set() and len(began) < self.BLOCKS
 
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_helper_that_will_not_start_stops_every_claim(self, monkeypatch, workers):
+        def refuse(thread):
+            raise RuntimeError("can't start new thread")
+
+        began = []
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        with pytest.raises(RuntimeError, match="can't start new thread"):
+            self.run(monkeypatch, workers, began)
+        assert began == []
+
+
+@pytest.mark.parametrize("count, want", [(5, 5), (None, 1)])
+def test_cpus_without_an_affinity_call(monkeypatch, count, want):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+    assert R._available_cpus() == want
+
 
 GRID_ENTRY_POINTS = {
     "consistent_iid": lambda spec, grid: OS.consistent_iid(spec, grid=grid),
