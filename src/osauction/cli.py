@@ -53,16 +53,6 @@ class ConfigError(ValueError):
     pass
 
 
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, str):
-        return x
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return f"{float(x):.12g}"
-
-
 def _load_config(path) -> dict:
     if path is None:
         raise ConfigError("this command needs --config")
@@ -231,7 +221,7 @@ def cmd_curve(cfg: dict, grid: int):
         # the chord and the knot hull there; both curves pass through it
         j, r_star = int(np.searchsorted(qs, q_star)), report.monopoly_price * q_star
         qs, rs, ironed = np.insert(qs, j, q_star), np.insert(rs, j, r_star), np.insert(ironed, j, r_star)
-    cols = (qs, rs, ironed, qs == q_star)
+    cols = (qs, rs, ironed, (qs == q_star).astype(int))  # csv would write a bool as True
     header = ("quantile", "revenue", "ironed_revenue", "is_reserve_quantile")
     return header, zip(*(c.tolist() for c in cols))
 
@@ -375,7 +365,8 @@ def main(argv=None) -> int:
     with out as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
-        w.writerows(map(_fmt, row) for row in rows)
+        # csv writes None as empty and ints and strings as they are
+        w.writerows([f"{x:.12g}" if isinstance(x, float) else x for x in row] for row in rows)
     failed = args.command == "reproduce" and any(row[-1] != "PASS" for row in rows)
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 

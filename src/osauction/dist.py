@@ -295,24 +295,16 @@ class Dist:
             raise ValueError("quantile argument must lie in [0, 1]")
         flat = q_arr.reshape(-1)
         j = self._quantile_search(flat, "left")
-        out = self._along_segment(flat, j) if self._rises else self.xs[j]
+        if self._rises:  # where the segment leaving knot j reaches q
+            start, width, lower, _, divisor = (c[1:] for c in self._table)
+            out = _along(flat, j, lower, divisor, start, width)
+        else:
+            out = self.xs[j]
         return out.reshape(q_arr.shape) if q_arr.ndim else float(out[0])
-
-    def _locate(self, q: np.ndarray):
-        """``(j, reach)`` for quantiles ``q`` in [0, 1]: the quantile of q is
-        ``xs[j]``, except where ``reach`` holds (None when no segment rises):
-        past f_right[j], on the segment leaving knot j."""
-        j = self._quantile_search(q, "left")
-        return j, (q > self.f_right[j] if self._rises else None)
 
     @cached_property
     def _rises(self) -> bool:
         return bool(np.any(self.segments.rise > 0))
-
-    def _along_segment(self, q: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """The value at which the segment leaving knot j reaches quantile q."""
-        start, width, lower, _, divisor = (c[1:] for c in self._table)
-        return _along(q, j, lower, divisor, start, width)
 
     def describe(self) -> str:
         return self.label
@@ -323,10 +315,13 @@ def dist_from_arrays(xs, f_left, f_right, label="table") -> Dist:
     noise, trimming zero-measure leading/trailing knots and pinning the CDF
     to 0 below the first kept knot and 1 at the last."""
     xs = np.asarray(xs, dtype=np.float64)
-    fl = np.clip(np.asarray(f_left, dtype=np.float64), 0.0, 1.0)
-    fr = np.clip(np.asarray(f_right, dtype=np.float64), 0.0, 1.0)
-    fr = np.maximum(fr, fl)
-    fl[1:] = np.maximum(fl[1:], fr[:-1])
+    # both sides of every knot in order; where one falls below an earlier
+    # one, by the rounding of a sum, all are raised to their running maximum,
+    # a scan that costs several times this check, so no atom or segment falls
+    cdf = np.clip(np.column_stack([f_left, f_right]).astype(np.float64), 0.0, 1.0).ravel()
+    if np.any(cdf[1:] < cdf[:-1]):
+        cdf = np.maximum.accumulate(cdf)
+    fl, fr = cdf[0::2], cdf[1::2]
     # trim knots that carry no mass at the extremes of the support
     lo = 0
     while lo + 1 < len(xs) and fr[lo] <= MASS_TOL and fl[lo + 1] <= MASS_TOL:

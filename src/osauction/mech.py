@@ -94,8 +94,8 @@ class Laddered:
 
     def __post_init__(self):
         rates = tuple(float(a) for a in self.click_rates)
-        if not rates or any(a <= 0 for a in rates):
-            raise ValueError("click rates must be positive")
+        if not rates or not all(0 < a < math.inf for a in rates):  # NaN too
+            raise ValueError("click rates must be positive and finite")
         if any(b > a for a, b in zip(rates, rates[1:])):
             raise ValueError("click rates must be non-increasing")
         object.__setattr__(self, "click_rates", rates)

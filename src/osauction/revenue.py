@@ -11,10 +11,9 @@ virtual values in one array pass for both tie-breaking rules, which averages
 uniform ties exactly over the priority orders instead of drawing one, so it
 needs no random draw and works for any number of bidders. ``_sampler`` pairs
 a kernel with what it reads per bidder: a separable mechanism's values, drawn
-through ``Dist.quantile``, or Myerson's ironed levels, which it scores
-straight from each draw's knot through one table of levels per distinct
-component, so that only draws inside a rising segment (every draw, for a
-component without atoms) evaluate their value. Monte Carlo rows are
+through ``Dist.quantile``, or Myerson's ironed levels, read off one table
+of levels at the knots per distinct purely atomic component and evaluated
+from the draws' values on every other one. Monte Carlo rows are
 bidder-major, one row per bidder and one column per sample, so the kernels
 reduce over contiguous rows; a block draws its uniforms straight into that
 layout, and the rows of each distinct component are scored by one call per
@@ -122,8 +121,9 @@ def _separable_form(mechanism: M.Mechanism, n: int):
             "no closed form: this mechanism's revenue is not separable across "
             "top order statistics"
         )
-    if form[0] < 0:
-        raise ValueError(f"{'price' if isinstance(mechanism, M.PostedPrice) else 'reserve'} must be non-negative")
+    if not 0.0 <= form[0] < math.inf:  # NaN too
+        what = "price" if isinstance(mechanism, M.PostedPrice) else "reserve"
+        raise ValueError(f"{what} must be non-negative and finite")
     if isinstance(mechanism, M.MultiUnit) and mechanism.units >= n:
         raise ValueError("need more bidders than units")
     return form
@@ -273,28 +273,22 @@ def _sampler(mechanism: M.Mechanism, pd: ProductDist):
     Both are built here, once per request, on the calling thread.
 
     A separable mechanism reads values, drawn through ``Dist.quantile``.
-    Myerson reads only ironed levels: a draw's quantile is the knot
-    ``xs[j]`` unless a rising segment reaches it first, so its level is
-    ``phi_fn.eval(xs)[j]``, one table per distinct component, and only the
-    draws on a segment evaluate their value. A component without atoms has
-    nearly every draw on a segment, where picking those draws out costs more
-    than it saves, so its draws evaluate their values.
+    Myerson reads only ironed levels. A component with no rising segment has
+    every draw's quantile at a knot, so its levels are read off one table of
+    ``phi_fn.eval(xs)`` per distinct component; every other component
+    evaluates the levels of its draws' values.
     """
     if not isinstance(mechanism, M.MyersonIID):
         return Dist.quantile, _payment_kernel(mechanism, pd.n)
     phi_fn, tiebreak = virtual_values(mechanism.base), mechanism.tiebreak
     distinct = {id(c): c for c in pd.components}
-    tables = {key: phi_fn.eval(c.xs) if np.any(c.f_right > c.f_left) else None for key, c in distinct.items()}
+    tables = {key: phi_fn.eval(c.xs) for key, c in distinct.items() if not c._rises}
 
     def levels(component: Dist, q: np.ndarray) -> np.ndarray:
-        table = tables[id(component)]
+        table = tables.get(id(component))
         if table is None:
             return phi_fn.eval(component.quantile(q))
-        j, reach = component._locate(q)
-        out = table[j]
-        if reach is not None and reach.any():
-            out[reach] = phi_fn.eval(component._along_segment(q[reach], j[reach]))
-        return out
+        return table[component._quantile_search(q, "left")]
 
     return levels, _myerson_kernel(phi_fn, tiebreak)
 
@@ -419,8 +413,9 @@ def _worst_case_law(mechanism: M.Mechanism, spec: AmbiguitySpec, grid: int) -> D
     """The law at which ``mechanism``'s worst case over the ambiguity set is
     attained.
 
-    For a mechanism separable across its top k' <= k order statistics that is
-    the consistent i.i.d. distribution. Mechanisms outside that class
+    For a mechanism separable across its top k' order statistics, with
+    min(k', n) <= k (statistics past the n-th are 0), that is the consistent
+    i.i.d. distribution. Mechanisms outside that class
     (Myerson with ironing) are refused: for k < n their worst case is not at
     the i.i.d. point and evaluating there would overstate the guarantee, and
     at k = n no exact evaluation of it is implemented.
@@ -438,11 +433,12 @@ def _worst_case_law(mechanism: M.Mechanism, spec: AmbiguitySpec, grid: int) -> D
             "order statistics below the observed one, and its minimum is not "
             "attained at the consistent i.i.d. distribution"
         )
-    if kc > spec.k:
+    if min(kc, spec.n) > spec.k:  # statistics past the n-th are 0
         raise ValueError(
             f"mechanism needs the top {kc} order statistics but only the "
             f"k={spec.k} order statistic is observed"
         )
+    _separable_form(mechanism, spec.n)  # its own refusals, before the inversion
     return consistent_iid(spec, grid=grid)
 
 
@@ -511,7 +507,7 @@ def optimal_robust_reserve(spec: AmbiguitySpec, family: M.Mechanism, grid: int =
 
 def _robust_reserve(spec: AmbiguitySpec, family: M.Mechanism, fbar: Dist) -> ReserveResult:
     """``optimal_robust_reserve`` on the family's worst-case law ``fbar``."""
-    _, a, b = M.separable_form(family)
+    _, a, b = _separable_form(family, spec.n)
     revenue = _separable_revenue(a, b, iid(fbar, spec.n))
     candidates = np.unique(np.concatenate([[0.0], fbar.xs]))
     r_best, v_best = _maximize(revenue, candidates)

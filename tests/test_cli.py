@@ -238,6 +238,7 @@ REFUSED = {
 REFUSED_SAYS = {
     "negative_price": "error: price must be non-negative",
     "laddered_deeper_than_observation": "needs the top 6 order statistics but only the k=3 order statistic is observed",
+    "family_deeper_than_observation": "error: need more bidders than units",
     "config_not_an_object": "error: config must be a JSON object",
     "unknown_mechanism_type": "error: unknown mechanism type 'vickrey'",
     "simulate_myerson_without_base": "error: simulate needs an explicit 'base' for the myerson mechanism",
@@ -310,6 +311,28 @@ def test_integral_float_is_an_integer(tmp_path, capsys):
     code, out, _ = run_cli(["invert", "--config", write_cfg(tmp_path, "c.json", dict(cfg, grid=64.0))], capsys)
     assert code == 0
     assert out == run_cli(["invert", "--config", write_cfg(tmp_path, "d.json", dict(cfg, n=3, grid=64))], capsys)[1]
+
+
+def test_each_cell_kind_written(tmp_path, capsys):
+    # floats at 12 significant digits, None as an empty cell, ints and
+    # strings as they are, and the curve's flag as 0 or 1
+    requests = {
+        "worstcase": {"n": 2, "k": 2, "G": UNIF_LIT, "grid": 64, "mechanism": {"type": "spa", "reserve": 0.3}},
+        "simulate": {"product": [UNIF_LIT, {"family": "atom", "v": 0.25}], "samples": 1, "seed": 7,
+                     "mechanism": {"type": "spa", "reserve": 0.2}},
+        "curve": {"n": 2, "k": 2, "G": UNIF_LIT, "grid": 16},
+    }
+    out = {}
+    for command, cfg in requests.items():
+        code, out[command], _ = run_cli([command, "--config", write_cfg(tmp_path, "c.json", cfg)], capsys)
+        assert code == 0
+    assert out["worstcase"].splitlines()[1] == (
+        'spa(r=0.3),"worst case over k=2, n=2, G=uniform(0,1)",closed-form,0.536915898933,,,')
+    assert out["simulate"].splitlines()[1] == 'spa(r=0.2),"uniform(0,1) x atom(0.25)",monte-carlo,0.25,inf,1,7'
+    curve = out["curve"].splitlines()
+    assert curve[1] == "0,0,0,0"
+    assert [row for row in curve if row.endswith(",1")] == ["0.572963424452,0.384552022288,0.384552022288,1"]
+    assert {row.rsplit(",", 1)[1] for row in curve[1:]} == {"0", "1"}
 
 
 def test_sampling_flags_only_on_simulate(tmp_path, capsys):
@@ -439,7 +462,7 @@ class TestCurve:
         rows = parse_csv(out)
         (mark,) = [r for r in rows if r["is_reserve_quantile"] == "1"]
         fbar = OS.consistent_iid(OS.AmbiguitySpec(4, 2, D.from_literal(G, grid=256)), grid=256)
-        peak = cli._fmt(D.monopoly_price(fbar)[1])
+        peak = f"{D.monopoly_price(fbar)[1]:.12g}"
         assert mark["revenue"] == mark["ironed_revenue"] == peak == "0.34211442669"
         assert max(float(r["revenue"]) for r in rows) == float(peak)
 

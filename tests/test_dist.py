@@ -55,6 +55,16 @@ class TestCdfQuantile:
         np.testing.assert_array_equal(d.xs, [1.0, 2.0, 3.0])
         np.testing.assert_array_equal(d.cdf([0.5, 1.0, 1.5, 2.5]), [0.0, 0.0, 0.25, 0.75])
 
+    def test_cdf_sides_never_fall(self):
+        # the sides of a knot from sums taken in different orders can differ
+        # by a rounding: raising the left side at knot 2 to the right side at
+        # knot 1 once left its right side one float below, a negative atom
+        up = math.nextafter(0.6, 1.0)
+        d = D.dist_from_arrays([0.0, 1.0, 2.0, 3.0], [0.0, 0.2, 0.6, 1.0], [0.1, up, 0.6, 1.0])
+        np.testing.assert_array_equal(d.f_left, [0.0, 0.2, up, 1.0])
+        np.testing.assert_array_equal(d.f_right, [0.1, up, up, 1.0])
+        assert d.quantile(up) == 1.0
+
     @pytest.mark.parametrize("grid", [0, 15, 2**20 + 1, 64.0, 100.5, True])
     def test_family_grid_outside_its_bounds_refused(self, grid):
         # a float grid once reached np.linspace and raised TypeError

@@ -437,18 +437,6 @@ def test_quantile_reads_the_piece_table_as_the_reach_mask_did(d, seed):
     # batches on both sides of the guided search's threshold
     for batch in (q[: D._GUIDED_MIN - 1], np.resize(q, max(len(q), D._GUIDED_MIN))):
         assert_bitwise(d.quantile(batch), reach_mask_quantile(d, batch))
-        j, reach = d._locate(batch)
-        want_j, want_reach = reach_mask_locate(d, batch)
-        if want_reach is None:
-            assert reach is None
-            assert_bitwise(j, want_j)
-            continue
-        assert_bitwise(reach, want_reach)
-        # off the segments the knot itself; on them the knot they leave
-        assert_bitwise(j[~reach], want_j[~reach])
-        assert_bitwise(j[reach], want_j[reach] - 1)
-        assert_bitwise(d._along_segment(batch[reach], j[reach]),
-                       reach_mask_along_segment(d, batch[reach], want_j[reach]))
 
 
 @pytest.mark.parametrize("d", [

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -291,6 +292,8 @@ class TestMyersonMonotonicity:
     (lambda: M.MultiUnit(0), ValueError, "at least one unit"),
     (lambda: M.Laddered((1.0, 0.0)), ValueError, "click rates must be positive"),
     (lambda: M.Laddered((1.0, -0.5)), ValueError, "click rates must be positive"),
+    (lambda: M.Laddered((1.0, math.nan)), ValueError, "click rates must be positive and finite"),
+    (lambda: M.Laddered((math.inf, 1.0)), ValueError, "click rates must be positive and finite"),
     (lambda: M.MyersonIID(F_DISC, "random"), ValueError, "tiebreak must be"),
     (lambda: M.myerson_outcome(F_DISC, "random", P((1.0, 2.0))), ValueError, "unknown tiebreak 'random'"),
     (lambda: P((1.0, 2.0)).order_stat(0), ValueError, "1-indexed"),
@@ -298,7 +301,8 @@ class TestMyersonMonotonicity:
     (lambda: M.spa_outcome(-0.5, P((1.0, 2.0))), ValueError, "reserve must be non-negative"),
     (lambda: M.outcome("vickrey", P((1.0, 2.0))), TypeError, "unknown mechanism 'vickrey'"),
     (lambda: M.separable_form("vickrey"), TypeError, "unknown mechanism 'vickrey'"),
-], ids=["no_units", "zero_click_rate", "negative_click_rate", "unknown_tiebreak", "outcome_unknown_tiebreak",
+], ids=["no_units", "zero_click_rate", "negative_click_rate", "nan_click_rate", "infinite_click_rate",
+        "unknown_tiebreak", "outcome_unknown_tiebreak",
         "order_stat_zero", "negative_price", "negative_reserve", "outcome_unknown_mechanism",
         "form_unknown_mechanism"])
 def test_refusal_names_its_cause(call, exc, says):

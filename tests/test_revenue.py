@@ -606,8 +606,14 @@ def test_grid_outside_its_bounds_refused(entry, grid):
     (lambda: R.unknown_n_bound(-0.5, UNIF), "price must be non-negative"),
     (lambda: R.unknown_n_bound(np.array([0.5, -1e-9]), UNIF), "price must be non-negative"),
     (lambda: R.RevenueReport("m", "d", 1.0, "bootstrap"), "unknown method 'bootstrap'"),
+    (lambda: R.closed_form_revenue(M.SPAReserve(math.nan), OS.iid(UNIF, 3)), "reserve must be non-negative and finite"),
+    (lambda: R.closed_form_revenue(M.PostedPrice(math.inf), OS.iid(UNIF, 3)), "price must be non-negative and finite"),
+    (lambda: R.closed_form_revenue(M.MultiUnit(2, math.inf), OS.iid(UNIF, 3)),
+     "reserve must be non-negative and finite"),
+    (lambda: R.mc_expected_revenue(M.SPAReserve(math.nan), OS.iid(UNIF, 2), 10, 1),
+     "reserve must be non-negative and finite"),
 ], ids=["closed_form_myerson", "mc_no_samples", "unknown_n_negative_price", "unknown_n_negative_in_array",
-        "report_unknown_method"])
+        "report_unknown_method", "nan_reserve", "infinite_price", "infinite_multi_unit_reserve", "mc_nan_reserve"])
 def test_refusal_names_its_cause(call, says):
     with pytest.raises(ValueError, match=says):
         call()
@@ -645,6 +651,18 @@ class TestWorstCase:
         spec = OS.AmbiguitySpec(4, 2, BERN)
         with pytest.raises(ValueError):
             R.worst_case_revenue_topk(M.MultiUnit(2, 0.0), spec)
+
+    def test_every_statistic_observed_at_k_equals_n(self):
+        # statistics past the n-th are 0, so a mechanism reaching past them
+        # is evaluated at k = n: SPA on one bidder is a posted price at its
+        # reserve, and a ladder with more rates than bidders reads the n it has
+        got = R.worst_case_revenue_topk(M.SPAReserve(0.3), OS.AmbiguitySpec(1, 1, UNIF), grid=256)
+        assert got == pytest.approx(R.closed_form_revenue(M.SPAReserve(0.3), OS.iid(UNIF, 1)), abs=1e-12)
+        assert got == pytest.approx(0.21, abs=1e-12)
+        spec, ladder = OS.AmbiguitySpec(2, 2, UNIF), M.Laddered((1.0, 0.5, 0.2), 0.1)
+        fbar = OS.consistent_iid(spec, grid=256)
+        want = R.closed_form_revenue(ladder, OS.iid(fbar, 2))
+        assert R.worst_case_revenue_topk(ladder, spec, grid=256) == want
 
     def test_monotone_in_bidder_count(self):
         # a dummy bidder keeps the observation feasible, so more bidders can
@@ -695,6 +713,19 @@ class TestOptimalReserve:
             R.optimal_robust_reserve(OS.AmbiguitySpec(3, 1, UNIF), M.SPAReserve(0.0))
         with pytest.raises(ValueError):
             R.optimal_robust_reserve(OS.AmbiguitySpec(4, 2, UNIF), M.MultiUnit(2))
+
+    def test_family_past_the_bidders_at_k_equals_n(self, monkeypatch):
+        # a ladder with more rates than bidders is searched at k = n; units
+        # that leave no bidder to set the price are refused as such, before
+        # the inversion
+        spec, family = OS.AmbiguitySpec(2, 2, UNIF), M.Laddered((1.0, 0.5, 0.2))
+        res = R.optimal_robust_reserve(spec, family, grid=256)
+        fbar = OS.consistent_iid(spec, grid=256)
+        at_reserve = R.closed_form_revenue(M.Laddered(family.click_rates, res.reserve), OS.iid(fbar, 2))
+        assert res.worst_case_revenue == pytest.approx(at_reserve, abs=1e-12)
+        monkeypatch.setattr(R, "consistent_iid", lambda *a, **kw: pytest.fail("inverted before refusing"))
+        with pytest.raises(ValueError, match="need more bidders than units"):
+            R.optimal_robust_reserve(spec, M.MultiUnit(2), grid=256)
 
 
 # Both reserve searches on uniform and exponential G at scales 1e-6 to 1e12,
