@@ -13,9 +13,9 @@ config, applies ``--grid``, ``--seed`` and ``--samples`` as overrides of the
 config fields of the same name, refuses, and writes the CSV.
 
 Exit codes: 0 success, 1 a reproduction check failed (its rows are still
-written), 2 config/parse error or an --out that cannot be written, 3 robust
-evaluation unsupported for the requested mechanism. Identical configs and
-seeds produce byte-identical output.
+written), 2 config/parse error or output that cannot be written (an --out, a
+closed stdout), 3 robust evaluation unsupported for the requested mechanism.
+Identical configs and seeds produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import csv
 import functools
 import json
 import numbers
+import os
 import sys
 
 import numpy as np
@@ -359,14 +360,19 @@ def main(argv=None) -> int:
         return EXIT_UNSUPPORTED if isinstance(e, R.NotSeparableError) else EXIT_CONFIG
     try:
         out = contextlib.nullcontext(sys.stdout) if args.out is None else open(args.out, "w", newline="")
-    except OSError as e:
-        print(f"error: cannot write {args.out}: {e.strerror}", file=sys.stderr)
+        with out as fh:
+            w = csv.writer(fh, lineterminator="\n")
+            w.writerow(header)
+            # csv writes None as empty and ints and strings as they are
+            w.writerows([f"{x:.12g}" if isinstance(x, float) else x for x in row] for row in rows)
+            fh.flush()  # a closed stdout fails here, not at exit
+    except OSError as e:  # an --out that cannot be opened, a closed pipe, a full disk
+        if args.out is None:
+            # the interpreter flushes stdout again at exit: what is left goes to devnull
+            with open(os.devnull, "w") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+        print(f"error: cannot write {'stdout' if args.out is None else args.out}: {e.strerror}", file=sys.stderr)
         return EXIT_CONFIG
-    with out as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        # csv writes None as empty and ints and strings as they are
-        w.writerows([f"{x:.12g}" if isinstance(x, float) else x for x in row] for row in rows)
     failed = args.command == "reproduce" and any(row[-1] != "PASS" for row in rows)
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 

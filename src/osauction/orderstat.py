@@ -186,8 +186,9 @@ def _polish_deep_root(a: int, k: int, g: np.ndarray, x: np.ndarray) -> np.ndarra
 _REFINE_MASS = 1.0 / 64.0
 
 
-def consistent_iid(spec: AmbiguitySpec, grid: int = DEFAULT_GRID) -> Dist:
-    """The unique distribution F with Phi_k(F^n) = G.
+def consistent_iid(spec: AmbiguitySpec, grid: int = DEFAULT_GRID, *, reserve: float = 0.0) -> Dist:
+    """The unique distribution F with Phi_k(F^n) = G, exact at and above
+    ``reserve``.
 
     Maps G's CDF through the inverse bijection at every knot of G. Coarse
     continuous segments (a uniform G is a single one) are subdivided so the
@@ -197,8 +198,16 @@ def consistent_iid(spec: AmbiguitySpec, grid: int = DEFAULT_GRID) -> Dist:
     G's atoms, so the right-side levels are inverted once and a left-side
     level only where it differs; since ``h_inverse`` works entry by entry,
     F is bit for bit what inverting both sides in full gives.
+
+    A revenue at reserve r reads F only at and above r. So only the knots
+    from the last one strictly below ``reserve`` up are kept and inverted,
+    and the mass below lumps into an atom at that knot: past its left side,
+    every level kept is the whole law's, bit for bit. The default reserve 0
+    lies at or below every support, so it keeps the whole law.
     """
     check_grid(grid)
+    if not reserve >= 0.0:  # NaN too
+        raise ValueError("reserve must be non-negative")
     G = spec.G
     rise = G.segments.rise[1:]
     n_sub = np.where(rise > _REFINE_MASS, np.ceil(rise * grid), 1).astype(np.int64)
@@ -208,9 +217,15 @@ def consistent_iid(spec: AmbiguitySpec, grid: int = DEFAULT_GRID) -> Dist:
     f = G.f_right[seg] + t * rise[seg]
     fl = np.append(np.where(t == 0.0, G.f_left[seg], f), G.f_left[-1])
     fr = np.append(f, G.f_right[-1])
+    cut = max(int(np.searchsorted(xs, reserve)) - 1, 0)  # the last knot strictly below the reserve
+    xs, fl, fr = xs[cut:], fl[cut:], fr[cut:]
     ur = h_inverse(spec.n, spec.k, fr)
     ul = ur.copy()
+    # F is 0 below the first kept knot, as h_inverse(0) gives where nothing is
+    # cut: no second inversion there
+    ul[0] = 0.0
     jumps = fl != fr
+    jumps[0] = False
     if jumps.any():
         ul[jumps] = h_inverse(spec.n, spec.k, fl[jumps])
     return dist_from_arrays(xs, ul, ur, label=f"iid(k={spec.k},n={spec.n};{G.describe()})")

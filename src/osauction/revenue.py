@@ -409,7 +409,7 @@ def mc_expected_revenue(
 # -- robust evaluation ----------------------------------------------------------
 
 
-def _worst_case_law(mechanism: M.Mechanism, spec: AmbiguitySpec, grid: int) -> Dist:
+def _worst_case_law(mechanism: M.Mechanism, spec: AmbiguitySpec, grid: int, *, whole: bool = False) -> Dist:
     """The law at which ``mechanism``'s worst case over the ambiguity set is
     attained.
 
@@ -419,6 +419,11 @@ def _worst_case_law(mechanism: M.Mechanism, spec: AmbiguitySpec, grid: int) -> D
     (Myerson with ironing) are refused: for k < n their worst case is not at
     the i.i.d. point and evaluating there would overstate the guarantee, and
     at k = n no exact evaluation of it is implemented.
+
+    Its revenue at the mechanism's reserve r reads the law only at and above
+    r, so G is inverted only from the last knot below r (``consistent_iid``'s
+    ``reserve``); the revenue at r is the whole law's, bit for bit. With
+    ``whole`` (a reserve search, a bound over the whole law) nothing is cut.
     """
     kc = M.topk_class(mechanism)
     if kc is None and spec.k == spec.n:
@@ -438,8 +443,8 @@ def _worst_case_law(mechanism: M.Mechanism, spec: AmbiguitySpec, grid: int) -> D
             f"mechanism needs the top {kc} order statistics but only the "
             f"k={spec.k} order statistic is observed"
         )
-    _separable_form(mechanism, spec.n)  # its own refusals, before the inversion
-    return consistent_iid(spec, grid=grid)
+    r = _separable_form(mechanism, spec.n)[0]  # its own refusals, before the inversion
+    return consistent_iid(spec, grid=grid, reserve=0.0 if whole else r)
 
 
 def worst_case_revenue_topk(mechanism: M.Mechanism, spec: AmbiguitySpec, grid: int = DEFAULT_GRID) -> float:
@@ -502,7 +507,7 @@ def optimal_robust_reserve(spec: AmbiguitySpec, family: M.Mechanism, grid: int =
     second-price family does), the returned reserve is robustly optimal among
     all mechanisms, not merely within the family.
     """
-    return _robust_reserve(spec, family, _worst_case_law(family, spec, grid))
+    return _robust_reserve(spec, family, _worst_case_law(family, spec, grid, whole=True))
 
 
 def _robust_reserve(spec: AmbiguitySpec, family: M.Mechanism, fbar: Dist) -> ReserveResult:
@@ -620,7 +625,7 @@ def robust_sandwich(spec: AmbiguitySpec, grid: int = DEFAULT_GRID) -> SandwichRe
     if spec.k < 2:
         raise ValueError("sandwich bounds need k >= 2")
     spa = M.SPAReserve(0.0)
-    fbar = _worst_case_law(spa, spec, grid)
+    fbar = _worst_case_law(spa, spec, grid, whole=True)
     res = _robust_reserve(spec, spa, fbar)
     return SandwichResult(
         lower=res.worst_case_revenue,

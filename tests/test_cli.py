@@ -702,3 +702,19 @@ def test_refused_request_writes_no_out_file(command, cfg, code, out_name, tmp_pa
     assert (got, out) == (code, "") and err.startswith("error: ") and "Traceback" not in err
     assert ("cannot write" in err) == (out_name in UNWRITABLE_OUT.values())
     assert not list(path.iterdir()) if out_name == "dir" else not path.exists()
+
+
+def test_closed_stdout_exits_2_without_a_traceback(tmp_path):
+    # ``osauction curve --config curve.json | head -1``: the reader takes the
+    # header and closes the pipe while the ~200 kB table, past a default
+    # 64 kB pipe buffer, is still being written
+    cfg = write_cfg(tmp_path, "curve.json", {"n": 4, "k": 2, "G": {"family": "exponential", "rate": 1}})
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    argv = [sys.executable, "-m", "osauction.cli", "curve", "--config", cfg]
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:
+        assert proc.stdout.readline() == "quantile,revenue,ironed_revenue,is_reserve_quantile\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    # one error line: no traceback, and no "Exception ignored" from the flush at exit
+    assert (code, err.count("\n")) == (2, 1) and err.startswith("error: cannot write stdout: "), err

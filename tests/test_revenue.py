@@ -17,7 +17,7 @@ from osauction import dist as D
 from osauction import mech as M
 from osauction import orderstat as OS
 from osauction import revenue as R
-from conftest import random_discrete_dist, random_mixed_dist
+from conftest import observations, random_discrete_dist, random_mixed_dist, two_pass_consistent_iid
 
 F_DISC = D.two_point(1.0, 0.8, 2.0)
 UNIF = D.uniform(0, 1)
@@ -612,8 +612,10 @@ def test_grid_outside_its_bounds_refused(entry, grid):
      "reserve must be non-negative and finite"),
     (lambda: R.mc_expected_revenue(M.SPAReserve(math.nan), OS.iid(UNIF, 2), 10, 1),
      "reserve must be non-negative and finite"),
+    (lambda: OS.consistent_iid(OS.AmbiguitySpec(3, 2, UNIF), reserve=math.nan), "reserve must be non-negative"),
 ], ids=["closed_form_myerson", "mc_no_samples", "unknown_n_negative_price", "unknown_n_negative_in_array",
-        "report_unknown_method", "nan_reserve", "infinite_price", "infinite_multi_unit_reserve", "mc_nan_reserve"])
+        "report_unknown_method", "nan_reserve", "infinite_price", "infinite_multi_unit_reserve", "mc_nan_reserve",
+        "consistent_iid_nan_reserve"])
 def test_refusal_names_its_cause(call, says):
     with pytest.raises(ValueError, match=says):
         call()
@@ -675,6 +677,85 @@ class TestWorstCase:
                 for n in (2, 3, 4, 5)
             ]
             assert all(a >= b - 1e-9 for a, b in zip(vals, vals[1:]))
+
+
+def separable_mechanisms(n, k, r):
+    """A mechanism of each separable family at reserve ``r`` whose worst case
+    the observation of the k-th of n values identifies."""
+    out = [M.PostedPrice(r)]
+    if min(2, n) <= k:
+        out.append(M.SPAReserve(r))
+    if min(k - 1, n - 1) >= 1:
+        out.append(M.MultiUnit(min(k - 1, n - 1), r))
+    depth = k - 1 if k < n else 3  # a ladder of depth d reads the top d + 1 statistics
+    if depth >= 1:
+        out.append(M.Laddered((1.0, 0.6, 0.3)[:depth], r))
+    return out
+
+
+def assert_censored_law_exact_above_reserve(spec, grid, r):
+    """The worst case of every separable family at ``r`` is its revenue on
+    the full consistent i.i.d. law, bit for bit, and the law it is read off
+    holds the full law's knots and levels from the last knot below ``r`` up."""
+    full = two_pass_consistent_iid(spec, grid)
+    for mechanism in separable_mechanisms(spec.n, spec.k, r):
+        want = R.closed_form_revenue(mechanism, OS.iid(full, spec.n))
+        assert R.worst_case_revenue_topk(mechanism, spec, grid) == want
+    law = OS.consistent_iid(spec, grid, reserve=r)
+    assert law.f_left[0] == 0.0
+    if law.xs[0] > full.xs[-1]:
+        # above the top the full law trims, where its CDF reads 1: one atom
+        assert len(law.xs) == 1 and law.xs[0] < r
+        return
+    assert law.xs[0] == full.xs[full.xs < r][-1:].max(initial=full.xs[0])  # the last knot below r
+    kept = full.xs >= law.xs[0]
+    assert law.xs.tobytes() == full.xs[kept].tobytes()
+    assert law.f_right.tobytes() == full.f_right[kept].tobytes()
+    assert law.f_left[1:].tobytes() == full.f_left[kept][1:].tobytes()
+
+
+class TestCensoredWorstCaseLaw:
+    @given(st.data(), observations())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_exact_above_reserve(self, data, case):
+        G, grid = case
+        n = data.draw(st.one_of(st.integers(1, 12), st.integers(13, 5000)))
+        spec = OS.AmbiguitySpec(n, data.draw(st.integers(1, min(n, 4))), G)
+        xs = OS.consistent_iid(spec, grid).xs
+        i = data.draw(st.integers(0, len(xs) - 1))
+        u = data.draw(st.floats(0.0, 1.0, exclude_max=True))
+        r = data.draw(st.sampled_from([
+            0.0,
+            xs[i],  # G's knots are among these
+            xs[i] + u * (xs[min(i + 1, len(xs) - 1)] - xs[i]),  # between knots
+            data.draw(st.sampled_from([v for v, _ in G.atoms] or [G.xs[0]])),
+            u * G.xs[0],  # below the support
+            G.xs[-1] * (1.0 + u) + u,  # above it
+        ]))
+        assert_censored_law_exact_above_reserve(spec, grid, float(r))
+
+    @pytest.mark.parametrize("at", [-2, -1])
+    def test_exact_above_a_trimmed_top(self, at):
+        # at n = 5000, k = 1 the full law's top knots carry below 1e-12 of
+        # its mass, and it trims them; a reserve on them keeps one
+        G = D.exponential(1.0, grid=256)
+        spec = OS.AmbiguitySpec(5000, 1, G)
+        assert OS.consistent_iid(spec, 256).xs[-1] < G.xs[-2]
+        assert_censored_law_exact_above_reserve(spec, 256, float(G.xs[at]))
+
+    def test_uniform_g_at_mid_span_inverts_about_half(self, monkeypatch):
+        # the knots from the last one below r = 0.5 up: 2050 of the whole law's 4097
+        spec, h_inverse, inverted = OS.AmbiguitySpec(6, 2, UNIF), OS.h_inverse, []
+        monkeypatch.setattr(OS, "h_inverse", lambda n, k, g: inverted.append(np.size(g)) or h_inverse(n, k, g))
+        assert len(R._worst_case_law(M.SPAReserve(0.5), spec, 4096).xs) == 2050
+        assert len(OS.consistent_iid(spec, 4096).xs) == 4097
+        assert inverted == [2050, 4097]
+
+    def test_reserve_search_inverts_the_whole_law(self):
+        # the search replaces the family's own reserve, so that reserve cuts nothing
+        spec = OS.AmbiguitySpec(5, 2, UNIF)
+        want = R.optimal_robust_reserve(spec, M.SPAReserve(0.0), grid=512)
+        assert R.optimal_robust_reserve(spec, M.SPAReserve(0.9), grid=512) == want
 
 
 class TestOptimalReserve:
