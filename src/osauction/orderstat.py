@@ -333,13 +333,20 @@ class OrderStatTail:
     the sum is a polynomial of degree <= n, integrated by exact Gauss-Legendre
     in passes of at most ``_TAIL_CHUNK`` survivals, so its memory does not
     grow with the number of segments.
+
+    Only integrals from ``reserve`` up are read: the merged knots are kept
+    from the last one at or below it up. Each segment integrates on its own
+    and the suffix sums run from the top, so what is kept is what the whole
+    table holds (up to the rounding of the dot products, whose order can
+    depend on a segment's place in the array).
     """
 
-    def __init__(self, pd: ProductDist, weights):
+    def __init__(self, pd: ProductDist, weights, *, reserve: float = 0.0):
         _check_index(pd.n, len(weights))
         self.pd = pd
         self._w = np.asarray(weights, dtype=np.float64)
-        self.knots = pd.merged_knots()
+        knots = pd.merged_knots()
+        self.knots = knots[max(int(np.searchsorted(knots, reserve, side="right")) - 1, 0) :]
         a, b = self.knots[:-1], self.knots[1:]
         self._suffix = np.concatenate([np.cumsum(self._segments(a, b)[::-1])[::-1], [0.0]])
 
@@ -378,7 +385,8 @@ class OrderStatTail:
         return (sf * gw[None, :]).sum(axis=1) * half
 
     def integral_from(self, lo: np.ndarray) -> np.ndarray:
-        """Integral of sum_j w_j Pr(v_(j) > t) over [lo, inf) for every entry of ``lo``."""
+        """Integral of sum_j w_j Pr(v_(j) > t) over [lo, inf) for every entry
+        of ``lo`` at or above the reserve."""
         k = self.knots
         start = np.clip(lo, k[0], k[-1])
         nxt = np.minimum(np.searchsorted(k, start, side="right"), len(k) - 1)

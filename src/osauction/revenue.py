@@ -10,14 +10,21 @@ from the weights of ``mech.separable_form`` or, for Myerson, from its ironed
 virtual values in one array pass for both tie-breaking rules, which averages
 uniform ties exactly over the priority orders instead of drawing one, so it
 needs no random draw and works for any number of bidders. ``_sampler`` pairs
-a kernel with what it reads per bidder: a separable mechanism's values, drawn
-through ``Dist.quantile``, or Myerson's ironed levels, read off one table
-of levels at the knots per distinct purely atomic component and evaluated
-from the draws' values on every other one. Monte Carlo rows are
-bidder-major, one row per bidder and one column per sample, so the kernels
-reduce over contiguous rows; a block draws its uniforms straight into that
-layout, and the rows of each distinct component are scored by one call per
-slab, read without a copy where they are adjacent. The lookups read
+a kernel with the least it reads per bidder, chosen once per request: for a
+separable mechanism without tail weights (a posted price, or any with one
+bidder), whether each uniform draw reaches the component's clearing
+quantile, the least draw whose value reaches the reserve; for any other,
+the values, drawn through ``Dist.quantile``; for Myerson on a product of
+purely atomic components, the rank of each draw's ironed level among the
+few its components' knots take, which the kernel prices from tables per
+rank; otherwise Myerson's ironed levels, read off one table of levels at
+the knots per distinct purely atomic component and evaluated from the
+draws' values on every other one. Every choice pays what the values pay,
+bit for bit. Monte Carlo rows are bidder-major, one row per bidder and one
+column per sample, so the kernels reduce over contiguous rows; a block
+draws its uniforms straight into that layout, and the rows of each
+distinct component are scored by one call per slab, read without a copy
+where they are adjacent. The lookups read
 per-segment tables and guided searches built once per instance, and both
 kernels keep only the top rows they read instead of sorting them all. Samples
 run in fixed blocks, each drawing its own stretch of one PCG64 stream, on the
@@ -26,7 +33,8 @@ the next block from one counter; the payments are reduced in sample order,
 so an estimate does not depend on the number of CPUs. The exact
 order-statistic terms come from ``orderstat``: Pr(v_(i) >= r) for the top
 rows at once, and one ``OrderStatTail`` per evaluator for the weighted sum of
-the exact tail integrals of Pr(v_(j) > t).
+the exact tail integrals of Pr(v_(j) > t), which ``closed_form_revenue``
+builds only from the last merged knot at or below its reserve up.
 """
 
 from __future__ import annotations
@@ -93,18 +101,20 @@ class RevenueReport:
 # -- exact building blocks ----------------------------------------------------
 
 
-def _separable_revenue(a, b, pd: ProductDist):
+def _separable_revenue(a, b, pd: ProductDist, lowest: float = 0.0):
     """Expected revenue of the separable payment weights ``(a, b)`` (see
-    ``mech.separable_form``) on ``pd``, as a function of an array of reserves:
+    ``mech.separable_form``) on ``pd``, as a function of an array of reserves
+    at or above ``lowest``:
 
         r * sum_i a_i Pr(v_(i) >= r) + sum_j b_j * integral_r^inf Pr(v_(j) > t) dt.
 
     Statistics below the last bidder are 0, so they add nothing at r > 0.
-    All tail terms share one ``OrderStatTail``, none when ``b`` is empty.
+    All tail terms share one ``OrderStatTail``, none when ``b`` is empty,
+    which integrates only from ``lowest`` up.
     """
     a = np.asarray(a[: pd.n], dtype=np.float64)
     w = (0.0,) + tuple(b[: pd.n - 1])  # the weight of v_(j) at index j-1
-    tail = OrderStatTail(pd, w) if any(w) else None
+    tail = OrderStatTail(pd, w, reserve=lowest) if any(w) else None
 
     def revenue(rs: np.ndarray) -> np.ndarray:
         total = rs * (a @ order_stat_reach(pd, len(a), rs))
@@ -132,7 +142,7 @@ def _separable_form(mechanism: M.Mechanism, n: int):
 def closed_form_revenue(mechanism: M.Mechanism, pd: ProductDist) -> float:
     """Exact expected revenue for the separable mechanism families."""
     r, a, b = _separable_form(mechanism, pd.n)
-    return float(_separable_revenue(a, b, pd)(np.array([float(r)]))[0])
+    return float(_separable_revenue(a, b, pd, lowest=r)(np.array([float(r)]))[0])
 
 
 def myerson_iid_revenue(base: Dist, n: int) -> float:
@@ -164,10 +174,12 @@ def _block_draws(seeds: np.random.SeedSequence, n: int, start: int, samples: int
     return np.random.Generator(bits).random((n, samples))
 
 
-def _myerson_kernel(phi_fn: VirtualValueFn, tiebreak: str):
+def _myerson_kernel(phi_fn: VirtualValueFn, tiebreak: str, levels: np.ndarray | None = None):
     """Vectorized total payments of the symmetric Myerson auction with ironed
-    virtual values ``phi_fn``, as a function of the bidders' ironed levels
-    (bidder-major: one row per bidder, one column per sample).
+    virtual values ``phi_fn``, as a function of what each bidder's draw
+    scores as (bidder-major: one row per bidder, one column per sample): its
+    ironed level, or, given the sorted distinct ``levels`` every draw can
+    take (-inf first), the rank of its level among them.
 
     The winner's critical bid depends only on the top ironed level, whether
     it is tied, the highest rival level t* below it and whether a rival at
@@ -177,34 +189,55 @@ def _myerson_kernel(phi_fn: VirtualValueFn, tiebreak: str):
     outranks when a rival at t* has a smaller index; uniform priority does so
     with probability c/(c+1) for c rivals at t*, and that average is taken
     exactly instead of drawn. A sample whose top level is below 0 pays 0.
+
+    Ranks keep the order and equality of the levels, so the kernel compares
+    them as it compares levels. What it reads of a level (both prices, that
+    it is finite, that it is at least 0) is then read off tables per rank,
+    built here from the same elementwise calls on the same levels, so the
+    payments are the level path's bit for bit.
     """
     floor = phi_fn.threshold_weak(0.0)
 
-    def payments(phi: np.ndarray) -> np.ndarray:
-        top = _top_rows(phi, 2)
+    def prices(t: np.ndarray):
+        # lose counts only at a contested level, which is finite; elsewhere
+        # uniform ties multiply it by 0, so it is taken at level 0, where it
+        # is finite and adds nothing
+        finite = np.isfinite(t)
+        lose = np.maximum(floor, phi_fn.threshold_strict(np.where(finite, t, 0.0)))
+        return phi_fn.threshold_weak(np.maximum(t, 0.0)), lose, finite
+
+    if levels is None:
+        bottom, read, wins = -np.inf, prices, lambda t: t >= 0.0
+    else:
+        bottom, (keep_at, lose_at, finite_at), wins_at = 0.0, prices(levels), levels >= 0.0
+
+        def read(rank: np.ndarray):
+            i = rank.astype(np.intp)
+            return keep_at[i], lose_at[i], finite_at[i]
+
+        def wins(rank: np.ndarray) -> np.ndarray:
+            return wins_at[rank.astype(np.intp)]
+
+    def payments(scores: np.ndarray) -> np.ndarray:
+        top = _top_rows(scores, 2)
         wmax = top[0]
         # the second level counting ties: the top itself when it is tied, and
         # t* when it is not
-        second = top[1] if len(top) > 1 else np.full_like(wmax, -np.inf)
+        second = top[1] if len(top) > 1 else np.full_like(wmax, bottom)
+        keep, lose, finite = read(second)
         tied = second == wmax
-        contested = ~tied & np.isfinite(second)  # a rival at t* may outrank the winner
-        keep = phi_fn.threshold_weak(np.maximum(second, 0.0))
+        contested = ~tied & finite  # a rival at t* may outrank the winner
         if tiebreak == "lexicographic":
-            # lose is read only where contested, where second is t*
-            lose = np.maximum(floor, phi_fn.threshold_strict(second))
             # outranked: a rival at t* comes before the first bidder at the top
             outranked, top_seen = np.zeros_like(tied), np.zeros_like(tied)
-            for row in phi:
+            for row in scores:
                 outranked |= (row == second) & ~top_seen
                 top_seen |= row == wmax
             pay = np.where(contested & outranked, lose, keep)
         else:
-            # uncontested, c is 0, and 0 * lose adds nothing only for a finite
-            # lose: the one at level 0
-            lose = np.maximum(floor, phi_fn.threshold_strict(np.where(contested, second, 0.0)))
-            c = np.count_nonzero(phi == second, axis=0) * contested
+            c = np.count_nonzero(scores == second, axis=0) * contested
             pay = (keep + c * lose) / (c + 1)
-        return np.where(wmax >= 0.0, pay, 0.0)
+        return np.where(wins(wmax), pay, 0.0)
 
     return payments
 
@@ -268,29 +301,107 @@ def _available_cpus() -> int:
 
 def _sampler(mechanism: M.Mechanism, pd: ProductDist):
     """``(score, pay)`` for Monte Carlo blocks on ``pd``: ``score(component,
-    q)`` turns one component's uniform draws into what ``pay`` reads per
-    bidder, and ``pay`` the total payment of every sample from those rows.
-    Both are built here, once per request, on the calling thread.
+    q)`` turns one component's uniform draws into the least per bidder that
+    ``pay`` reads, and ``pay`` the total payment of every sample from those
+    rows. Both are built here, once per request, on the calling thread.
 
-    A separable mechanism reads values, drawn through ``Dist.quantile``.
-    Myerson reads only ironed levels. A component with no rising segment has
-    every draw's quantile at a knot, so its levels are read off one table of
-    ``phi_fn.eval(xs)`` per distinct component; every other component
-    evaluates the levels of its draws' values.
+    * A separable mechanism with no tail weight among its first n - 1
+      statistics (a posted price; any of them with one bidder) reads only
+      whether each value reaches its reserve r. A component's draws score r
+      where they reach its clearing quantile (``_clearing_quantile``) and
+      -inf elsewhere, which ``_payment_kernel`` counts as it counts values;
+      no value is looked up. A component whose ``quantile`` is not monotone
+      across r keeps its values.
+    * Any other separable mechanism reads values, drawn through
+      ``Dist.quantile``.
+    * Myerson reads ironed levels. A component with no rising segment has
+      every draw's quantile at a knot, so its levels are read off one table
+      of ``phi_fn.eval(xs)`` per distinct component. When every component
+      is such, a draw scores as the rank of its level among the tables'
+      sorted distinct levels, which ``_myerson_kernel`` prices from tables
+      per rank; otherwise every component scores levels, the others
+      evaluating the levels of their draws' values.
     """
-    if not isinstance(mechanism, M.MyersonIID):
-        return Dist.quantile, _payment_kernel(mechanism, pd.n)
-    phi_fn, tiebreak = virtual_values(mechanism.base), mechanism.tiebreak
     distinct = {id(c): c for c in pd.components}
-    tables = {key: phi_fn.eval(c.xs) for key, c in distinct.items() if not c._rises}
+    if not isinstance(mechanism, M.MyersonIID):
+        pay = _payment_kernel(mechanism, pd.n)  # its refusals first
+        r, _, b = _separable_form(mechanism, pd.n)
+        if any(b[: pd.n - 1]):
+            return Dist.quantile, pay
+        thetas = {key: _clearing_quantile(c, r) for key, c in distinct.items()}
 
-    def levels(component: Dist, q: np.ndarray) -> np.ndarray:
+        def cleared(component: Dist, q: np.ndarray) -> np.ndarray:
+            theta = thetas[id(component)]
+            if theta is None:
+                return component.quantile(q)
+            return np.where(q >= theta, r, -np.inf)
+
+        return cleared, pay
+    phi_fn, tiebreak = virtual_values(mechanism.base), mechanism.tiebreak
+    tables = {key: phi_fn.eval(c.xs) for key, c in distinct.items() if not c._rises}
+    if len(tables) == len(distinct):
+        levels = np.unique(np.concatenate([[-np.inf], *tables.values()]))
+        ranks = {key: np.searchsorted(levels, t).astype(np.float64) for key, t in tables.items()}
+
+        def ranked(component: Dist, q: np.ndarray) -> np.ndarray:
+            return ranks[id(component)][component._quantile_search(q, "left")]
+
+        return ranked, _myerson_kernel(phi_fn, tiebreak, levels)
+
+    def leveled(component: Dist, q: np.ndarray) -> np.ndarray:
         table = tables.get(id(component))
         if table is None:
             return phi_fn.eval(component.quantile(q))
         return table[component._quantile_search(q, "left")]
 
-    return levels, _myerson_kernel(phi_fn, tiebreak)
+    return leveled, _myerson_kernel(phi_fn, tiebreak)
+
+
+def _clearing_quantile(c: Dist, r: float) -> float | None:
+    """The least float q in [0, 1] with ``c.quantile(q) >= r`` (inf when no
+    q reaches r), so that a uniform draw's value reaches r exactly when the
+    draw reaches it; None when ``c.quantile`` is not monotone across r.
+
+    ``quantile`` is monotone in q inside each piece, and every piece from
+    knot j + 1 on reads at least ``xs[j + 1]``. Only the top of a rising
+    piece, ``xs[j] + (xs[j + 1] - xs[j])`` in floats, can read above the
+    next knot, by an ulp; a price in such an overshoot is refused. Elsewhere
+    the draws that reach r are those from the least such float up, found
+    from the guess F(r-) by steps that double in ulps, then bisection over
+    the floats between: a few scalar ``quantile`` calls.
+    """
+    xs = c.xs
+    if c._rises and np.any((xs[1:] < r) & (r <= xs[:-1] + np.diff(xs))):
+        return None
+    # floats in [0, 1] order as their bits; adding 0.0 turns -0.0 into +0.0
+    bits = np.array([min(max(float(c.cdf_left(r)), 0.0), 1.0) + 0.0, 1.0]).view(np.int64)
+    guess, one = int(bits[0]), int(bits[1])
+
+    def reaches(i: int) -> bool:
+        return c.quantile(float(np.int64(i).view(np.float64))) >= r
+
+    if not reaches(one):
+        return math.inf
+    # bracket: the draw at bit pattern lo does not reach r (-1: none below
+    # 0.0), the one at hi does
+    step = 1
+    if reaches(guess):
+        lo, hi = guess - 1, guess
+        while lo >= 0 and reaches(lo):
+            step *= 2
+            lo, hi = max(lo - step, -1), lo
+    else:
+        lo, hi = guess, min(guess + 1, one)
+        while not reaches(hi):
+            step *= 2
+            lo, hi = hi, min(hi + step, one)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if reaches(mid):
+            hi = mid
+        else:
+            lo = mid
+    return float(np.int64(hi).view(np.float64))
 
 
 def _component_rows(pd: ProductDist, most: int) -> list[tuple[Dist, slice | np.ndarray]]:

@@ -47,12 +47,32 @@ def _best_of(runs, fn):
     return timer, result
 
 
+def _bisections():
+    """The kind of work ``unknown_n_bound`` does, on numpy scalars: the
+    bisection for z(1 - ln z) = g at ten levels g."""
+    for level in np.linspace(0.05, 0.95, 10):
+        lo, w = np.float64(1e-300), 1.0
+        for _ in range(47):
+            w *= 0.5
+            mid = lo + w
+            if mid * (1.0 - np.log(mid)) < level:
+                lo = mid
+
+
 def test_c01_bernoulli_guarantee():
-    t, bound = _best_of(3, lambda: R.unknown_n_bound(1.0, BERN))
+    # the limit is a multiple of a reference timed alongside, so a loaded or
+    # cold runner moves both: the bound takes 1.4 to 1.7 references, and a
+    # bound 10 times slower fails
+    bound_s = ref_s = math.inf
+    for _ in range(3):  # interleaved, so that both see the same runner
+        t, bound = _best_of(1, lambda: R.unknown_n_bound(1.0, BERN))
+        bound_s = min(bound_s, t.seconds)
+        ref_s = min(ref_s, _best_of(1, _bisections)[0].seconds)
+    t.seconds = bound_s
     z = 1.0 - bound  # the root itself, since the tail integral vanishes
     assert z * (1 - math.log(z)) == pytest.approx(0.5, abs=1e-12)
     assert bound == pytest.approx(0.813, abs=1e-3)
-    report("criterion 01 bernoulli-guarantee", t, 1e-3, f"1-z* = {bound:.6f}")
+    report("criterion 01 bernoulli-guarantee", t, 5 * ref_s, f"1-z* = {bound:.6f}")
 
 
 def test_c02_uniform_guarantee():

@@ -4,8 +4,9 @@ implementations they replaced, copied below verbatim: the closed forms must
 read the same CDFs, and the Monte Carlo path must draw the same values and
 pay the same amounts, bit for bit. Beneath them, the guided search they all
 read against ``np.searchsorted``, the separable Monte Carlo kernel's
-top-row selection against the sort it replaced, and the quantile's read of
-the CDF's piece table against the reach mask it replaced."""
+top-row selection against the sort it replaced, the quantile's read of the
+CDF's piece table against the reach mask it replaced, and the clearing
+scorer against the values it replaced."""
 
 import math
 
@@ -452,3 +453,68 @@ def test_knot_at_negative_zero_reads_positive_zero(d):
     assert not np.signbit(d.quantile(np.resize(q, D._GUIDED_MIN))).any()
     assert math.copysign(1.0, d.quantile(0.0)) == 1.0
     assert d.cdf(-0.0) == d.cdf(0.0) and d.cdf_left(-0.0) == d.cdf_left(0.0)
+
+
+# -- the clearing scorer: draws compared with a clearing quantile ---------------
+# The top of the piece leaving the knot at 1.5 ulp reads fl(x + (x' - x)), one
+# ulp above the next knot, 1 + 3 ulp: the quantile falls from there to that knot.
+OVERSHOOT = D.from_table([(0, 0), (1.5 * 2**-52, 0.3), (1 + 3 * 2**-52, 0.6), (1 + 2**-40, 0.6000001), (3, 1)])
+
+
+def test_quantile_overshoots_a_knot_by_an_ulp():
+    q = OVERSHOOT.f_left[2]
+    assert OVERSHOOT.quantile(q) == 1 + 4 * 2**-52
+    assert OVERSHOOT.quantile(np.nextafter(q, 1.0)) == 1 + 3 * 2**-52
+    # a price in the overshoot keeps the values; one at its knot or above it does not
+    assert R._clearing_quantile(OVERSHOOT, 1 + 4 * 2**-52) is None
+    assert R._clearing_quantile(OVERSHOOT, 1 + 3 * 2**-52) == 0.6
+    assert R._clearing_quantile(OVERSHOOT, 1 + 5 * 2**-52) is not None
+
+
+def _prices(components, rng, where):
+    """A price at 0, on a knot, between two knots or above every support."""
+    xs = np.unique(np.concatenate([c.xs for c in components]))
+    if where == "zero":
+        return 0.0
+    if where == "knot":
+        return float(rng.choice(xs))
+    if where == "between" and len(xs) > 1:
+        i = int(rng.integers(len(xs) - 1))
+        return float(xs[i] + rng.uniform(0.0, 1.0) * (xs[i + 1] - xs[i]))
+    return float(xs[-1] * rng.uniform(1.0, 2.0) + rng.uniform(0.0, 1.0))
+
+
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_clearing_scorer_pays_what_values_pay(data, seed):
+    rng = np.random.default_rng(seed)
+    extra = [OVERSHOOT, D.point_mass(float(rng.uniform(0.0, 2.0))), D.point_mass(0.0)]
+    pool = [data.draw(laws()) for _ in range(2)] + [extra[int(rng.integers(3))]]
+    n = data.draw(st.integers(1, 5))
+    where = data.draw(st.sampled_from(["zero", "knot", "between", "above", "overshoot"]))
+    first = (OVERSHOOT,) if where == "overshoot" else ()  # a bidder reads the overshoot
+    pd = O.ProductDist(first + tuple(pool[int(rng.integers(3))] for _ in range(n - len(first))))
+    r = 1 + 4 * 2**-52 if where == "overshoot" else _prices(pd.components, rng, where)
+    # every bidder reads its own component's knots, their neighbours and random draws
+    q = np.array([np.resize(_quantile_points(c, rng), 1200) for c in pd.components])
+    values = np.array([c.quantile(row) for c, row in zip(pd.components, q)])
+    mechanisms = [M.PostedPrice(r)]
+    if n == 1:  # no tail weight reaches a statistic below the first
+        mechanisms += [M.SPAReserve(r), M.Laddered((1.0, 0.5), r)]
+    for mechanism in mechanisms:
+        score, pay = R._sampler(mechanism, pd)
+        scores = np.array([score(c, row) for c, row in zip(pd.components, q)])
+        np.testing.assert_array_equal(scores >= r, values >= r)
+        assert_bitwise(pay(scores), R._payment_kernel(mechanism, n)(values))
+        assert_bitwise(score(pd.components[0], q[:1]), scores[:1])  # a slab of rows
+    for c, row in zip(pd.components, scores):
+        theta = R._clearing_quantile(c, r)
+        if theta is None:  # only in an overshoot, where the values are kept
+            assert c is OVERSHOOT and where == "overshoot"
+            continue
+        assert set(np.unique(row)) <= {r, -np.inf}
+        # the least float whose quantile reaches r
+        if theta == math.inf:
+            assert c.quantile(1.0) < r
+        else:
+            assert c.quantile(theta) >= r and (theta == 0.0 or c.quantile(np.nextafter(theta, 0.0)) < r)

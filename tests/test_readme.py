@@ -35,11 +35,20 @@ def _cli_examples():
 EXAMPLES = _cli_examples()
 
 
+def _example_id(i):
+    """A command's first example goes by the command; a later one adds its config's stem."""
+    argv = EXAMPLES[i][0]
+    if any(other[0] == argv[0] for other, _ in EXAMPLES[:i]):
+        return f"{argv[0]}_{Path(argv[2]).stem}"
+    return argv[0]
+
+
 def test_every_config_example_is_found():
-    assert sorted(argv[0] for argv, _ in EXAMPLES) == ["curve", "invert", "reserve", "simulate", "worstcase"]
+    assert sorted(argv[0] for argv, _ in EXAMPLES) == [
+        "curve", "invert", "reserve", "simulate", "simulate", "simulate", "worstcase"]
 
 
-@pytest.mark.parametrize("argv, cfg", EXAMPLES, ids=[argv[0] for argv, _ in EXAMPLES])
+@pytest.mark.parametrize("argv, cfg", EXAMPLES, ids=[_example_id(i) for i in range(len(EXAMPLES))])
 def test_cli_example_runs(argv, cfg, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     Path(argv[2]).write_text(json.dumps(cfg))

@@ -143,6 +143,54 @@ class TestSeparableForm:
         want = [M.outcome(mech, M.Profile(tuple(row))).total_payment for row in values]
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), same=st.booleans(),
+           where=st.sampled_from(["zero", "knot", "between", "below", "above"]))
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    def test_closed_form_integrates_from_the_reserve(self, seed, n, same, where):
+        # the tail kept from the last merged knot at or below r is the whole
+        # table's there: each segment integrates on its own and the suffix
+        # sums run from the top; only a dot product's rounding, which may
+        # depend on a segment's place in the array, can move the last bits
+        rng = np.random.default_rng(seed)
+
+        def law():
+            pick = int(rng.integers(5))
+            if pick < 2:
+                return random_mixed_dist(rng, max_knots=8) if pick else random_discrete_dist(rng)
+            return [D.exponential(1.5, grid=64), D.normal(1.0, 0.4, grid=64), D.beta_dist(2.0, 3.0, grid=256)][pick - 2]
+
+        pd = OS.iid(law(), n) if same else OS.ProductDist(tuple(law() for _ in range(n)))
+        xs = pd.merged_knots()
+        i = int(rng.integers(len(xs)))
+        r = {"zero": 0.0, "knot": xs[i], "between": xs[i] + rng.uniform(0.0, 1.0) * (xs[min(i + 1, len(xs) - 1)] - xs[i]),
+             "below": xs[0] * rng.uniform(0.0, 1.0), "above": xs[-1] + rng.uniform(0.0, 1.0)}[where]
+        rates = tuple(np.sort(rng.uniform(0.05, 1.0, int(rng.integers(1, n + 2))))[::-1])
+        mechanisms = [M.PostedPrice(r), M.SPAReserve(r), M.Laddered(rates, r)]
+        mechanisms += [M.MultiUnit(int(rng.integers(1, n)), r)] if n > 1 else []
+        for mechanism in mechanisms:
+            _, a, b = M.separable_form(mechanism)
+            whole = float(R._separable_revenue(a, b, pd)(np.array([float(r)]))[0])
+            assert abs(R.closed_form_revenue(mechanism, pd) - whole) <= 4 * np.spacing(whole)
+
+    def test_closed_form_tail_starts_at_the_reserve(self, monkeypatch):
+        built = []
+
+        class Recorded(OS.OrderStatTail):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self.knots)
+
+        monkeypatch.setattr(R, "OrderStatTail", Recorded)
+        pd = OS.ProductDist((D.beta_dist(2.0, 3.0, grid=256), D.exponential(2.0, grid=64), F_DISC))
+        xs = pd.merged_knots()
+        for r, first in ((xs[100], 100), (0.5 * (xs[100] + xs[101]), 100), (0.0, 0), (xs[-1] + 1.0, len(xs) - 1)):
+            R.closed_form_revenue(M.SPAReserve(float(r)), pd)
+            assert built[-1].tobytes() == xs[first:].tobytes()
+        # a reserve search scores reserves below the family's own: the whole table
+        spec = OS.AmbiguitySpec(3, 2, UNIF)
+        R.optimal_robust_reserve(spec, M.SPAReserve(0.7), grid=64)
+        assert built[-1].tobytes() == OS.consistent_iid(spec, grid=64).xs.tobytes()
+
     def test_mc_refuses_units_not_below_bidders(self):
         with pytest.raises(ValueError, match="more bidders than units"):
             R.mc_expected_revenue(M.MultiUnit(2, 0.0), OS.iid(UNIF, 2), 100, 1)
@@ -368,11 +416,66 @@ def test_level_scorer_matches_values(seed, discrete_base, n):
     phi_fn = D.virtual_values(base)
     for tiebreak in ("lexicographic", "uniform"):
         score, pay = R._sampler(M.MyersonIID(base, tiebreak), pd)
-        levels = np.array([score(c, row) for c, row in zip(pd.components, q)])
-        assert levels.tobytes() == phi_fn.eval(values).tobytes()
-        assert score(pd.components[0], q[:1]).tobytes() == levels[:1].tobytes()  # a slab of rows
+        scores = np.array([score(c, row) for c, row in zip(pd.components, q)])
+        if any(c._rises for c in pd.components):  # levels; ranks on purely atomic products
+            assert scores.tobytes() == phi_fn.eval(values).tobytes()
+        assert score(pd.components[0], q[:1]).tobytes() == scores[:1].tobytes()  # a slab of rows
         want = R._payment_kernel(M.MyersonIID(base, tiebreak), n)(values)
-        assert pay(levels).tobytes() == want.tobytes()
+        assert pay(scores).tobytes() == want.tobytes()
+
+
+# atoms at 1 and 2 of mass 1/2 each: the revenue curve is flat from the first
+# to the second, so the atom at 1 takes level 0
+ZERO_LEVEL = D.from_table([], atoms=[(1.0, 0.5), (2.0, 0.5)])
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 7))
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_rank_scorer_pays_what_levels_pay(seed, n):
+    # purely atomic products: ironed bases whose atoms share a level, one with
+    # a level-0 atom, components on the base's lattice, wholly below its
+    # support (level -inf), on its top and above it; draws at every knot
+    rng = np.random.default_rng(seed)
+    lattice = [0.5, 1.0, 1.2, 2.0, 4.0]
+
+    def on_lattice():
+        return D.from_table([], atoms=list(zip(lattice, rng.dirichlet(np.ones(len(lattice))))))
+
+    base = [POOLED, F_DISC, ZERO_LEVEL, random_discrete_dist(rng), on_lattice()][int(rng.integers(5))]
+    pool = [base, on_lattice(), random_discrete_dist(rng), D.point_mass(base.support_hi),
+            _moved(random_discrete_dist(rng), 0.3 * base.support_lo / 3.0, 0.0),
+            _moved(random_discrete_dist(rng), 1.0, base.support_hi)]
+    pd = OS.ProductDist(tuple(pool[int(rng.integers(len(pool)))] for _ in range(n)))
+    q = rng.random((n, 600))
+    for i, c in enumerate(pd.components):
+        edges = np.concatenate([c.f_left, c.f_right])
+        q[i, : 3 * len(edges)] = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
+    values = np.array([c.quantile(row) for c, row in zip(pd.components, q)])
+    for tiebreak in ("lexicographic", "uniform"):
+        score, pay = R._sampler(M.MyersonIID(base, tiebreak), pd)
+        ranks = np.array([score(c, row) for c, row in zip(pd.components, q)])
+        assert np.array_equal(ranks, np.floor(ranks)) and ranks.min() >= 0.0
+        # every row of the first bidder's component in one slab
+        rows = [i for i, c in enumerate(pd.components) if c is pd.components[0]]
+        assert score(pd.components[0], q[rows]).tobytes() == ranks[rows].tobytes()
+        want = R._payment_kernel(M.MyersonIID(base, tiebreak), n)(values)
+        assert pay(ranks).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("tiebreak", ["lexicographic", "uniform"])
+@pytest.mark.parametrize("n", [1, 2, 3, 6])
+@pytest.mark.parametrize("base", [POOLED, ZERO_LEVEL, D.from_literal(PIN_BASE)], ids=["pooled", "zero", "mixed"])
+def test_rank_kernel_pays_what_levels_pay(base, n, tiebreak):
+    # levels tied at the top and below it, -inf, and a signed zero pair,
+    # which ranks read as one level
+    phi_fn = D.virtual_values(base)
+    rng = np.random.default_rng(n)
+    pick = np.concatenate([[-np.inf, -0.0, 0.0, -1.0, 3.0 * base.support_hi], phi_fn.eval(base.xs)])
+    levels = rng.choice(pick, (n, 4000))
+    table = np.unique(np.concatenate([[-np.inf], pick]))
+    ranks = np.searchsorted(table, levels).astype(np.float64)
+    got = R._myerson_kernel(phi_fn, tiebreak, table)(ranks)
+    assert got.tobytes() == R._myerson_kernel(phi_fn, tiebreak)(levels).tobytes()
 
 
 def _reference_draws(seed, n, samples):
@@ -438,11 +541,22 @@ class TestMonteCarloBlocks:
             sys.setswitchinterval(interval)
         assert (rep.expected_revenue, rep.mc_stderr) == want
 
-    @pytest.mark.parametrize("name", ["laddered", "myerson_uniform"])
+    @pytest.mark.parametrize("name", ["posted_price", "laddered", "myerson_uniform"])
     def test_shared_components_drawn_in_slabs(self, name):
         # each distinct component draws its rows, adjacent or interleaved, in
         # slabs of at most _MC_SLAB values
         a, b = D.from_literal(PIN_LITERALS[0]), D.exponential(1.0, grid=64)
+        samples = 1000
+        rows = R._MC_SLAB // samples
+        pd = OS.ProductDist((b,) * (rows + 5) + tuple(a if j % 3 else b for j in range(2 * rows)))
+        mech = BLOCK_MECHANISMS[name]
+        rep = R.mc_expected_revenue(mech, pd, samples, 3)
+        assert (rep.expected_revenue, rep.mc_stderr) == _single_matrix_mc(mech, pd, samples, 3)
+
+    @pytest.mark.parametrize("name", ["myerson_lexicographic", "myerson_uniform"])
+    def test_atomic_components_ranked_in_slabs(self, name):
+        # purely atomic components score ranks, in slabs as levels would be
+        a, b = D.from_literal(PIN_LITERALS[1]), D.from_literal(PIN_LITERALS[2])
         samples = 1000
         rows = R._MC_SLAB // samples
         pd = OS.ProductDist((b,) * (rows + 5) + tuple(a if j % 3 else b for j in range(2 * rows)))
