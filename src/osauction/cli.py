@@ -105,23 +105,31 @@ def _mechanism_from_config(obj, grid: int) -> M.Mechanism:
         raise ConfigError("mechanism must be an object with a 'type' key")
     t = obj["type"]
 
+    def field(name: str):
+        if name not in obj:
+            raise ConfigError(f"mechanism {t!r} is missing parameter {name!r}")
+        return obj[name]
+
     def reserve() -> float:
         return _finite(obj.get("reserve", 0.0), "reserve")
 
     try:
         if t == "posted_price":
-            return M.PostedPrice(_finite(obj["price"], "price"))
+            return M.PostedPrice(_finite(field("price"), "price"))
         if t == "spa":
             return M.SPAReserve(reserve())
         if t == "multi_unit":
-            return M.MultiUnit(_integer("units", obj["units"], MAX_SIZE), reserve())
+            return M.MultiUnit(_integer("units", field("units"), MAX_SIZE), reserve())
         if t == "laddered":
-            return M.Laddered(tuple(_finite(a, "click rate") for a in obj["click_rates"]), reserve())
+            rates = field("click_rates")
+            if not isinstance(rates, (list, tuple)):
+                raise ConfigError(f"click_rates must be a list of numbers, got {rates!r}")
+            return M.Laddered(tuple(_finite(a, "click rate") for a in rates), reserve())
         if t == "myerson":
             base = from_literal(obj["base"], grid=grid) if "base" in obj else None
             return M.MyersonIID(base, obj.get("tiebreak", "lexicographic"))
         raise ConfigError(f"unknown mechanism type {t!r}")
-    except (KeyError, ValueError, TypeError) as e:
+    except (ValueError, TypeError) as e:
         if isinstance(e, ConfigError):
             raise
         raise ConfigError(f"bad mechanism spec: {e}") from None

@@ -417,9 +417,7 @@ def _from_family(cdf, ppf, grid: int, label: str, tail: float = _FAMILY_TAIL) ->
     c = np.asarray(cdf(xs), dtype=np.float64)
     if not (hi > lo and c[-1] > c[0]):  # fewer than two knots, or no mass between them
         raise ValueError(f"{label} has no spread to discretize: its kept window is [{lo:g}, {hi:g}]")
-    f = (c - c[0]) / (c[-1] - c[0])  # condition on the kept window
-    f = np.maximum.accumulate(np.clip(f, 0.0, 1.0))
-    f[-1] = 1.0
+    f = (c - c[0]) / (c[-1] - c[0])  # condition on the kept window: exactly 0 and 1 at its ends
     return dist_from_arrays(xs, f, f, label=label)
 
 

@@ -14,23 +14,22 @@ a kernel with the least it reads per bidder, chosen once per request: for a
 separable mechanism without tail weights (a posted price, or any with one
 bidder), whether each uniform draw reaches the component's clearing
 quantile, the least draw whose value reaches the reserve; for any other,
-the values, drawn through ``Dist.quantile``; for Myerson on a product of
-purely atomic components, the rank of each draw's ironed level among the
-few its components' knots take, which the kernel prices from tables per
-rank; otherwise Myerson's ironed levels, read off one table of levels at
-the knots per distinct purely atomic component and evaluated from the
-draws' values on every other one. Every choice pays what the values pay,
-bit for bit. Monte Carlo rows are bidder-major, one row per bidder and one
-column per sample, so the kernels reduce over contiguous rows; a block
-draws its uniforms straight into that layout, and the rows of each
-distinct component are scored by one call per slab, read without a copy
-where they are adjacent. The lookups read
-per-segment tables and guided searches built once per instance, and both
-kernels keep only the top rows they read instead of sorting them all. Samples
-run in fixed blocks, each drawing its own stretch of one PCG64 stream, on the
-calling thread and a helper thread per further available CPU, which claim
-the next block from one counter; the payments are reduced in sample order,
-so an estimate does not depend on the number of CPUs. The exact
+the values, drawn through ``Dist.quantile``; for Myerson, what one table
+per distinct purely atomic component holds at each draw's knot: the rank
+of its ironed level among the few the knots take when every component is
+such, which the kernel prices from tables per rank, else the level, which
+every other component evaluates from its draws' values. Every choice pays
+what the values pay, bit for bit. Monte Carlo rows are bidder-major, one row
+per bidder and one column per sample, so the kernels reduce over contiguous
+rows; a block draws its uniforms straight into that layout, and the rows of
+each distinct component are scored by one call per slab, read without a
+copy where they are adjacent. The lookups read per-segment tables and
+guided searches built once per instance, and both kernels keep only the top
+rows they read instead of sorting them all. Samples run in fixed blocks,
+each drawing its own stretch of one PCG64 stream, on the calling thread
+and a helper thread per further available CPU, which claim the next block
+from one counter; the payments are reduced in sample order, so an estimate
+does not depend on the number of CPUs. The exact
 order-statistic terms come from ``orderstat``: Pr(v_(i) >= r) for the top
 rows at once, and one ``OrderStatTail`` per evaluator for the weighted sum of
 the exact tail integrals of Pr(v_(j) > t), which ``closed_form_revenue``
@@ -102,18 +101,17 @@ class RevenueReport:
 
 
 def _separable_revenue(a, b, pd: ProductDist, lowest: float = 0.0):
-    """Expected revenue of the separable payment weights ``(a, b)`` (see
-    ``mech.separable_form``) on ``pd``, as a function of an array of reserves
-    at or above ``lowest``:
+    """Expected revenue of the separable payment weights ``(a, b)`` of
+    ``_separable_form`` for ``pd.n`` bidders on ``pd``, as a function of an
+    array of reserves at or above ``lowest``:
 
         r * sum_i a_i Pr(v_(i) >= r) + sum_j b_j * integral_r^inf Pr(v_(j) > t) dt.
 
-    Statistics below the last bidder are 0, so they add nothing at r > 0.
     All tail terms share one ``OrderStatTail``, none when ``b`` is empty,
     which integrates only from ``lowest`` up.
     """
-    a = np.asarray(a[: pd.n], dtype=np.float64)
-    w = (0.0,) + tuple(b[: pd.n - 1])  # the weight of v_(j) at index j-1
+    a = np.asarray(a, dtype=np.float64)
+    w = (0.0,) + tuple(b)  # the weight of v_(j) at index j-1
     tail = OrderStatTail(pd, w, reserve=lowest) if any(w) else None
 
     def revenue(rs: np.ndarray) -> np.ndarray:
@@ -124,7 +122,8 @@ def _separable_revenue(a, b, pd: ProductDist, lowest: float = 0.0):
 
 
 def _separable_form(mechanism: M.Mechanism, n: int):
-    """``mech.separable_form`` for n bidders, refusing what it does not cover."""
+    """``mech.separable_form`` cut to n bidders, whose statistics past the n-th
+    are 0: ``(r, a[:n], b[:n - 1])``. Refuses what it does not cover."""
     form = M.separable_form(mechanism)
     if form is None:
         raise NotSeparableError(
@@ -136,7 +135,8 @@ def _separable_form(mechanism: M.Mechanism, n: int):
         raise ValueError(f"{what} must be non-negative and finite")
     if isinstance(mechanism, M.MultiUnit) and mechanism.units >= n:
         raise ValueError("need more bidders than units")
-    return form
+    r, a, b = form
+    return r, a[:n], b[: n - 1]
 
 
 def closed_form_revenue(mechanism: M.Mechanism, pd: ProductDist) -> float:
@@ -278,7 +278,7 @@ def _payment_kernel(mechanism: M.Mechanism, n: int):
     # r * sum_i a_i 1[v_(i) >= r] is r times the sum of the first c weights,
     # c the number of bidders at or above the reserve
     cleared = r * np.concatenate([[0.0], np.cumsum(a)])
-    tails = [(j, bj) for j, bj in enumerate(b[: n - 1], start=2) if bj]
+    tails = [(j, bj) for j, bj in enumerate(b, start=2) if bj]
     depth = max((j for j, _ in tails), default=0)
 
     def payments(values: np.ndarray) -> np.ndarray:
@@ -314,19 +314,19 @@ def _sampler(mechanism: M.Mechanism, pd: ProductDist):
       across r keeps its values.
     * Any other separable mechanism reads values, drawn through
       ``Dist.quantile``.
-    * Myerson reads ironed levels. A component with no rising segment has
-      every draw's quantile at a knot, so its levels are read off one table
-      of ``phi_fn.eval(xs)`` per distinct component. When every component
-      is such, a draw scores as the rank of its level among the tables'
-      sorted distinct levels, which ``_myerson_kernel`` prices from tables
-      per rank; otherwise every component scores levels, the others
-      evaluating the levels of their draws' values.
+    * Myerson reads ironed levels, through one table per distinct
+      component with no rising segment, whose every draw's quantile is at a
+      knot. When every component is such, the table holds the ranks of its
+      knots' levels among the tables' sorted distinct levels, which
+      ``_myerson_kernel`` prices from tables per rank; otherwise it holds
+      the levels ``phi_fn.eval(xs)``, and every other component evaluates
+      the levels of its draws' values.
     """
     distinct = {id(c): c for c in pd.components}
     if not isinstance(mechanism, M.MyersonIID):
         pay = _payment_kernel(mechanism, pd.n)  # its refusals first
         r, _, b = _separable_form(mechanism, pd.n)
-        if any(b[: pd.n - 1]):
+        if any(b):
             return Dist.quantile, pay
         thetas = {key: _clearing_quantile(c, r) for key, c in distinct.items()}
 
@@ -339,22 +339,18 @@ def _sampler(mechanism: M.Mechanism, pd: ProductDist):
         return cleared, pay
     phi_fn, tiebreak = virtual_values(mechanism.base), mechanism.tiebreak
     tables = {key: phi_fn.eval(c.xs) for key, c in distinct.items() if not c._rises}
+    levels = None
     if len(tables) == len(distinct):
         levels = np.unique(np.concatenate([[-np.inf], *tables.values()]))
-        ranks = {key: np.searchsorted(levels, t).astype(np.float64) for key, t in tables.items()}
+        tables = {key: np.searchsorted(levels, t).astype(np.float64) for key, t in tables.items()}
 
-        def ranked(component: Dist, q: np.ndarray) -> np.ndarray:
-            return ranks[id(component)][component._quantile_search(q, "left")]
-
-        return ranked, _myerson_kernel(phi_fn, tiebreak, levels)
-
-    def leveled(component: Dist, q: np.ndarray) -> np.ndarray:
+    def scored(component: Dist, q: np.ndarray) -> np.ndarray:
         table = tables.get(id(component))
         if table is None:
             return phi_fn.eval(component.quantile(q))
         return table[component._quantile_search(q, "left")]
 
-    return leveled, _myerson_kernel(phi_fn, tiebreak)
+    return scored, _myerson_kernel(phi_fn, tiebreak, levels)
 
 
 def _clearing_quantile(c: Dist, r: float) -> float | None:
@@ -520,22 +516,14 @@ def mc_expected_revenue(
 # -- robust evaluation ----------------------------------------------------------
 
 
-def _worst_case_law(mechanism: M.Mechanism, spec: AmbiguitySpec, grid: int, *, whole: bool = False) -> Dist:
-    """The law at which ``mechanism``'s worst case over the ambiguity set is
-    attained.
-
-    For a mechanism separable across its top k' order statistics, with
-    min(k', n) <= k (statistics past the n-th are 0), that is the consistent
-    i.i.d. distribution. Mechanisms outside that class
-    (Myerson with ironing) are refused: for k < n their worst case is not at
-    the i.i.d. point and evaluating there would overstate the guarantee, and
-    at k = n no exact evaluation of it is implemented.
-
-    Its revenue at the mechanism's reserve r reads the law only at and above
-    r, so G is inverted only from the last knot below r (``consistent_iid``'s
-    ``reserve``); the revenue at r is the whole law's, bit for bit. With
-    ``whole`` (a reserve search, a bound over the whole law) nothing is cut.
-    """
+def _worst_case_reserve(mechanism: M.Mechanism, spec: AmbiguitySpec) -> float:
+    """``mechanism``'s reserve, refused before anything is inverted unless its
+    worst case over the ambiguity set is attained at the consistent i.i.d.
+    distribution, as it is for a mechanism separable across its top k' order
+    statistics with min(k', n) <= k (statistics past the n-th are 0). Myerson
+    with ironing is refused: for k < n its worst case is not at the i.i.d.
+    point and evaluating there would overstate the guarantee, and at k = n no
+    exact evaluation of it is implemented."""
     kc = M.topk_class(mechanism)
     if kc is None and spec.k == spec.n:
         raise NotSeparableError(
@@ -554,15 +542,17 @@ def _worst_case_law(mechanism: M.Mechanism, spec: AmbiguitySpec, grid: int, *, w
             f"mechanism needs the top {kc} order statistics but only the "
             f"k={spec.k} order statistic is observed"
         )
-    r = _separable_form(mechanism, spec.n)[0]  # its own refusals, before the inversion
-    return consistent_iid(spec, grid=grid, reserve=0.0 if whole else r)
+    return _separable_form(mechanism, spec.n)[0]  # its own refusals
 
 
 def worst_case_revenue_topk(mechanism: M.Mechanism, spec: AmbiguitySpec, grid: int = DEFAULT_GRID) -> float:
     """Worst-case expected revenue over all product distributions consistent
-    with the observed k-th order statistic: an exact closed-form evaluation
-    at ``_worst_case_law``."""
-    return closed_form_revenue(mechanism, iid(_worst_case_law(mechanism, spec, grid), spec.n))
+    with the observed k-th order statistic: an exact closed form at the
+    consistent i.i.d. distribution. The revenue at the reserve r reads that
+    law only from r up, so G is inverted only from the last knot below r
+    (``consistent_iid``'s ``reserve``); it is the whole law's, bit for bit."""
+    fbar = consistent_iid(spec, grid=grid, reserve=_worst_case_reserve(mechanism, spec))
+    return closed_form_revenue(mechanism, iid(fbar, spec.n))
 
 
 @dataclass(frozen=True)
@@ -580,15 +570,17 @@ _PRICE_TOL = 1e-8
 _SCAN = 64
 
 
-def _maximize(objective, candidates: np.ndarray) -> tuple[float, float]:
+def _maximize(objective, knots: np.ndarray) -> tuple[float, float]:
     """Maximize a function of the reserve given as ``objective(array) ->
-    array``: score every candidate in one pass, then zoom. The first scan
-    takes ``_SCAN`` steps across the two candidate steps around the best
-    candidate, each later one across the two steps of the previous scan
-    around the best point so far. The search stops once the bracket is below
-    ``_PRICE_TOL`` times the candidate span (the span taken as 1 when it is
-    wider) or ``_SCAN`` float spacings of the reserve, whichever is wider, so
-    it ends at any scale and zooms as far on small supports as on unit ones."""
+    array``: score every candidate, 0 and the ``knots``, in one pass, then
+    zoom. The first scan takes ``_SCAN`` steps across the two candidate steps
+    around the best candidate, each later one across the two steps of the
+    previous scan around the best point so far. The search stops once the
+    bracket is below ``_PRICE_TOL`` times the candidate span (the span taken
+    as 1 when it is wider) or ``_SCAN`` float spacings of the reserve,
+    whichever is wider, so it ends at any scale and zooms as far on small
+    supports as on unit ones."""
+    candidates = np.unique(np.concatenate([[0.0], knots]))
     values = objective(candidates)
     best = int(np.argmax(values))
     r_best, v_best = float(candidates[best]), float(values[best])
@@ -618,15 +610,14 @@ def optimal_robust_reserve(spec: AmbiguitySpec, family: M.Mechanism, grid: int =
     second-price family does), the returned reserve is robustly optimal among
     all mechanisms, not merely within the family.
     """
-    return _robust_reserve(spec, family, _worst_case_law(family, spec, grid, whole=True))
+    _worst_case_reserve(family, spec)  # refused before the inversion; the search replaces its reserve
+    return _robust_reserve(spec, family, consistent_iid(spec, grid=grid))
 
 
 def _robust_reserve(spec: AmbiguitySpec, family: M.Mechanism, fbar: Dist) -> ReserveResult:
     """``optimal_robust_reserve`` on the family's worst-case law ``fbar``."""
     _, a, b = _separable_form(family, spec.n)
-    revenue = _separable_revenue(a, b, iid(fbar, spec.n))
-    candidates = np.unique(np.concatenate([[0.0], fbar.xs]))
-    r_best, v_best = _maximize(revenue, candidates)
+    r_best, v_best = _maximize(_separable_revenue(a, b, iid(fbar, spec.n)), fbar.xs)
     report = is_regular_above_reserve(fbar)
     certified = report.regular_above_reserve and isinstance(family, M.SPAReserve)
     return ReserveResult(
@@ -706,8 +697,7 @@ class UnknownNReserve:
 
 def optimal_unknown_n_reserve(G: Dist) -> UnknownNReserve:
     """Reserve maximizing the any-number-of-bidders guarantee."""
-    candidates = np.unique(np.concatenate([[0.0], G.xs]))
-    r_best, v_best = _maximize(_unknown_n_revenue(G), candidates)
+    r_best, v_best = _maximize(_unknown_n_revenue(G), G.xs)
     return UnknownNReserve(r_best, v_best, z_star(float(G.cdf_left(r_best))))
 
 
@@ -735,9 +725,8 @@ def robust_sandwich(spec: AmbiguitySpec, grid: int = DEFAULT_GRID) -> SandwichRe
     reserve; the lower bound is never worse than half the optimum."""
     if spec.k < 2:
         raise ValueError("sandwich bounds need k >= 2")
-    spa = M.SPAReserve(0.0)
-    fbar = _worst_case_law(spa, spec, grid, whole=True)
-    res = _robust_reserve(spec, spa, fbar)
+    fbar = consistent_iid(spec, grid=grid)
+    res = _robust_reserve(spec, M.SPAReserve(0.0), fbar)
     return SandwichResult(
         lower=res.worst_case_revenue,
         upper=optimal_revenue_bound(fbar, spec.n),

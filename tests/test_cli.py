@@ -219,6 +219,13 @@ REFUSED = {
         "worstcase", {"n": 3, "k": 2, "G": UNIF_LIT, "grid": 64, "mechanism": {"type": "vickrey"}}),
     "simulate_myerson_without_base": (
         "simulate", {"product": [UNIF_LIT, UNIF_LIT], "mechanism": {"type": "myerson"}, "samples": 10, "seed": 1}),
+    "posted_price_without_price": (
+        "worstcase", {"n": 3, "k": 2, "G": UNIF_LIT, "grid": 64, "mechanism": {"type": "posted_price"}}),
+    "laddered_without_click_rates": (
+        "worstcase", {"n": 3, "k": 2, "G": UNIF_LIT, "grid": 64, "mechanism": {"type": "laddered"}}),
+    **{f"click_rates_{kind}": (
+        "worstcase", {"n": 3, "k": 2, "G": UNIF_LIT, "grid": 64, "mechanism": {"type": "laddered", "click_rates": rates}})
+       for kind, rates in (("a_number", 5), ("null", None), ("a_string", "ab"), ("an_object", {"a": 1}))},
     # a revenue curve past the float maximum was read as not regular, with exit 0
     "overflowing_revenue_curve": (
         "reserve", {"n": 3, "k": 2, "G": {"family": "uniform", "lo": 1e300, "hi": 1.7e308}, "family": "spa"}),
@@ -242,6 +249,13 @@ REFUSED_SAYS = {
     "config_not_an_object": "error: config must be a JSON object",
     "unknown_mechanism_type": "error: unknown mechanism type 'vickrey'",
     "simulate_myerson_without_base": "error: simulate needs an explicit 'base' for the myerson mechanism",
+    "multi_unit_without_units": "error: mechanism 'multi_unit' is missing parameter 'units'",
+    "posted_price_without_price": "error: mechanism 'posted_price' is missing parameter 'price'",
+    "laddered_without_click_rates": "error: mechanism 'laddered' is missing parameter 'click_rates'",
+    "click_rates_a_number": "error: click_rates must be a list of numbers, got 5",
+    "click_rates_null": "error: click_rates must be a list of numbers, got None",
+    "click_rates_a_string": "error: click_rates must be a list of numbers, got 'ab'",
+    "click_rates_an_object": "error: click_rates must be a list of numbers, got {'a': 1}",
     "overflowing_revenue_curve": "error: iid(k=2,n=3;uniform(1e+300,1.7e+308)) lies too close to the float maximum",
     "float_seed_at_2_53": "error: seed must be written as an integer, got the float 9007199254740992.0",
     "float_seed_1e30": "error: seed must be written as an integer, got the float 1e+30",

@@ -168,7 +168,7 @@ class TestSeparableForm:
         mechanisms = [M.PostedPrice(r), M.SPAReserve(r), M.Laddered(rates, r)]
         mechanisms += [M.MultiUnit(int(rng.integers(1, n)), r)] if n > 1 else []
         for mechanism in mechanisms:
-            _, a, b = M.separable_form(mechanism)
+            _, a, b = R._separable_form(mechanism, n)
             whole = float(R._separable_revenue(a, b, pd)(np.array([float(r)]))[0])
             assert abs(R.closed_form_revenue(mechanism, pd) - whole) <= 4 * np.spacing(whole)
 
@@ -413,10 +413,16 @@ def test_level_scorer_matches_values(seed, discrete_base, n):
     for i, c in enumerate(pd.components):
         q[i, :2 * len(c.xs)] = np.concatenate([c.f_left, c.f_right])
     values = np.array([c.quantile(row) for c, row in zip(pd.components, q)])
-    phi_fn = D.virtual_values(base)
+    phi_fn, phi_eval = D.virtual_values(base), D.VirtualValueFn.eval
     for tiebreak in ("lexicographic", "uniform"):
         score, pay = R._sampler(M.MyersonIID(base, tiebreak), pd)
-        scores = np.array([score(c, row) for c, row in zip(pd.components, q)])
+        # only a component with a rising segment evaluates its draws' levels:
+        # an atomic one reads its table, in a mixed product too
+        evaluated = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(D.VirtualValueFn, "eval", lambda self, v: evaluated.append(np.size(v)) or phi_eval(self, v))
+            scores = np.array([score(c, row) for c, row in zip(pd.components, q)])
+        assert evaluated == [q.shape[1] for c in pd.components if c._rises]
         if any(c._rises for c in pd.components):  # levels; ranks on purely atomic products
             assert scores.tobytes() == phi_fn.eval(values).tobytes()
         assert score(pd.components[0], q[:1]).tobytes() == scores[:1].tobytes()  # a slab of rows
@@ -861,7 +867,10 @@ class TestCensoredWorstCaseLaw:
         # the knots from the last one below r = 0.5 up: 2050 of the whole law's 4097
         spec, h_inverse, inverted = OS.AmbiguitySpec(6, 2, UNIF), OS.h_inverse, []
         monkeypatch.setattr(OS, "h_inverse", lambda n, k, g: inverted.append(np.size(g)) or h_inverse(n, k, g))
-        assert len(R._worst_case_law(M.SPAReserve(0.5), spec, 4096).xs) == 2050
+        laws = []
+        monkeypatch.setattr(R, "consistent_iid", lambda *a, **kw: laws.append(OS.consistent_iid(*a, **kw)) or laws[-1])
+        R.worst_case_revenue_topk(M.SPAReserve(0.5), spec, 4096)
+        assert len(laws[0].xs) == 2050
         assert len(OS.consistent_iid(spec, 4096).xs) == 4097
         assert inverted == [2050, 4097]
 
